@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Five subcommands: simulate, sweep, design, geometry, classical. Parameters
-come from flags, which override a flat `key = value` config file (see
---config), which overrides built-in defaults. Physics parameters (lambda0,
-dlambda, alpha, beta, area, ...) have no built-in defaults: omitting one is
-a usage error, never a silent guess.
+come from flags, which override a flat `key = value` config file (--config),
+which overrides built-in defaults. Config keys are the subcommand's flag
+names except config, out and format, with `-` and `_` alike. Physics
+parameters (lambda0, dlambda, alpha, beta, area, ...) have no defaults.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 fit failure,
-5 infeasible design (the JSON report is still emitted).
+Exit codes: 0 success, 2 usage error (including a missing parameter, an
+unknown config key and an unreadable config file), 3 domain error, 4 fit
+failure, 5 infeasible design (the JSON report is still emitted).
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -21,10 +23,7 @@ from .classical import InterferometerConfig, classical_intensity, fringe_shift
 from .design import DesignConstraints, min_area
 from .errors import FitFailure
 from .geometry import multipass_design
-from .serialize import (classical_to_csv, classical_to_json, geometry_to_csv,
-                        geometry_to_json, solution_to_csv, solution_to_json,
-                        spectrum_to_csv, spectrum_to_json, sweep_to_csv,
-                        sweep_to_json)
+from .serialize import ClassicalReading, result_to_csv, result_to_json
 from .spectral import SpectrumModel, default_grid, output_spectrum
 from .sweep import ModelSpec, run_sweep, sensitivity
 from .weak import SelectionConfig, sagnac_phase, weak_value
@@ -33,294 +32,196 @@ EXIT_DOMAIN_ERROR = 3
 EXIT_FIT_FAILURE = 4
 EXIT_INFEASIBLE = 5
 
+main = click.Group(help="Weak-value amplified Sagnac rotation sensing toolkit.")
 
-def _load_config(path: str) -> dict[str, str]:
-    """Parse a flat config file: one `key = value` per line, '#' comments."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+# Default of a parameter that has none: omitting it is a usage error.
+REQUIRED = object()
+
+# Every parameter of every subcommand: click type and help text. A default
+# other than REQUIRED or None is appended to the help by `_command`.
+PARAMS = {
+    "alpha": (click.FLOAT, "Pre-selection angle, rad."),
+    "beta": (click.FLOAT, "Post-selection angle, rad."),
+    "area": (click.FLOAT, "Loop area S, m^2."),
+    "omega": (click.FLOAT, "Rotation rate, rad/s."),
+    "lambda0": (click.FLOAT, "Center wavelength, nm."),
+    "dlambda": (click.FLOAT, "Probe width, nm."),
+    "i0": (click.FLOAT, "Peak intensity."),
+    "grid_points": (click.INT, "Wavelength grid points."),
+    "grid_span": (click.FLOAT, "Grid half span in probe widths."),
+    "form": (click.Choice(["paper", "exact"]),
+             "Spectrum form: full modulus (exact) or its first-order "
+             "reduction (paper)."),
+    "omega_min": (click.FLOAT, "Sweep start, rad/s."),
+    "omega_max": (click.FLOAT, "Sweep end, rad/s."),
+    "steps": (click.INT, "Sweep rows."),
+    "window_lo": (click.FLOAT,
+                  "Sensitivity window start, rad/s. [default: central 20%]"),
+    "window_hi": (click.FLOAT,
+                  "Sensitivity window end, rad/s. [default: central 20%]"),
+    "i_min": (click.FLOAT, "Spectrometer detection floor, same units as --i0."),
+    "dlambda_res": (click.FLOAT, "Smallest resolvable center shift, nm."),
+    "omega_target": (click.FLOAT, "Rotation accuracy to resolve, rad/s."),
+    "beta_grid": (click.STRING,
+                  "Comma-separated post-selection angles to try, rad."),
+    "area_lo": (click.FLOAT, "Area bracket low, m^2."),
+    "area_hi": (click.FLOAT, "Area bracket high, m^2."),
+    "theta_deg": (click.INT, "Injection angle, integer degrees in (0, 90)."),
+    "rs": (click.FLOAT, "Device radius, m."),
+    "amplitude": (click.FLOAT, "Intensity amplitude A."),
+    "mod_phase": (click.FLOAT, "Modulation phase, rad."),
+}
+
+
+def _load_config(path: str, names) -> dict:
+    """Values of the parameters `names` from a config file, typed as flags."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise click.UsageError(f"{path}: cannot read config file: {exc}")
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise click.UsageError(
                 f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        mapping[key.strip().replace("-", "_")] = value.strip()
-    return mapping
-
-
-class _Params:
-    """Flag-over-config-over-default resolution for one command."""
-
-    def __init__(self, config_path: str | None):
-        self.config = _load_config(config_path) if config_path else {}
-
-    def get(self, name: str, flag_value, convert=float, default=None,
-            required: bool = False):
-        if flag_value is not None:
-            return flag_value
-        key = name.replace("-", "_")
-        if key in self.config:
-            raw = self.config[key]
-            try:
-                return convert(raw)
-            except ValueError:
-                raise click.UsageError(
-                    f"config key {name!r}: cannot parse value {raw!r}")
-        if required:
+        key, value = (part.strip() for part in line.split("=", 1))
+        name = key.replace("-", "_")
+        if name not in names:
             raise click.UsageError(
-                f"missing required parameter '--{name}' "
-                "(pass the flag or set it in the config file)")
-        return default
+                f"{path}:{lineno}: unknown key {key!r} for this subcommand")
+        try:
+            values[name] = PARAMS[name][0].convert(value, None, None)
+        except click.BadParameter:
+            raise click.UsageError(
+                f"config key {key!r}: cannot parse value {value!r}")
+    return values
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    items = [tok for tok in raw.replace(";", ",").split(",") if tok.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return [float(tok) for tok in items]
+def _help(name: str, default) -> str:
+    if default is REQUIRED or default is None:
+        return PARAMS[name][1]
+    shown = default if isinstance(default, str) else format(default, "g")
+    return f"{PARAMS[name][1]} [default: {shown}]"
 
 
-def _check_form(value: str) -> str:
-    if value not in ("paper", "exact"):
-        raise ValueError(f"form must be 'paper' or 'exact', got {value!r}")
-    return value
+def _command(fmt_default: str, **defaults):
+    """Register `run(**values) -> result` as a subcommand of `main`.
+
+    `defaults` maps each parameter, in --help order, to its default, None
+    (optional) or REQUIRED. Exit codes are chosen here and nowhere else."""
+    def register(run):
+        def callback(fmt, out_path, config_path, **flags):
+            config = _load_config(config_path, defaults) if config_path else {}
+            # flag over config over default
+            values = {name: config.get(name, default) if flags[name] is None
+                      else flags[name] for name, default in defaults.items()}
+            missing = [n.replace("_", "-") for n, v in values.items() if v is REQUIRED]
+            if missing:
+                raise click.UsageError(f"missing required parameter '--{missing[0]}' "
+                                       "(pass the flag or set it in the config file)")
+            try:
+                result = run(**values)
+            except (FitFailure, ValueError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(EXIT_FIT_FAILURE if isinstance(exc, FitFailure)
+                         else EXIT_DOMAIN_ERROR)
+            # looked up at call time, so rebinding the module names takes effect
+            text = (result_to_csv if fmt == "csv" else result_to_json)(result)
+            with click.open_file(out_path, "w") as out:  # '-' is stdout
+                out.write(text)
+            if getattr(result, "feasible", True) is False:
+                sys.exit(EXIT_INFEASIBLE)
+
+        params = [click.Option(["--" + name.replace("_", "-")],
+                               type=PARAMS[name][0], help=_help(name, default))
+                  for name, default in defaults.items()]
+        params += [
+            click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
+                         default=fmt_default, show_default=True,
+                         help="Artifact format."),
+            click.Option(["--out", "out_path"], default="-", show_default=True,
+                         help="Output path; '-' writes to stdout."),
+            click.Option(["--config", "config_path"],
+                         type=click.Path(exists=True, dir_okay=False),
+                         default=None, help="Flat 'key = value' config file; "
+                         "flags override its values.")]
+        return main.command(run.__name__, params=params,
+                            help=run.__doc__)(callback)
+    return register
 
 
-def _emit(text: str, out_path: str):
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        Path(out_path).write_text(text)
-
-
-def _common_options(f):
-    f = click.option("--config", "config_path",
-                     type=click.Path(exists=True, dir_okay=False),
-                     default=None, help="Flat 'key = value' config file; "
-                     "flags override its values.")(f)
-    f = click.option("--out", "out_path", default="-", show_default=True,
-                     help="Output path; '-' writes to stdout.")(f)
-    return f
-
-
-def _format_option(default: str):
-    return click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                        default=default, show_default=True,
-                        help="Artifact format.")
-
-
-_form_option = click.option("--form", type=click.Choice(["paper", "exact"]),
-                            default=None,
-                            help="Spectrum form: full modulus (exact) or its "
-                            "first-order reduction (paper). [default: exact]")
-
-
-@click.group()
-def main():
-    """Weak-value amplified Sagnac rotation sensing toolkit."""
-
-
-@main.command()
-@click.option("--alpha", type=float, default=None, help="Pre-selection angle, rad.")
-@click.option("--beta", type=float, default=None, help="Post-selection angle, rad.")
-@click.option("--area", type=float, default=None, help="Loop area S, m^2.")
-@click.option("--omega", type=float, default=None, help="Rotation rate, rad/s.")
-@click.option("--lambda0", type=float, default=None, help="Center wavelength, nm.")
-@click.option("--dlambda", type=float, default=None, help="Probe width, nm.")
-@click.option("--i0", type=float, default=None, help="Peak intensity. [default: 1]")
-@click.option("--grid-points", type=int, default=None,
-              help="Wavelength grid points. [default: 2048]")
-@click.option("--grid-span", type=float, default=None,
-              help="Grid half span in probe widths. [default: 4]")
-@_form_option
-@_format_option("csv")
-@_common_options
+@_command("csv", alpha=REQUIRED, beta=REQUIRED, area=REQUIRED, omega=REQUIRED,
+          lambda0=REQUIRED, dlambda=REQUIRED, i0=1.0, grid_points=2048,
+          grid_span=4.0, form="exact")
 def simulate(alpha, beta, area, omega, lambda0, dlambda, i0, grid_points,
-             grid_span, form, fmt, config_path, out_path):
+             grid_span, form):
     """Post-selected output spectrum at one rotation rate."""
-    p = _Params(config_path)
-    alpha = p.get("alpha", alpha, required=True)
-    beta = p.get("beta", beta, required=True)
-    area = p.get("area", area, required=True)
-    omega = p.get("omega", omega, required=True)
-    lambda0 = p.get("lambda0", lambda0, required=True)
-    dlambda = p.get("dlambda", dlambda, required=True)
-    i0 = p.get("i0", i0, default=1.0)
-    grid_points = p.get("grid-points", grid_points, convert=int, default=2048)
-    grid_span = p.get("grid-span", grid_span, default=4.0)
-    form = p.get("form", form, convert=_check_form, default="exact")
-    try:
-        probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
-        cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0)
-        wv = weak_value(SelectionConfig(alpha, beta, sagnac_phase(cfg, omega)))
-        spec = output_spectrum(probe, wv, g=lambda0,
-                               grid=default_grid(probe, grid_points, grid_span),
-                               form=form)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(spectrum_to_csv(spec) if fmt == "csv" else spectrum_to_json(spec),
-          out_path)
+    probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
+    cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0)
+    wv = weak_value(SelectionConfig(alpha, beta, sagnac_phase(cfg, omega)))
+    grid = default_grid(probe, grid_points, grid_span)
+    return output_spectrum(probe, wv, lambda0, grid, form)
 
 
-@main.command()
-@click.option("--omega-min", type=float, default=None, help="Sweep start, rad/s.")
-@click.option("--omega-max", type=float, default=None, help="Sweep end, rad/s.")
-@click.option("--steps", type=int, default=None, help="Sweep rows. [default: 201]")
-@click.option("--alpha", type=float, default=None, help="Pre-selection angle, rad.")
-@click.option("--beta", type=float, default=None, help="Post-selection angle, rad.")
-@click.option("--area", type=float, default=None, help="Loop area S, m^2.")
-@click.option("--lambda0", type=float, default=None, help="Center wavelength, nm.")
-@click.option("--dlambda", type=float, default=None, help="Probe width, nm.")
-@click.option("--i0", type=float, default=None, help="Peak intensity. [default: 1]")
-@click.option("--window-lo", type=float, default=None,
-              help="Sensitivity window start, rad/s. [default: central 20%]")
-@click.option("--window-hi", type=float, default=None,
-              help="Sensitivity window end, rad/s. [default: central 20%]")
-@_form_option
-@_format_option("csv")
-@_common_options
+@_command("csv", omega_min=REQUIRED, omega_max=REQUIRED, steps=201,
+          alpha=REQUIRED, beta=REQUIRED, area=REQUIRED, lambda0=REQUIRED,
+          dlambda=REQUIRED, i0=1.0, window_lo=None, window_hi=None,
+          form="exact")
 def sweep(omega_min, omega_max, steps, alpha, beta, area, lambda0, dlambda,
-          i0, window_lo, window_hi, form, fmt, config_path, out_path):
+          i0, window_lo, window_hi, form):
     """Center-shift curve and sensitivity over a rotation-rate range."""
-    p = _Params(config_path)
-    omega_min = p.get("omega-min", omega_min, required=True)
-    omega_max = p.get("omega-max", omega_max, required=True)
-    steps = p.get("steps", steps, convert=int, default=201)
-    alpha = p.get("alpha", alpha, required=True)
-    beta = p.get("beta", beta, required=True)
-    area = p.get("area", area, required=True)
-    lambda0 = p.get("lambda0", lambda0, required=True)
-    dlambda = p.get("dlambda", dlambda, required=True)
-    i0 = p.get("i0", i0, default=1.0)
-    window_lo = p.get("window-lo", window_lo)
-    window_hi = p.get("window-hi", window_hi)
-    form = p.get("form", form, convert=_check_form, default="exact")
     if (window_lo is None) != (window_hi is None):
         raise click.UsageError("--window-lo and --window-hi must be given together")
-    try:
-        probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
-        model = ModelSpec(name="cli", area_s=area, alpha=alpha, beta=beta,
-                          probe=probe, omega_range=(omega_min, omega_max, steps))
-        result = run_sweep(model, form=form)
-        if window_lo is not None:
-            k = sensitivity(result, (window_lo, window_hi))
-            result.k_analytic, result.k_fitted = k.k_analytic, k.k_fitted
-            result.k_window = (window_lo, window_hi)
-    except FitFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(sweep_to_csv(result) if fmt == "csv" else sweep_to_json(result),
-          out_path)
+    probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
+    model = ModelSpec(name="cli", area_s=area, alpha=alpha, beta=beta,
+                      probe=probe, omega_range=(omega_min, omega_max, steps))
+    result = run_sweep(model, form=form)
+    if window_lo is None:
+        return result
+    k = sensitivity(result, (window_lo, window_hi))
+    return replace(result, k_analytic=k.k_analytic, k_fitted=k.k_fitted,
+                   k_window=(window_lo, window_hi))
 
 
-@main.command()
-@click.option("--alpha", type=float, default=None, help="Pre-selection angle, rad.")
-@click.option("--lambda0", type=float, default=None, help="Center wavelength, nm.")
-@click.option("--dlambda", type=float, default=None, help="Probe width, nm.")
-@click.option("--i0", type=float, default=None, help="Source peak intensity.")
-@click.option("--i-min", type=float, default=None,
-              help="Spectrometer detection floor, same units as --i0.")
-@click.option("--dlambda-res", type=float, default=None,
-              help="Smallest resolvable center shift, nm.")
-@click.option("--omega-target", type=float, default=None,
-              help="Rotation accuracy to resolve, rad/s.")
-@click.option("--beta-grid", type=str, default=None,
-              help="Comma-separated post-selection angles to try, rad.")
-@click.option("--area-lo", type=float, default=None, help="Area bracket low, m^2.")
-@click.option("--area-hi", type=float, default=None, help="Area bracket high, m^2.")
-@_format_option("json")
-@_common_options
+@_command("json", alpha=REQUIRED, lambda0=REQUIRED, dlambda=REQUIRED,
+          i0=REQUIRED, i_min=REQUIRED, dlambda_res=REQUIRED,
+          omega_target=REQUIRED, beta_grid=REQUIRED, area_lo=REQUIRED,
+          area_hi=REQUIRED)
 def design(alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
-           beta_grid, area_lo, area_hi, fmt, config_path, out_path):
+           beta_grid, area_lo, area_hi):
     """Smallest feasible loop area under detection and resolution floors."""
-    p = _Params(config_path)
-    alpha = p.get("alpha", alpha, required=True)
-    lambda0 = p.get("lambda0", lambda0, required=True)
-    dlambda = p.get("dlambda", dlambda, required=True)
-    i0 = p.get("i0", i0, required=True)
-    i_min = p.get("i-min", i_min, required=True)
-    dlambda_res = p.get("dlambda-res", dlambda_res, required=True)
-    omega_target = p.get("omega-target", omega_target, required=True)
-    betas = p.get("beta-grid", beta_grid, convert=str, required=True)
-    area_lo = p.get("area-lo", area_lo, required=True)
-    area_hi = p.get("area-hi", area_hi, required=True)
     try:
-        beta_values = _parse_float_list(betas)
+        betas = [float(tok) for tok in beta_grid.replace(";", ",").split(",")
+                 if tok.strip()]
     except ValueError:
+        betas = []
+    if not betas:
         raise click.UsageError(
-            f"--beta-grid: cannot parse {betas!r} as comma-separated angles")
-    try:
-        constraints = DesignConstraints(
-            i0=i0, i_min=i_min, delta_lambda_res=dlambda_res,
-            omega_target=omega_target, alpha=alpha,
-            probe=SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda))
-        solution = min_area(constraints, beta_values, (area_lo, area_hi))
-    except FitFailure as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_FIT_FAILURE)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(solution_to_json(solution) if fmt == "json" else solution_to_csv(solution),
-          out_path)
-    if not solution.feasible:
-        sys.exit(EXIT_INFEASIBLE)
+            f"--beta-grid: cannot parse {beta_grid!r} as comma-separated angles")
+    constraints = DesignConstraints(
+        i0=i0, i_min=i_min, delta_lambda_res=dlambda_res,
+        omega_target=omega_target, alpha=alpha,
+        probe=SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda))
+    return min_area(constraints, betas, (area_lo, area_hi))
 
 
-@main.command()
-@click.option("--theta-deg", type=int, default=None,
-              help="Injection angle, integer degrees in (0, 90).")
-@click.option("--rs", type=float, default=None, help="Device radius, m.")
-@_format_option("json")
-@_common_options
-def geometry(theta_deg, rs, fmt, config_path, out_path):
+@_command("json", theta_deg=REQUIRED, rs=REQUIRED)
+def geometry(theta_deg, rs):
     """Multipass loop turn count and equivalent area for one injection angle."""
-    p = _Params(config_path)
-    theta_deg = p.get("theta-deg", theta_deg, convert=int, required=True)
-    rs = p.get("rs", rs, required=True)
-    try:
-        design_ = multipass_design(theta_deg, rs)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(geometry_to_json(design_) if fmt == "json" else geometry_to_csv(design_),
-          out_path)
+    return multipass_design(theta_deg, rs)
 
 
-@main.command()
-@click.option("--area", type=float, default=None, help="Loop area S, m^2.")
-@click.option("--lambda0", type=float, default=None, help="Center wavelength, nm.")
-@click.option("--omega", type=float, default=None, help="Rotation rate, rad/s.")
-@click.option("--amplitude", type=float, default=None,
-              help="Intensity amplitude A. [default: 1]")
-@click.option("--mod-phase", type=float, default=None,
-              help="Modulation phase, rad. [default: 0]")
-@_format_option("csv")
-@_common_options
-def classical(area, lambda0, omega, amplitude, mod_phase, fmt, config_path,
-              out_path):
+@_command("csv", area=REQUIRED, lambda0=REQUIRED, omega=REQUIRED,
+          amplitude=1.0, mod_phase=0.0)
+def classical(area, lambda0, omega, amplitude, mod_phase):
     """Classical fringe shift and output intensity at one rotation rate."""
-    p = _Params(config_path)
-    area = p.get("area", area, required=True)
-    lambda0 = p.get("lambda0", lambda0, required=True)
-    omega = p.get("omega", omega, required=True)
-    amplitude = p.get("amplitude", amplitude, default=1.0)
-    mod_phase = p.get("mod-phase", mod_phase, default=0.0)
-    try:
-        cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0,
-                                           mod_phase=mod_phase)
-        dz = fringe_shift(cfg, omega)
-        intensity = classical_intensity(cfg, amplitude, omega)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN_ERROR)
-    _emit(classical_to_csv(omega, dz, intensity) if fmt == "csv"
-          else classical_to_json(omega, dz, intensity), out_path)
+    cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0,
+                                       mod_phase=mod_phase)
+    return ClassicalReading(omega, fringe_shift(cfg, omega),
+                            classical_intensity(cfg, amplitude, omega))
 
 
 if __name__ == "__main__":

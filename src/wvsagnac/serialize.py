@@ -1,5 +1,9 @@
 """Plot-ready CSV and JSON emission for every result type.
 
+Each result type has one layout (`_layout`): CSV comment lines, a CSV header,
+CSV rows and a JSON document. `result_to_csv` and `result_to_json` render any
+layout, so every artifact is one call to one of them.
+
 CSV floats carry 17 significant digits ('.' decimal, no separators) so a
 round trip through text is lossless; JSON uses Python's shortest-round-trip
 float encoding. Emission is deterministic: the same inputs always produce
@@ -10,11 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 
 from .design import DesignSolution
 from .geometry import MultipassDesign
 from .spectral import SampledSpectrum
 from .sweep import SweepResult
+
+# Classical fringe shift and output intensity at one rotation rate.
+ClassicalReading = namedtuple("ClassicalReading", "omega fringe_shift intensity")
 
 
 def fmt(x: float) -> str:
@@ -22,101 +30,71 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _cell(v) -> str:
+    return str(v).lower() if isinstance(v, (bool, int)) else fmt(v)
+
+
 def _nan_to_none(x: float):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _record(header: list[str], row) -> dict:
+    """One CSV row as a JSON object; NaN becomes null."""
+    return {name: _nan_to_none(v) for name, v in zip(header, row)}
 
 
-def spectrum_to_csv(spec: SampledSpectrum) -> str:
-    lines = ["lambda_nm,intensity"]
-    lines += [f"{fmt(lam)},{fmt(inten)}"
-              for lam, inten in zip(spec.wavelengths, spec.intensities)]
+def _layout(result) -> tuple:
+    """Comment lines, CSV header, CSV rows and JSON document of one result."""
+    warnings = list(getattr(result, "warnings", ()))
+    comments = [f"warning: {w}" for w in warnings]
+    if isinstance(result, SampledSpectrum):
+        lam, inten = result.wavelengths.tolist(), result.intensities.tolist()
+        return comments, ["lambda_nm", "intensity"], zip(lam, inten), {
+            "form": result.form_tag, "lambda_nm": lam, "intensity": inten}
+    if isinstance(result, SweepResult):
+        header = ["omega", "phi", "im_aw", "dlambda_analytic_nm",
+                  "dlambda_fitted_nm", "postselect_prob"]
+        rows = [(r.omega, r.phi, r.im_aw, r.dlambda_analytic,
+                 r.dlambda_fitted, r.postselect_prob) for r in result.rows]
+        comments += [f"k_analytic_nm_per_rad_s={fmt(result.k_analytic)}",
+                     f"k_fitted_nm_per_rad_s={fmt(result.k_fitted)}"]
+        return comments, header, rows, {
+            "form": result.form,
+            "k_analytic": _nan_to_none(result.k_analytic),
+            "k_fitted": _nan_to_none(result.k_fitted),
+            "k_window": list(result.k_window),
+            "warnings": warnings,
+            "rows": [{**_record(header, row), "failed": r.failed,
+                      "note": r.note} for r, row in zip(result.rows, rows)]}
+    # The rest are one-row tables: the JSON document is that row, then the
+    # warnings when the type carries them.
+    if isinstance(result, MultipassDesign):
+        header = ["theta_deg", "n_turns", "area_equiv_m2", "ratio_vs_square"]
+        row = (result.theta_deg, result.n_turns, result.area_equiv,
+               result.area_equiv / (4.0 * result.radius_rs ** 2))
+    elif isinstance(result, DesignSolution):
+        header = ["feasible", "beta", "area_s_min_m2",
+                  "k_achieved_nm_per_rad_s", "peak_intensity"]
+        row = (result.feasible, result.beta, result.area_s_min,
+               result.k_achieved, result.peak_intensity)
+    elif isinstance(result, ClassicalReading):
+        header, row = list(result._fields), tuple(result)
+    else:
+        raise TypeError(f"no artifact layout for {type(result).__name__}")
+    doc = _record(header, row)
+    if hasattr(result, "warnings"):
+        doc["warnings"] = warnings
+    return comments, header, [row], doc
+
+
+def result_to_csv(result) -> str:
+    """Comment lines, the header, then one line per row."""
+    comments, header, rows, _ = _layout(result)
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(_cell(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_json(spec: SampledSpectrum) -> str:
-    return _dumps({
-        "form": spec.form_tag,
-        "lambda_nm": [float(v) for v in spec.wavelengths],
-        "intensity": [float(v) for v in spec.intensities],
-    })
-
-
-def sweep_to_csv(result: SweepResult) -> str:
-    lines = [f"# warning: {w}" for w in result.warnings]
-    lines += [f"# k_analytic_nm_per_rad_s={fmt(result.k_analytic)}",
-              f"# k_fitted_nm_per_rad_s={fmt(result.k_fitted)}",
-              "omega,phi,im_aw,dlambda_analytic_nm,dlambda_fitted_nm,postselect_prob"]
-    for r in result.rows:
-        lines.append(",".join(fmt(v) for v in (
-            r.omega, r.phi, r.im_aw, r.dlambda_analytic, r.dlambda_fitted,
-            r.postselect_prob)))
-    return "\n".join(lines) + "\n"
-
-
-def sweep_to_json(result: SweepResult) -> str:
-    return _dumps({
-        "form": result.form,
-        "k_analytic": _nan_to_none(result.k_analytic),
-        "k_fitted": _nan_to_none(result.k_fitted),
-        "k_window": list(result.k_window),
-        "warnings": list(result.warnings),
-        "rows": [{
-            "omega": r.omega,
-            "phi": r.phi,
-            "im_aw": _nan_to_none(r.im_aw),
-            "dlambda_analytic_nm": _nan_to_none(r.dlambda_analytic),
-            "dlambda_fitted_nm": _nan_to_none(r.dlambda_fitted),
-            "postselect_prob": r.postselect_prob,
-            "failed": r.failed,
-            "note": r.note,
-        } for r in result.rows],
-    })
-
-
-def geometry_to_json(design: MultipassDesign) -> str:
-    return _dumps({
-        "theta_deg": design.theta_deg,
-        "n_turns": design.n_turns,
-        "area_equiv_m2": design.area_equiv,
-        "ratio_vs_square": design.area_equiv / (4.0 * design.radius_rs ** 2),
-    })
-
-
-def geometry_to_csv(design: MultipassDesign) -> str:
-    ratio = design.area_equiv / (4.0 * design.radius_rs ** 2)
-    return ("theta_deg,n_turns,area_equiv_m2,ratio_vs_square\n"
-            f"{design.theta_deg},{design.n_turns},"
-            f"{fmt(design.area_equiv)},{fmt(ratio)}\n")
-
-
-def solution_to_json(solution: DesignSolution) -> str:
-    return _dumps({
-        "feasible": solution.feasible,
-        "beta": _nan_to_none(solution.beta),
-        "area_s_min_m2": _nan_to_none(solution.area_s_min),
-        "k_achieved_nm_per_rad_s": _nan_to_none(solution.k_achieved),
-        "peak_intensity": _nan_to_none(solution.peak_intensity),
-        "warnings": list(solution.warnings),
-    })
-
-
-def solution_to_csv(solution: DesignSolution) -> str:
-    lines = [f"# warning: {w}" for w in solution.warnings]
-    lines += ["feasible,beta,area_s_min_m2,k_achieved_nm_per_rad_s,peak_intensity",
-              ",".join([str(solution.feasible).lower(), fmt(solution.beta),
-                        fmt(solution.area_s_min), fmt(solution.k_achieved),
-                        fmt(solution.peak_intensity)])]
-    return "\n".join(lines) + "\n"
-
-
-def classical_to_json(omega: float, dz: float, intensity: float) -> str:
-    return _dumps({"omega": omega, "fringe_shift": dz, "intensity": intensity})
-
-
-def classical_to_csv(omega: float, dz: float, intensity: float) -> str:
-    return ("omega,fringe_shift,intensity\n"
-            f"{fmt(omega)},{fmt(dz)},{fmt(intensity)}\n")
+def result_to_json(result) -> str:
+    """The layout's JSON document, indented by two spaces."""
+    return json.dumps(_layout(result)[3], indent=2) + "\n"

@@ -9,7 +9,7 @@ the absolute least-squares slope of shift versus rate inside a window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class Sensitivity:
     k_fitted: float    # nm per rad/s
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepResult:
     rows: list[SweepRow]
     k_analytic: float
@@ -180,10 +180,10 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT) -> SweepResult:
                          k_window=window, form=form, warnings=warnings)
     try:
         k = sensitivity(result, window)
-        result.k_analytic, result.k_fitted = k.k_analytic, k.k_fitted
     except ValueError as exc:
-        result.warnings.append(f"sensitivity window unusable: {exc}")
-    return result
+        return replace(result, warnings=warnings
+                       + [f"sensitivity window unusable: {exc}"])
+    return replace(result, k_analytic=k.k_analytic, k_fitted=k.k_fitted)
 
 
 def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> Sensitivity:

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, artifacts, exit codes, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +9,26 @@ from click.testing import CliRunner
 
 from wvsagnac import InterferometerConfig, SampledSpectrum, fit_center, fringe_shift
 from wvsagnac.cli import main
+from wvsagnac.errors import FitFailure
 
 SIMULATE_ARGS = ["simulate", "--alpha", "0.1", "--beta", "-0.3", "--area", "16",
                  "--omega", "0", "--lambda0", "1550", "--dlambda", "10"]
 SWEEP_ARGS = ["sweep", "--omega-min", "-0.1", "--omega-max", "0.1",
               "--steps", "201", "--alpha", "0.1", "--beta", "-0.3",
               "--area", "16", "--lambda0", "1550", "--dlambda", "10"]
+DESIGN_ARGS = ["design", "--alpha", "0.1", "--lambda0", "1550", "--dlambda", "10",
+               "--i0", "1.0", "--i-min", "0.005", "--dlambda-res", "0.01",
+               "--omega-target", "0.05", "--beta-grid=-0.5,-0.3,-0.2",
+               "--area-lo", "1", "--area-hi", "20"]
+# one feasible run of every subcommand
+COMMAND_ARGS = {
+    "simulate": SIMULATE_ARGS,
+    "sweep": SWEEP_ARGS[:6] + ["21"] + SWEEP_ARGS[7:],
+    "design": DESIGN_ARGS,
+    "geometry": ["geometry", "--theta-deg", "25", "--rs", "1.0"],
+    "classical": ["classical", "--area", "16", "--lambda0", "1550",
+                  "--omega", "0.1"],
+}
 
 
 @pytest.fixture
@@ -77,10 +92,46 @@ def test_simulate_writes_file(runner, tmp_path):
     assert out.read_text().startswith("lambda_nm,intensity")
 
 
-def test_simulate_deterministic_output(runner):
-    first = runner.invoke(main, SIMULATE_ARGS).output
-    second = runner.invoke(main, SIMULATE_ARGS).output
-    assert first == second
+def _json_columns(doc):
+    """Column name -> values, for each JSON shape the CLI writes."""
+    if "rows" in doc:
+        return {k: [row[k] for row in doc["rows"]] for k in doc["rows"][0]}
+    if "lambda_nm" in doc:
+        return {k: doc[k] for k in ("lambda_nm", "intensity")}
+    return {k: [v] for k, v in doc.items()}
+
+
+def _same_value(token, value):
+    """A CSV token and a JSON value carry the same bits (NaN is null)."""
+    if value is None:
+        return math.isnan(float(token))
+    if isinstance(value, bool):
+        return token == str(value).lower()
+    return float(token).hex() == float(value).hex()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_deterministic_output(runner, command, fmt):
+    args = COMMAND_ARGS[command]
+    first = runner.invoke(main, args + ["--format", fmt])
+    second = runner.invoke(main, args + ["--format", fmt])
+    assert first.exit_code == 0
+    assert first.output == second.output
+    other = runner.invoke(main, args + ["--format",
+                                        "json" if fmt == "csv" else "csv"])
+    csv_text, json_text = ((first.output, other.output) if fmt == "csv"
+                           else (other.output, first.output))
+    lines = [ln for ln in csv_text.splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    csv_columns = dict(zip(header, zip(*(ln.split(",") for ln in lines[1:]))))
+    json_columns = _json_columns(json.loads(json_text))
+    shared = csv_columns.keys() & json_columns.keys()
+    assert shared == set(header)
+    for name in shared:
+        assert len(csv_columns[name]) == len(json_columns[name])
+        assert all(_same_value(tok, value) for tok, value
+                   in zip(csv_columns[name], json_columns[name])), name
 
 
 def test_csv_floats_round_trip_losslessly(runner):
@@ -196,11 +247,65 @@ def test_config_bad_value_names_the_token(runner, tmp_path):
     assert "twenty" in result.output
 
 
+def test_config_bad_value_rejected_even_when_a_flag_overrides_it(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("theta-deg = twenty\nrs = 1.0\n")
+    result = runner.invoke(main, ["geometry", "--config", str(cfg),
+                                  "--theta-deg", "25"])
+    assert result.exit_code == 2
+    assert "twenty" in result.output
+
+
 def test_config_bad_line_rejected(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("theta-deg 25\n")
     result = runner.invoke(main, ["geometry", "--config", str(cfg), "--rs", "1"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("line", ["grid_pionts = 64", "from = paper",
+                                  "format = csv", "out = spectrum.csv"])
+def test_config_unknown_key_rejected(runner, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"alpha = 0.1\n{line}\n")
+    result = runner.invoke(main, SIMULATE_ARGS + ["--config", str(cfg)])
+    assert result.exit_code == 2
+    assert f"unknown key {line.split()[0]!r}" in result.output
+
+
+def test_config_undecodable_file_is_usage_error(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"theta-deg = 25\nrs = 1\xff\xfe\n")
+    result = runner.invoke(main, ["geometry", "--config", str(cfg)])
+    assert result.exit_code == 2
+    assert "cannot read config file" in result.output
+    assert not isinstance(result.exception, UnicodeDecodeError)
+
+
+def test_config_keys_match_dash_and_underscore(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("omega_min = -0.1\nomega-max = 0.1\nsteps = 11\n"
+                   "window_lo = -0.05\nwindow-hi = 0.05\n")
+    result = runner.invoke(main, ["sweep", "--config", str(cfg), "--alpha", "0.1",
+                                  "--beta", "-0.3", "--area", "16", "--lambda0",
+                                  "1550", "--dlambda", "10", "--format", "json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["k_window"] == [-0.05, 0.05]
+    assert [row["omega"] for row in payload["rows"]][::10] == [-0.1, 0.1]
+
+
+@pytest.mark.parametrize("command", ["sweep", "design"])
+def test_fit_failure_exit_code(runner, monkeypatch, command):
+    def fail(*args, **kwargs):
+        raise FitFailure("planted: the fit did not converge")
+
+    monkeypatch.setattr("wvsagnac.sweep.fit_center", fail)
+    monkeypatch.setattr("wvsagnac.design.fit_center", fail)
+    result = runner.invoke(main, COMMAND_ARGS[command])
+    assert result.exit_code == 4
+    assert "error: planted: the fit did not converge" in result.stderr
+    assert result.stdout == ""
 
 
 def test_missing_physics_parameter_is_usage_error(runner):

@@ -1,6 +1,7 @@
 """Rate sweeps: symmetry, sensitivity extraction, benchmark configurations."""
 
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -115,6 +116,14 @@ def test_postselect_probability_column():
         assert 0.0 <= row.postselect_prob <= 1.0
         # at this selection the rest probability is sin^2(beta)
         assert row.postselect_prob == pytest.approx(math.sin(0.3) ** 2, rel=1e-3)
+
+
+def test_result_is_frozen():
+    res = _synthetic_result(np.linspace(-1.0, 1.0, 5), np.zeros(5))
+    with pytest.raises(FrozenInstanceError):
+        res.k_analytic = 1.0
+    with pytest.raises(FrozenInstanceError):
+        res.k_window = (0.0, 1.0)
 
 
 def test_rows_sorted_validation():
