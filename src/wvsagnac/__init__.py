@@ -10,18 +10,15 @@ from .classical import (NM, SPEED_OF_LIGHT, InterferometerConfig,
 from .design import (DesignConstraints, DesignSolution, FeasibilityReport,
                      feasible, min_area)
 from .errors import DegenerateInput, FitFailure, NearOrthogonalSelection
-from .geometry import (MultipassDesign, amplification_ratio, equivalent_area,
-                       multipass_design, turns)
+from .geometry import MultipassDesign, equivalent_area, multipass_design, turns
 from .spectral import (FORM_EXACT, FORM_PAPER, FitResult, SampledSpectrum,
                        SpectrumModel, centroid, default_grid, fit_center,
-                       input_spectrum, intensity_envelope, modulation_factor,
-                       output_spectrum)
+                       intensity_envelope, modulation_factor, output_spectrum)
 from .sweep import (ModelSpec, Sensitivity, SweepResult, SweepRow,
                     benchmark_models, default_window, run_sweep, sensitivity)
 from .weak import (OVERLAP_FLOOR, SelectionConfig, WeakValueResult,
-                   amplitudes_mn, analytic_wavelength_shift,
-                   first_order_momentum_shift, sagnac_phase, weak_value,
-                   weak_value_direct)
+                   amplitudes_mn, analytic_wavelength_shift, sagnac_phase,
+                   weak_value, weak_value_direct)
 
 __all__ = [
     "NM", "SPEED_OF_LIGHT", "OVERLAP_FLOOR", "FORM_EXACT", "FORM_PAPER",
@@ -31,10 +28,9 @@ __all__ = [
     "FeasibilityReport", "DesignSolution",
     "NearOrthogonalSelection", "DegenerateInput", "FitFailure",
     "fringe_shift", "classical_intensity", "sagnac_phase", "amplitudes_mn",
-    "weak_value", "weak_value_direct", "first_order_momentum_shift",
-    "analytic_wavelength_shift", "input_spectrum", "intensity_envelope",
-    "modulation_factor", "output_spectrum", "centroid", "fit_center",
-    "default_grid", "run_sweep", "sensitivity", "default_window",
-    "benchmark_models", "turns", "equivalent_area", "amplification_ratio",
-    "multipass_design", "feasible", "min_area",
+    "weak_value", "weak_value_direct", "analytic_wavelength_shift",
+    "intensity_envelope", "modulation_factor", "output_spectrum", "centroid",
+    "fit_center", "default_grid", "run_sweep", "sensitivity", "default_window",
+    "benchmark_models", "turns", "equivalent_area", "multipass_design",
+    "feasible", "min_area",
 ]

@@ -14,7 +14,6 @@ failure, 5 infeasible design (the JSON report is still emitted).
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -25,7 +24,7 @@ from .errors import FitFailure
 from .geometry import multipass_design
 from .serialize import ClassicalReading, result_to_csv, result_to_json
 from .spectral import SpectrumModel, default_grid, output_spectrum
-from .sweep import ModelSpec, run_sweep, sensitivity
+from .sweep import ModelSpec, run_sweep
 from .weak import SelectionConfig, sagnac_phase, weak_value
 
 EXIT_DOMAIN_ERROR = 3
@@ -178,12 +177,8 @@ def sweep(omega_min, omega_max, steps, alpha, beta, area, lambda0, dlambda,
     probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
     model = ModelSpec(name="cli", area_s=area, alpha=alpha, beta=beta,
                       probe=probe, omega_range=(omega_min, omega_max, steps))
-    result = run_sweep(model, form=form)
-    if window_lo is None:
-        return result
-    k = sensitivity(result, (window_lo, window_hi))
-    return replace(result, k_analytic=k.k_analytic, k_fitted=k.k_fitted,
-                   k_window=(window_lo, window_hi))
+    return run_sweep(model, form=form, window=None if window_lo is None
+                     else (window_lo, window_hi))
 
 
 @_command("json", alpha=REQUIRED, lambda0=REQUIRED, dlambda=REQUIRED,

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .classical import NM, InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import FORM_EXACT, SpectrumModel, default_grid, fit_center, output_spectrum
-from .weak import SelectionConfig, sagnac_phase, weak_value
+from .spectral import SpectrumModel, default_grid, fit_center
+from .sweep import reference_center, spectrum_at
+from .weak import sagnac_phase
 
 BISECTION_REL_TOL = 1e-4   # relative tolerance on the returned area
 MONOTONE_PROBE_POINTS = 8  # areas sampled to verify the monotone regime
@@ -73,55 +75,9 @@ class DesignSolution:
     warnings: tuple[str, ...] = ()
 
 
-class _BetaEvaluator:
-    """Feasibility evaluations for one post-selection angle.
-
-    Caches everything area-independent: the grid, the zero-rotation
-    reference fit (the differential phase vanishes at rest regardless of
-    area) and the interferometer wavelength.
-    """
-
-    def __init__(self, constraints: DesignConstraints, beta: float):
-        if not math.isfinite(beta):
-            raise ValueError("beta must be finite")
-        self.constraints = constraints
-        self.beta = beta
-        self.probe = replace(constraints.probe, i0=constraints.i0)
-        self.grid = default_grid(self.probe)
-        self.g = self.probe.lambda0
-        self.lambda0_m = self.probe.lambda0 * NM
-        self.fail_reason = ""
-        self.ref_center = math.nan
-        try:
-            wv0 = weak_value(SelectionConfig(constraints.alpha, beta, 0.0))
-            self.ref_center = fit_center(
-                output_spectrum(self.probe, wv0, self.g, self.grid, FORM_EXACT)
-            ).center
-        except NearOrthogonalSelection as exc:
-            self.fail_reason = str(exc)
-
-    def report(self, area_s: float) -> FeasibilityReport:
-        c = self.constraints
-        if self.fail_reason:
-            return FeasibilityReport(False, 0.0, -c.i_min, 0.0,
-                                     -c.delta_lambda_res, math.nan,
-                                     reason=self.fail_reason)
-        cfg = InterferometerConfig(area_s=area_s, lambda0=self.lambda0_m)
-        phi = sagnac_phase(cfg, c.omega_target)
-        try:
-            wv = weak_value(SelectionConfig(c.alpha, self.beta, phi))
-        except NearOrthogonalSelection as exc:
-            return FeasibilityReport(False, 0.0, -c.i_min, 0.0,
-                                     -c.delta_lambda_res, math.nan,
-                                     reason=str(exc))
-        spectrum = output_spectrum(self.probe, wv, self.g, self.grid, FORM_EXACT)
-        peak = float(spectrum.intensities.max())
-        shift = abs(fit_center(spectrum).center - self.ref_center)
-        return FeasibilityReport(
-            feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
-            peak_intensity=peak, intensity_margin=peak - c.i_min,
-            shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
-            im_aw=wv.a_w.imag)
+# Zero-rotation reference center per (probe, alpha, beta), shared by every
+# area and every call at one selection. Exceptions are not cached.
+_reference_center = lru_cache(maxsize=256)(reference_center)
 
 
 def feasible(beta: float, area_s: float,
@@ -136,14 +92,33 @@ def feasible(beta: float, area_s: float,
     """
     if not (math.isfinite(area_s) and area_s > 0):
         raise ValueError(f"area_s must be positive, got {area_s}")
-    return _BetaEvaluator(constraints, beta).report(area_s)
+    if not math.isfinite(beta):
+        raise ValueError("beta must be finite")
+    c = constraints
+    probe = replace(c.probe, i0=c.i0)
+    cfg = InterferometerConfig(area_s=area_s, lambda0=probe.lambda0 * NM)
+    try:
+        ref_center = _reference_center(probe, c.alpha, beta)
+        wv, spectrum = spectrum_at(probe, c.alpha, beta,
+                                   sagnac_phase(cfg, c.omega_target),
+                                   default_grid(probe))
+    except NearOrthogonalSelection as exc:
+        return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
+                                 math.nan, reason=str(exc))
+    peak = float(spectrum.intensities.max())
+    shift = abs(fit_center(spectrum).center - ref_center)
+    return FeasibilityReport(
+        feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
+        peak_intensity=peak, intensity_margin=peak - c.i_min,
+        shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
+        im_aw=wv.a_w.imag)
 
 
-def _min_area_for_beta(ev: _BetaEvaluator, s_lo: float, s_hi: float,
-                       warnings: list[str]
+def _min_area_for_beta(constraints: DesignConstraints, beta: float,
+                       s_lo: float, s_hi: float, warnings: list[str]
                        ) -> tuple[float, FeasibilityReport] | None:
     probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS)
-    reports = [ev.report(float(s)) for s in probes]
+    reports = [feasible(beta, float(s), constraints) for s in probes]
     if all(r.reason for r in reports):
         return None
 
@@ -165,7 +140,7 @@ def _min_area_for_beta(ev: _BetaEvaluator, s_lo: float, s_hi: float,
         best = reports[-1]
         while hi - lo > BISECTION_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
-            rep = ev.report(mid)
+            rep = feasible(beta, mid, constraints)
             if rep.feasible:
                 hi, best = mid, rep
             else:
@@ -173,10 +148,10 @@ def _min_area_for_beta(ev: _BetaEvaluator, s_lo: float, s_hi: float,
         return hi, best
 
     warnings.append(
-        f"beta = {ev.beta:g}: response is outside the verified-monotone regime; "
+        f"beta = {beta:g}: response is outside the verified-monotone regime; "
         f"falling back to an exhaustive {FALLBACK_SCAN_POINTS}-point area scan")
     for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS):
-        rep = ev.report(float(s))
+        rep = feasible(beta, float(s), constraints)
         if rep.feasible:
             return float(s), rep
     return None
@@ -202,8 +177,7 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
     warnings: list[str] = []
     best: tuple[float, float, FeasibilityReport] | None = None  # (area, beta, report)
     for beta in beta_grid:
-        found = _min_area_for_beta(_BetaEvaluator(constraints, float(beta)),
-                                   s_lo, s_hi, warnings)
+        found = _min_area_for_beta(constraints, float(beta), s_lo, s_hi, warnings)
         if found is None:
             continue
         area, rep = found

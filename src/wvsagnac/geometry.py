@@ -65,11 +65,6 @@ def equivalent_area(theta_deg, radius_rs: float) -> float:
     return chords * radius_rs ** 2 * math.sin(beta) * math.cos(beta)
 
 
-def amplification_ratio(theta_deg) -> float:
-    """Area gain over the single-pass square loop of side 2*R (area 4*R^2)."""
-    return equivalent_area(theta_deg, 1.0) / 4.0
-
-
 def multipass_design(theta_deg, radius_rs: float) -> MultipassDesign:
     """Bundle turn count and equivalent area for one injection angle."""
     t = _check_theta(theta_deg)

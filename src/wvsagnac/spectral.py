@@ -85,13 +85,6 @@ def default_grid(probe: SpectrumModel, points: int = GRID_POINTS,
     return np.linspace(probe.lambda0 - half, probe.lambda0 + half, points)
 
 
-def input_spectrum(probe: SpectrumModel, lam):
-    """Source spectrum I0 * exp(-(lam - lambda0)^2 / W^2); W is the 1/e half width."""
-    lam = np.asarray(lam, dtype=float)
-    out = probe.i0 * np.exp(-((lam - probe.lambda0) / probe.width_dlambda) ** 2)
-    return float(out) if out.ndim == 0 else out
-
-
 def intensity_envelope(probe: SpectrumModel, lam):
     """Probe intensity distribution entering the post-selected output spectrum.
 

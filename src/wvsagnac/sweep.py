@@ -9,15 +9,16 @@ the absolute least-squares slope of shift versus rate inside a window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classical import NM, InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
-from .spectral import (FORM_EXACT, SpectrumModel, default_grid, fit_center,
-                       output_spectrum)
-from .weak import SelectionConfig, analytic_wavelength_shift, sagnac_phase, weak_value
+from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel, default_grid,
+                       fit_center, output_spectrum)
+from .weak import (SelectionConfig, WeakValueResult, analytic_wavelength_shift,
+                   sagnac_phase, weak_value)
 
 # |sin| below this means one path amplitude vanishes identically: the weak
 # value is pinned to +/-1 for every rate and the first-order shift is zero.
@@ -68,12 +69,12 @@ class Sensitivity:
 
 @dataclass(frozen=True)
 class SweepResult:
-    rows: list[SweepRow]
+    rows: tuple[SweepRow, ...]
     k_analytic: float
     k_fitted: float
     k_window: tuple[float, float]
     form: str
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         omegas = [r.omega for r in self.rows]
@@ -104,7 +105,7 @@ def benchmark_models(lambda0: float, dlambda: float, i0: float = 1.0,
             for name, s, a, b in table]
 
 
-def _degeneracy_warnings(model: ModelSpec) -> list[str]:
+def _degeneracy_warnings(model: ModelSpec) -> tuple[str, ...]:
     notes = []
     if abs(math.sin(model.alpha + model.beta)) < DEGENERACY_TOL:
         notes.append(
@@ -116,7 +117,7 @@ def _degeneracy_warnings(model: ModelSpec) -> list[str]:
             f"{model.name}: alpha = {model.alpha:g} makes the n amplitude vanish "
             "identically; the weak value is pinned at +1, Im(A_w) = 0, and the "
             "first-order center shift is identically zero")
-    return notes
+    return tuple(notes)
 
 
 def default_window(omega_range: tuple[float, float, int],
@@ -129,24 +130,48 @@ def default_window(omega_range: tuple[float, float, int],
     return (center - half, center + half)
 
 
-def run_sweep(model: ModelSpec, form: str = FORM_EXACT) -> SweepResult:
+def spectrum_at(probe: SpectrumModel, alpha: float, beta: float, phi: float,
+                grid: np.ndarray, form: str = FORM_EXACT
+                ) -> tuple[WeakValueResult, SampledSpectrum]:
+    """Weak value and post-selected spectrum at the differential phase `phi`.
+
+    The coupling length is the probe's center wavelength. An effectively
+    orthogonal selection raises NearOrthogonalSelection.
+    """
+    wv = weak_value(SelectionConfig(alpha, beta, phi))
+    return wv, output_spectrum(probe, wv, probe.lambda0, grid, form)
+
+
+def reference_center(probe: SpectrumModel, alpha: float, beta: float,
+                     form: str = FORM_EXACT) -> float:
+    """Fitted center (nm) of the zero-rotation spectrum on `default_grid(probe)`.
+
+    Every fitted shift is measured from it. The differential phase vanishes
+    at rest, so it does not depend on the loop area.
+    """
+    spectrum = spectrum_at(probe, alpha, beta, 0.0, default_grid(probe), form)[1]
+    return fit_center(spectrum).center
+
+
+def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
+              window: tuple[float, float] | None = None) -> SweepResult:
     """Evaluate the shift curve over the model's rate range.
 
     The fitted shift of every row is reported relative to the fitted center
     of the zero-rotation spectrum, which removes any constant bias the
     modulation leaves in the fit. Rows whose selection is effectively
     orthogonal are flagged and carry NaNs instead of aborting the sweep.
+    The sensitivity is taken inside `window`; without one, inside
+    `default_window`, and a default window with too few usable rows leaves
+    k NaN with a warning, where a given one raises ValueError.
     Output is deterministic and independent of evaluation order.
     """
     cfg = InterferometerConfig(area_s=model.area_s,
                                lambda0=model.probe.lambda0 * NM)
-    g = model.probe.lambda0  # coupling length = center wavelength, nm
+    # A failure of the reference is not row-isolated because every fitted
+    # shift is measured against it.
+    ref_center = reference_center(model.probe, model.alpha, model.beta, form)
     grid = default_grid(model.probe)
-
-    # Zero-rotation reference; a failure here is not row-isolated because
-    # every fitted shift is measured against it.
-    wv0 = weak_value(SelectionConfig(model.alpha, model.beta, 0.0))
-    ref_center = fit_center(output_spectrum(model.probe, wv0, g, grid, form)).center
 
     lo, hi, steps = model.omega_range
     rows: list[SweepRow] = []
@@ -154,7 +179,8 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT) -> SweepResult:
         omega = float(omega)
         phi = sagnac_phase(cfg, omega)
         try:
-            wv = weak_value(SelectionConfig(model.alpha, model.beta, phi))
+            wv, spectrum = spectrum_at(model.probe, model.alpha, model.beta,
+                                       phi, grid, form)
         except NearOrthogonalSelection as exc:
             rows.append(SweepRow(omega=omega, phi=phi, im_aw=math.nan,
                                  dlambda_analytic=math.nan, dlambda_fitted=math.nan,
@@ -162,8 +188,7 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT) -> SweepResult:
             continue
         analytic = analytic_wavelength_shift(model.probe, wv.a_w)
         try:
-            fitted = fit_center(output_spectrum(model.probe, wv, g, grid, form)
-                                ).center - ref_center
+            fitted = fit_center(spectrum).center - ref_center
         except FitFailure as exc:
             rows.append(SweepRow(omega=omega, phi=phi, im_aw=wv.a_w.imag,
                                  dlambda_analytic=analytic, dlambda_fitted=math.nan,
@@ -174,15 +199,17 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT) -> SweepResult:
                              dlambda_analytic=analytic, dlambda_fitted=fitted,
                              postselect_prob=wv.postselect_prob))
 
-    warnings = _degeneracy_warnings(model)
-    window = default_window(model.omega_range)
-    result = SweepResult(rows=rows, k_analytic=math.nan, k_fitted=math.nan,
-                         k_window=window, form=form, warnings=warnings)
+    result = SweepResult(
+        rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,
+        k_window=default_window(model.omega_range) if window is None else window,
+        form=form, warnings=_degeneracy_warnings(model))
     try:
-        k = sensitivity(result, window)
+        k = sensitivity(result, result.k_window)
     except ValueError as exc:
-        return replace(result, warnings=warnings
-                       + [f"sensitivity window unusable: {exc}"])
+        if window is not None:
+            raise
+        return replace(result, warnings=result.warnings
+                       + (f"sensitivity window unusable: {exc}",))
     return replace(result, k_analytic=k.k_analytic, k_fitted=k.k_fitted)
 
 

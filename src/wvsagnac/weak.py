@@ -122,14 +122,6 @@ def weak_value_direct(sel: SelectionConfig) -> complex:
     return (h_term - v_term) / overlap
 
 
-def first_order_momentum_shift(g: float, width_w: float, a_w: complex) -> float:
-    """Mean momentum displacement 2*g*W^2*Im(A_w) of the post-selected probe."""
-    if not (math.isfinite(g) and math.isfinite(width_w)
-            and cmath.isfinite(a_w)):
-        raise ValueError("g, width_w and a_w must all be finite")
-    return 2.0 * g * width_w ** 2 * a_w.imag
-
-
 def analytic_wavelength_shift(probe: "SpectrumModel", a_w: complex) -> float:
     """First-order center-wavelength displacement -4*pi*W^2/lambda0 * Im(A_w).
 

@@ -183,6 +183,22 @@ def test_sweep_window_override(runner):
     assert half.exit_code == 2
 
 
+def test_sweep_window_override_drops_the_default_window_warning(runner):
+    # five rows: the default central window holds one, the given window all
+    args = ["sweep", "--omega-min", "-0.1", "--omega-max", "0.1", "--steps", "5",
+            "--alpha", "0.1", "--beta", "-0.3", "--area", "16", "--lambda0",
+            "1550", "--dlambda", "10", "--window-lo", "-0.1", "--window-hi", "0.1"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "# warning" not in result.output
+    k = dict(line[2:].split("=") for line in result.output.splitlines()[:2])
+    assert float(k["k_fitted_nm_per_rad_s"]) == pytest.approx(0.31, rel=0.05)
+    unusable = runner.invoke(main, args[:-4] + ["--window-lo", "0",
+                                                "--window-hi", "0.01"])
+    assert unusable.exit_code == 3
+    assert "at least 3 usable rows" in unusable.stderr
+
+
 # ── design ────────────────────────────────────────────────────────────────────
 
 def test_design_vacuous_constraints(runner):

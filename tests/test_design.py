@@ -4,7 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wvsagnac.design as design
+import wvsagnac.spectral as spectral
+import wvsagnac.sweep as sweep
 from wvsagnac import DesignConstraints, SpectrumModel, feasible, min_area
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
@@ -126,3 +131,33 @@ def test_bracket_and_grid_validation():
         min_area(_constraints(), [], (1.0, 5.0))
     with pytest.raises(ValueError):
         feasible(-0.2, -1.0, _constraints())
+
+
+# ── memoized zero-rotation reference ──────────────────────────────────────────
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.floats(-0.55, -0.15), area_s=st.floats(2.0, 18.0))
+def test_memoized_reference_gives_bit_identical_reports(beta, area_s):
+    cons = _constraints(i_min=0.005, res=0.01)
+    design._reference_center.cache_clear()
+    cold = feasible(beta, area_s, cons)
+    design._reference_center.cache_clear()
+    min_area(cons, [-0.3, beta], (2.0, 18.0))  # warms the cache at beta
+    warm = feasible(beta, area_s, cons)
+    again = feasible(beta, area_s, cons)
+    assert repr(cold) == repr(warm) == repr(again)
+
+
+def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return spectral.fit_center(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "fit_center", counted)
+    monkeypatch.setattr(design, "fit_center", counted)
+    design._reference_center.cache_clear()
+    for i in range(10):
+        feasible(-0.25, 4.0 + i, _constraints())
+    assert len(fits) == 11  # one reference, one fit per call

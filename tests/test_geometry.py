@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from wvsagnac import (MultipassDesign, amplification_ratio, equivalent_area,
-                      multipass_design, turns)
+from wvsagnac import MultipassDesign, equivalent_area, multipass_design, turns
 
 
 def test_turns_known_angles():
@@ -76,19 +75,22 @@ def test_equivalent_area_rejects_bad_radius():
         equivalent_area(25, -1.0)
 
 
+# The amplification ratio is the area gain over the single-pass square loop
+# of side 2*R (area 4*R^2), the artifact's ratio_vs_square.
+
 def test_amplification_ratio_reference_design():
-    assert amplification_ratio(25) == pytest.approx(3.4472, abs=5e-4)
+    assert equivalent_area(25, 1.0) / 4.0 == pytest.approx(3.4472, abs=5e-4)
 
 
 def test_amplification_ratio_square_pass():
-    assert amplification_ratio(45) == pytest.approx(0.5, rel=1e-12)
+    assert equivalent_area(45, 1.0) / 4.0 == pytest.approx(0.5, rel=1e-12)
 
 
 def test_amplification_ratio_radius_invariant():
     # the ratio divides out the radius: same value from any device size
     for radius in (0.5, 1.0, 7.0):
         ratio = equivalent_area(25, radius) / (4.0 * radius ** 2)
-        assert ratio == pytest.approx(amplification_ratio(25), rel=1e-12)
+        assert ratio == pytest.approx(equivalent_area(25, 1.0) / 4.0, rel=1e-12)
 
 
 def test_multipass_design_bundle():

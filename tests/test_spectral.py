@@ -9,9 +9,9 @@ import wvsagnac.spectral as spectral
 from wvsagnac import (DegenerateInput, FitFailure, FitResult,
                       InterferometerConfig, SampledSpectrum, SelectionConfig,
                       SpectrumModel, analytic_wavelength_shift, centroid,
-                      default_grid, fit_center, input_spectrum,
-                      intensity_envelope, modulation_factor, output_spectrum,
-                      sagnac_phase, weak_value)
+                      default_grid, fit_center, intensity_envelope,
+                      modulation_factor, output_spectrum, sagnac_phase,
+                      weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 CFG = InterferometerConfig.from_nm(area_s=16.0, lambda0_nm=1550.0)
@@ -33,21 +33,6 @@ def _random_weak_value(rng, overlap_floor=1e-3):
 
 
 # ── input model ───────────────────────────────────────────────────────────────
-
-def test_input_spectrum_peak():
-    assert input_spectrum(PROBE, 1550.0) == 1.0
-
-
-def test_input_spectrum_one_over_e_at_width():
-    assert input_spectrum(PROBE, 1560.0) == pytest.approx(1.0 / math.e, rel=1e-15)
-    assert input_spectrum(PROBE, 1540.0) == pytest.approx(1.0 / math.e, rel=1e-15)
-
-
-def test_input_spectrum_symmetry():
-    deltas = np.linspace(0.1, 35.0, 40)
-    assert np.allclose(input_spectrum(PROBE, 1550.0 + deltas),
-                       input_spectrum(PROBE, 1550.0 - deltas), rtol=1e-14)
-
 
 def test_envelope_peak_and_standard_deviation():
     assert intensity_envelope(PROBE, 1550.0) == 1.0
@@ -170,7 +155,7 @@ def test_sampled_spectrum_validation():
 
 def test_centroid_symmetric_spectrum():
     grid = default_grid(PROBE)
-    spec = SampledSpectrum(grid, input_spectrum(PROBE, grid), "exact")
+    spec = SampledSpectrum(grid, intensity_envelope(PROBE, grid), "exact")
     assert centroid(spec) == pytest.approx(1550.0, abs=1e-9)
 
 

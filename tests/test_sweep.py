@@ -27,10 +27,10 @@ def _model(area_s=16.0, alpha=0.1, beta=-0.3, omega_range=(-0.1, 0.1, 201)):
 
 
 def _synthetic_result(omegas, shifts):
-    rows = [SweepRow(omega=float(o), phi=0.0, im_aw=0.0,
-                     dlambda_analytic=float(s), dlambda_fitted=float(s),
-                     postselect_prob=0.5)
-            for o, s in zip(omegas, shifts)]
+    rows = tuple(SweepRow(omega=float(o), phi=0.0, im_aw=0.0,
+                          dlambda_analytic=float(s), dlambda_fitted=float(s),
+                          postselect_prob=0.5)
+                 for o, s in zip(omegas, shifts))
     return SweepResult(rows=rows, k_analytic=0.0, k_fitted=0.0,
                        k_window=(min(omegas), max(omegas)), form="exact")
 
@@ -124,6 +124,12 @@ def test_result_is_frozen():
         res.k_analytic = 1.0
     with pytest.raises(FrozenInstanceError):
         res.k_window = (0.0, 1.0)
+    # frozen all the way down: rows and warnings are tuples, so it hashes
+    swept = run_sweep(_model(beta=-0.1, omega_range=(-0.02, 0.02, 5)))
+    assert swept.warnings and not hasattr(swept.warnings, "append")
+    assert not hasattr(swept.rows, "append")
+    assert hash(swept) == hash(run_sweep(_model(beta=-0.1,
+                                                omega_range=(-0.02, 0.02, 5))))
 
 
 def test_rows_sorted_validation():
@@ -161,6 +167,23 @@ def test_sensitivity_window_preconditions():
 def test_default_window_is_central_fifth():
     assert default_window((-0.1, 0.1, 201)) == pytest.approx((-0.02, 0.02))
     assert default_window((0.0, 1.0, 11)) == pytest.approx((0.4, 0.6))
+
+
+def test_explicit_window_is_used_and_an_unusable_one_raises():
+    model = _model(omega_range=(-0.1, 0.1, 5))
+    # the default window holds one row: k is NaN and a warning says why
+    default = run_sweep(model)
+    assert math.isnan(default.k_fitted)
+    assert default.warnings == ("sensitivity window unusable: need at least 3 "
+                                "usable rows inside the window, got 1",)
+    res = run_sweep(model, window=(-0.1, 0.1))
+    assert res.k_window == (-0.1, 0.1) and res.warnings == ()
+    k = sensitivity(res, (-0.1, 0.1))
+    assert (res.k_analytic, res.k_fitted) == (k.k_analytic, k.k_fitted)
+    with pytest.raises(ValueError, match="at least 3 usable rows"):
+        run_sweep(model, window=(0.0, 0.01))
+    with pytest.raises(ValueError, match="lo < hi"):
+        run_sweep(model, window=(0.05, -0.05))
 
 
 def test_windowed_slope_matches_closed_form_chain():

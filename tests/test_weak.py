@@ -7,8 +7,8 @@ import pytest
 
 from wvsagnac import (InterferometerConfig, NearOrthogonalSelection,
                       SelectionConfig, SpectrumModel, amplitudes_mn,
-                      analytic_wavelength_shift, first_order_momentum_shift,
-                      fringe_shift, sagnac_phase, weak_value, weak_value_direct)
+                      analytic_wavelength_shift, fringe_shift, sagnac_phase,
+                      weak_value, weak_value_direct)
 
 CFG = InterferometerConfig.from_nm(area_s=16.0, lambda0_nm=1550.0)
 
@@ -166,27 +166,6 @@ def test_selection_requires_finite_angles():
 
 
 # ── first-order shifts ────────────────────────────────────────────────────────
-
-def test_momentum_shift_zero_for_real_weak_value():
-    assert first_order_momentum_shift(2.0, 3.0, complex(5.0, 0.0)) == 0.0
-
-
-def test_momentum_shift_unit_case():
-    assert first_order_momentum_shift(1.0, 1.0, 1j) == 2.0
-
-
-def test_momentum_shift_linear_in_coupling():
-    base = first_order_momentum_shift(1.3, 0.7, complex(0.2, 0.4))
-    assert first_order_momentum_shift(2.6, 0.7, complex(0.2, 0.4)) == pytest.approx(
-        2.0 * base, rel=1e-15)
-
-
-def test_momentum_shift_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        first_order_momentum_shift(math.nan, 1.0, 1j)
-    with pytest.raises(ValueError):
-        first_order_momentum_shift(1.0, 1.0, complex(math.inf, 0.0))
-
 
 def test_wavelength_shift_zero_for_real_weak_value():
     probe = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
