@@ -16,7 +16,6 @@ NM = 1e-9  # nanometers to meters; the single wavelength conversion point
 class InterferometerConfig:
     area_s: float                 # loop area, m^2
     lambda0: float                # vacuum center wavelength, m
-    c: float = SPEED_OF_LIGHT     # free-space light speed, m/s
     mod_phase: float = 0.0        # static modulation phase, rad
 
     def __post_init__(self):
@@ -24,8 +23,6 @@ class InterferometerConfig:
             raise ValueError(f"area_s must be positive and finite, got {self.area_s}")
         if not (math.isfinite(self.lambda0) and self.lambda0 > 0):
             raise ValueError(f"lambda0 must be positive and finite, got {self.lambda0}")
-        if self.c != SPEED_OF_LIGHT:
-            raise ValueError("c must be the exact SI speed of light, 299792458 m/s")
         if not math.isfinite(self.mod_phase):
             raise ValueError("mod_phase must be finite")
 
@@ -42,7 +39,7 @@ def fringe_shift(cfg: InterferometerConfig, omega: float) -> float:
     """
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    return 4.0 * omega * cfg.area_s / (cfg.lambda0 * cfg.c)
+    return 4.0 * omega * cfg.area_s / (cfg.lambda0 * SPEED_OF_LIGHT)
 
 
 def classical_intensity(cfg: InterferometerConfig, amplitude_a: float,

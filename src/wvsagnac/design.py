@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .classical import NM, InterferometerConfig
+from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
 from .spectral import SpectrumModel, default_grid, fit_center
 from .sweep import reference_center, spectrum_at
@@ -96,7 +96,7 @@ def feasible(beta: float, area_s: float,
         raise ValueError("beta must be finite")
     c = constraints
     probe = replace(c.probe, i0=c.i0)
-    cfg = InterferometerConfig(area_s=area_s, lambda0=probe.lambda0 * NM)
+    cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
     try:
         ref_center = _reference_center(probe, c.alpha, beta)
         wv, spectrum = spectrum_at(probe, c.alpha, beta,

@@ -143,24 +143,24 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
     return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
 
 
-def centroid(spec: SampledSpectrum) -> float:
-    """Intensity-weighted mean wavelength, trapezoidal quadrature on the grid."""
+def _moments(spec: SampledSpectrum) -> tuple[float, float]:
+    """Intensity-weighted mean and standard deviation of the wavelength (nm)."""
     lam, inten = spec.wavelengths, spec.intensities
     if lam.size == 1:
         if inten[0] <= 0:
             raise DegenerateInput("spectrum has zero total intensity")
-        return float(lam[0])
+        return float(lam[0]), 0.0
     total = np.trapezoid(inten, lam)
     if total <= 0:
         raise DegenerateInput("spectrum has zero total intensity")
-    return float(np.trapezoid(inten * lam, lam) / total)
+    center = float(np.trapezoid(inten * lam, lam) / total)
+    var = np.trapezoid(inten * (lam - center) ** 2, lam) / total
+    return center, float(math.sqrt(max(var, 0.0)))
 
 
-def _moment_std(spec: SampledSpectrum, center: float) -> float:
-    total = np.trapezoid(spec.intensities, spec.wavelengths)
-    var = np.trapezoid(spec.intensities * (spec.wavelengths - center) ** 2,
-                       spec.wavelengths) / total
-    return float(math.sqrt(max(var, 0.0)))
+def centroid(spec: SampledSpectrum) -> float:
+    """Intensity-weighted mean wavelength, trapezoidal quadrature on the grid."""
+    return _moments(spec)[0]
 
 
 def _gaussian_and_jacobian(lam: np.ndarray, peak: float, center: float,
@@ -175,8 +175,7 @@ def _gaussian_and_jacobian(lam: np.ndarray, peak: float, center: float,
     return model, jac
 
 
-def fit_center(spec: SampledSpectrum, seed: FitResult | None = None,
-               window_halfwidth: float | None = None) -> FitResult:
+def fit_center(spec: SampledSpectrum) -> FitResult:
     """Windowed least-squares Gaussian fit of (peak, center, width).
 
     Damped Gauss-Newton with the analytic Jacobian of the Gaussian model:
@@ -186,11 +185,11 @@ def fit_center(spec: SampledSpectrum, seed: FitResult | None = None,
     Converged when every parameter changes by less than 1e-12 relative;
     raises FitFailure after 200 iterations without convergence.
 
-    The fit window is centered on the centroid and extends
+    The window and the start come from the spectrum alone. The window is
+    centered on the grid sample nearest the centroid and extends
     FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
-    each side (override with window_halfwidth, nm). A seed FitResult may
-    supply the starting parameters; by default they come from the peak
-    sample, the centroid and the moment width.
+    each side; the start is the peak sample, the centroid and the moment
+    width.
     """
     lam, inten = spec.wavelengths, spec.intensities
     if not np.any(inten > 0):
@@ -200,44 +199,36 @@ def fit_center(spec: SampledSpectrum, seed: FitResult | None = None,
             f"need at least {MIN_FIT_POINTS} grid points with nonzero intensity, "
             f"got {np.count_nonzero(inten)}")
 
-    center0 = centroid(spec)
-    sigma = _moment_std(spec, center0)
-    if window_halfwidth is None:
-        window_halfwidth = FIT_WINDOW_SIGMAS * sigma
-    if seed is not None:
-        peak, center, width = seed.peak, seed.center, seed.width
-    else:
-        peak = float(inten.max())
-        center = center0
-        width = math.sqrt(2.0) * sigma  # 1/e half width of a Gaussian with std sigma
-    if not (window_halfwidth > 0 and width > 0 and peak > 0):
+    center, sigma = _moments(spec)
+    if not sigma > 0:
         raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
 
     # Snap the window center to the grid sample nearest the centroid: a cut
     # at the continuously varying centroid itself would flip edge points in
     # and out of the window, breaking the mirror symmetry of fits to
     # mirror-image spectra.
-    center_snap = lam[int(np.argmin(np.abs(lam - center0)))]
-    mask = np.abs(lam - center_snap) <= window_halfwidth
+    center_snap = lam[int(np.argmin(np.abs(lam - center)))]
+    mask = np.abs(lam - center_snap) <= FIT_WINDOW_SIGMAS * sigma
     lam_w = lam[mask]
     y = inten[mask]
     if np.count_nonzero(y) < MIN_FIT_POINTS:
         raise ValueError(
             f"fit window holds fewer than {MIN_FIT_POINTS} nonzero points")
 
-    params = np.array([peak, center, width])
+    # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
+    params = np.array([float(inten.max()), center, math.sqrt(2.0) * sigma])
     model, jac = _gaussian_and_jacobian(lam_w, *params)
     residual = model - y
     cost = float(residual @ residual)
     damping = 1e-3
 
+    converged = False
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
         jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1e-30
+        diag = jtj.diagonal()
+        np.fill_diagonal(jtj, diag + damping * np.where(diag <= 0, 1e-30, diag))
         try:
-            step = np.linalg.solve(jtj + damping * np.diag(diag),
-                                   -(jac.T @ residual))
+            step = np.linalg.solve(jtj, -(jac.T @ residual))
         except np.linalg.LinAlgError:
             damping *= 10.0
             continue
@@ -256,15 +247,16 @@ def fit_center(spec: SampledSpectrum, seed: FitResult | None = None,
             continue
         rel_change = np.max(np.abs(step) / np.maximum(np.abs(params), 1e-300))
         if rel_change < FIT_RELATIVE_TOL:
-            rms = math.sqrt(cost / lam_w.size)
-            scale = abs(params[0]) if params[0] != 0 else 1.0
-            return FitResult(center=float(params[1]), width=float(params[2]),
-                             peak=float(params[0]), residual_norm=rms / scale,
-                             iterations=iteration)
+            converged = True
+            break
 
     rms = math.sqrt(cost / lam_w.size)
-    scale = abs(params[0]) if params[0] != 0 else 1.0
-    raise FitFailure(
-        f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "
-        f"(relative rms residual {rms / scale:.3e})",
-        residual_norm=rms / scale, iterations=FIT_MAX_ITERATIONS)
+    residual_norm = rms / (abs(params[0]) if params[0] != 0 else 1.0)
+    if not converged:
+        raise FitFailure(
+            f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "
+            f"(relative rms residual {residual_norm:.3e})",
+            residual_norm=residual_norm, iterations=FIT_MAX_ITERATIONS)
+    return FitResult(center=float(params[1]), width=float(params[2]),
+                     peak=float(params[0]), residual_norm=residual_norm,
+                     iterations=iteration)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classical import NM, InterferometerConfig
+from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
 from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel, default_grid,
                        fit_center, output_spectrum)
@@ -86,22 +86,21 @@ class SweepResult:
                     f"postselect_prob {r.postselect_prob} outside [0, 1]")
 
 
-def benchmark_models(lambda0: float, dlambda: float, i0: float = 1.0,
-                     omega_range: tuple[float, float, int] = (-0.1, 0.1, 201)
-                     ) -> list[ModelSpec]:
+def benchmark_models(lambda0: float, dlambda: float) -> list[ModelSpec]:
     """Four benchmark configurations spanning loop area and post-selection angle.
 
     (S, alpha, beta) = (16, 0.1, -0.5), (16, 0.1, -0.3), (16, 0.1, -0.1),
-    (3, 0.1, -0.1); S = 16 m^2 corresponds to a 4 x 4 m ring. The probe
-    parameters are the caller's responsibility (lambda0 and dlambda in nm).
+    (3, 0.1, -0.1); S = 16 m^2 corresponds to a 4 x 4 m ring. The probe has
+    a unit peak and the given center and width (nm); every model sweeps 201
+    rates over +/-0.1 rad/s (use `dataclasses.replace` for another range).
     """
-    probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
+    probe = SpectrumModel(i0=1.0, lambda0=lambda0, width_dlambda=dlambda)
     table = [("model1", 16.0, 0.1, -0.5),
              ("model2", 16.0, 0.1, -0.3),
              ("model3", 16.0, 0.1, -0.1),
              ("model4", 3.0, 0.1, -0.1)]
     return [ModelSpec(name=name, area_s=s, alpha=a, beta=b, probe=probe,
-                      omega_range=omega_range)
+                      omega_range=(-0.1, 0.1, 201))
             for name, s, a, b in table]
 
 
@@ -120,13 +119,12 @@ def _degeneracy_warnings(model: ModelSpec) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def default_window(omega_range: tuple[float, float, int],
-                   fraction: float = DEFAULT_WINDOW_FRACTION
-                   ) -> tuple[float, float]:
-    """Central `fraction` of the sweep range, the default sensitivity window."""
+def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]:
+    """Central DEFAULT_WINDOW_FRACTION of the sweep range, the default
+    sensitivity window."""
     lo, hi, _ = omega_range
     center = 0.5 * (lo + hi)
-    half = 0.5 * fraction * (hi - lo)
+    half = 0.5 * DEFAULT_WINDOW_FRACTION * (hi - lo)
     return (center - half, center + half)
 
 
@@ -166,8 +164,7 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     k NaN with a warning, where a given one raises ValueError.
     Output is deterministic and independent of evaluation order.
     """
-    cfg = InterferometerConfig(area_s=model.area_s,
-                               lambda0=model.probe.lambda0 * NM)
+    cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     # A failure of the reference is not row-isolated because every fitted
     # shift is measured against it.
     ref_center = reference_center(model.probe, model.alpha, model.beta, form)

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from wvsagnac import (DesignConstraints, ModelSpec, SelectionConfig,
-                      SpectrumModel, amplitudes_mn, benchmark_models,
-                      classical_intensity, default_grid, feasible, fit_center,
-                      fringe_shift, InterferometerConfig, intensity_envelope,
-                      min_area, multipass_design, output_spectrum, run_sweep,
-                      SampledSpectrum, weak_value, weak_value_direct)
+from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, ModelSpec,
+                      SelectionConfig, SpectrumModel, amplitudes_mn,
+                      benchmark_models, classical_intensity, default_grid,
+                      feasible, fit_center, fringe_shift, InterferometerConfig,
+                      intensity_envelope, min_area, multipass_design,
+                      output_spectrum, run_sweep, SampledSpectrum, weak_value,
+                      weak_value_direct)
 from wvsagnac.cli import main
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
@@ -259,7 +260,7 @@ def test_criterion_9_classical_baseline_sanity():
     start = time.perf_counter()
     cfg = InterferometerConfig.from_nm(area_s=16.0, lambda0_nm=1550.0)
     amplitude = 1.3
-    period = cfg.lambda0 * cfg.c / (4.0 * cfg.area_s)  # one fringe in omega
+    period = cfg.lambda0 * SPEED_OF_LIGHT / (4.0 * cfg.area_s)  # one fringe in omega
     omegas = np.linspace(-3.0 * period, 3.0 * period, 5001)
     worst_period = 0.0
     for omega in omegas:

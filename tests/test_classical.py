@@ -59,7 +59,7 @@ def test_intensity_bounds_dense_scan():
 
 def test_intensity_periodic_in_unit_fringe_shift():
     # one fringe corresponds to Omega -> Omega + lambda0*c/(4S)
-    period = CFG.lambda0 * CFG.c / (4.0 * CFG.area_s)
+    period = CFG.lambda0 * SPEED_OF_LIGHT / (4.0 * CFG.area_s)
     rng = np.random.default_rng(11)
     for omega in rng.uniform(-2.0, 2.0, 25):
         a = classical_intensity(CFG, 1.0, float(omega))
@@ -72,7 +72,7 @@ def test_config_rejects_bad_values():
         InterferometerConfig(area_s=-1.0, lambda0=1550e-9)
     with pytest.raises(ValueError):
         InterferometerConfig(area_s=16.0, lambda0=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the light speed is a constant, not a field
         InterferometerConfig(area_s=16.0, lambda0=1550e-9, c=3e8)
     with pytest.raises(ValueError):
         InterferometerConfig(area_s=16.0, lambda0=1550e-9, mod_phase=math.inf)

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from wvsagnac import InterferometerConfig, SampledSpectrum, fit_center, fringe_shift
+from wvsagnac import (InterferometerConfig, SampledSpectrum, fit_center,
+                      fringe_shift, serialize)
 from wvsagnac.cli import main
 from wvsagnac.errors import FitFailure
 
@@ -141,6 +144,17 @@ def test_csv_floats_round_trip_losslessly(runner):
     # bit-exact against the library value: 17 significant digits are lossless
     expected = fringe_shift(InterferometerConfig.from_nm(16.0, 1550.0), 0.1)
     assert data[0][1] == expected
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)  # largest subnormal, negated
+def test_csv_float_text_round_trips_bit_exactly(x):
+    """Every finite float, subnormals and signed zeros included."""
+    back = float(serialize.fmt(x))
+    assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+    assert math.isnan(float(serialize.fmt(math.nan)))
 
 
 # ── sweep ─────────────────────────────────────────────────────────────────────

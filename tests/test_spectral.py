@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
-from wvsagnac import (DegenerateInput, FitFailure, FitResult,
-                      InterferometerConfig, SampledSpectrum, SelectionConfig,
+from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig,
+                      NearOrthogonalSelection, SampledSpectrum, SelectionConfig,
                       SpectrumModel, analytic_wavelength_shift, centroid,
                       default_grid, fit_center, intensity_envelope,
                       modulation_factor, output_spectrum, sagnac_phase,
@@ -215,12 +217,20 @@ def test_fit_exact_on_coarse_grids():
         assert fit.peak == pytest.approx(peak, rel=1e-10)
 
 
-def test_fit_accepts_explicit_seed():
-    lam = np.linspace(1510.0, 1590.0, 512)
-    spec = SampledSpectrum(lam, np.exp(-((lam - 1550.0) / 10.0) ** 2), "exact")
-    seed = FitResult(center=1548.0, width=12.0, peak=0.8, residual_norm=0.0,
-                     iterations=0)
-    assert fit_center(spec, seed=seed).center == pytest.approx(1550.0, rel=1e-10)
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.floats(0.05, 0.3), beta=st.floats(-0.6, -0.1),
+       phi=st.floats(-0.05, 0.05), form=st.sampled_from(["exact", "paper"]))
+def test_fits_are_mirror_symmetric(alpha, beta, phi, form):
+    """The mirror image of a spectrum about lambda0 fits to the mirrored center."""
+    grid = default_grid(PROBE)  # exactly symmetric about lambda0
+    try:
+        spec = output_spectrum(PROBE, _wv(alpha, beta, phi), G, grid, form)
+    except NearOrthogonalSelection:
+        reject()
+    mirror = SampledSpectrum(grid, spec.intensities[::-1], form)
+    offset = fit_center(spec).center - PROBE.lambda0
+    mirror_offset = fit_center(mirror).center - PROBE.lambda0
+    assert abs(offset + mirror_offset) <= 1e-9
 
 
 def test_fitted_shift_matches_first_order_formula():

@@ -1,7 +1,7 @@
 """Rate sweeps: symmetry, sensitivity extraction, benchmark configurations."""
 
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,9 @@ def test_benchmark_models_parameters():
     assert m1.beta != m2.beta
     m3 = models["model3"]
     assert (m3.area_s, m3.alpha, m3.beta) == (16.0, 0.1, -0.1)
+    for m in models.values():  # unit peak, 201 rates over +/-0.1 rad/s
+        assert m.probe == PROBE
+        assert m.omega_range == (-0.1, 0.1, 201)
 
 
 def test_model_spec_validation():
@@ -60,6 +63,18 @@ def test_model_spec_validation():
 
 
 # ── sweep content ─────────────────────────────────────────────────────────────
+
+def test_row_depends_only_on_its_own_rate():
+    """Rates two sweeps share give identical rows, whatever else is swept."""
+    model = benchmark_models(1550.0, 10.0)[1]
+    coarse, fine = (run_sweep(replace(model, omega_range=(-0.1, 0.1, steps)))
+                    for steps in (5, 9))
+    fine_rows = {r.omega: r for r in fine.rows}
+    shared = [r for r in coarse.rows if r.omega in fine_rows]
+    assert len(shared) == 5
+    for row in shared:
+        assert repr(row) == repr(fine_rows[row.omega])
+
 
 def test_zero_rotation_row_is_exactly_zero():
     res = run_sweep(_model(omega_range=(-0.02, 0.02, 5)))
