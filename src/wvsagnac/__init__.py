@@ -12,7 +12,7 @@ from .design import (DesignConstraints, DesignSolution, FeasibilityReport,
 from .errors import DegenerateInput, FitFailure, NearOrthogonalSelection
 from .geometry import MultipassDesign, equivalent_area, multipass_design, turns
 from .spectral import (FORM_EXACT, FORM_PAPER, FitResult, SampledSpectrum,
-                       SpectrumModel, centroid, default_grid, fit_center,
+                       SpectrumModel, default_grid, fit_center,
                        intensity_envelope, modulation_factor, output_spectrum)
 from .sweep import (ModelSpec, Sensitivity, SweepResult, SweepRow,
                     benchmark_models, default_window, run_sweep, sensitivity)
@@ -29,7 +29,7 @@ __all__ = [
     "NearOrthogonalSelection", "DegenerateInput", "FitFailure",
     "fringe_shift", "classical_intensity", "sagnac_phase", "amplitudes_mn",
     "weak_value", "weak_value_direct", "analytic_wavelength_shift",
-    "intensity_envelope", "modulation_factor", "output_spectrum", "centroid",
+    "intensity_envelope", "modulation_factor", "output_spectrum",
     "fit_center", "default_grid", "run_sweep", "sensitivity", "default_window",
     "benchmark_models", "turns", "equivalent_area", "multipass_design",
     "feasible", "min_area",

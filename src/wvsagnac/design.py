@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import SpectrumModel, default_grid, fit_center
+from .spectral import SpectrumModel, fit_center
 from .sweep import reference_center, spectrum_at
 from .weak import sagnac_phase
 
@@ -100,8 +100,7 @@ def feasible(beta: float, area_s: float,
     try:
         ref_center = _reference_center(probe, c.alpha, beta)
         wv, spectrum = spectrum_at(probe, c.alpha, beta,
-                                   sagnac_phase(cfg, c.omega_target),
-                                   default_grid(probe))
+                                   sagnac_phase(cfg, c.omega_target))
     except NearOrthogonalSelection as exc:
         return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
                                  math.nan, reason=str(exc))

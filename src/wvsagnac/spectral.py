@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,6 +101,16 @@ def intensity_envelope(probe: SpectrumModel, lam):
     return float(out) if out.ndim == 0 else out
 
 
+def _modulation(cos_pg, sin_pg, wv: WeakValueResult, form: str):
+    ov2 = abs(wv.overlap) ** 2
+    first_order = (cos_pg + wv.a_w.imag * sin_pg) ** 2
+    if form == FORM_PAPER:
+        return ov2 * first_order
+    if form == FORM_EXACT:
+        return ov2 * (first_order + (wv.a_w.real * sin_pg) ** 2)
+    raise ValueError(f"form must be 'paper' or 'exact', got {form!r}")
+
+
 def modulation_factor(pg, wv: WeakValueResult, form: str = FORM_EXACT):
     """Post-selection modulation of the momentum-space intensity.
 
@@ -110,17 +121,20 @@ def modulation_factor(pg, wv: WeakValueResult, form: str = FORM_EXACT):
     exactly |m+n|^2 Re(A_w)^2 sin^2(pg), nonnegative everywhere.
     """
     pg = np.asarray(pg, dtype=float)
-    ov2 = abs(wv.overlap) ** 2
-    cos_pg = np.cos(pg)
-    sin_pg = np.sin(pg)
-    first_order = (cos_pg + wv.a_w.imag * sin_pg) ** 2
-    if form == FORM_PAPER:
-        out = ov2 * first_order
-    elif form == FORM_EXACT:
-        out = ov2 * (first_order + (wv.a_w.real * sin_pg) ** 2)
-    else:
-        raise ValueError(f"form must be 'paper' or 'exact', got {form!r}")
+    out = _modulation(np.cos(pg), np.sin(pg), wv, form)
     return float(out) if out.ndim == 0 else out
+
+
+def _modulation_argument(grid, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """The checked grid and pg = 2*pi*g/lambda on it."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("wavelength grid is empty")
+    if not np.all(grid > 0):
+        raise ValueError("wavelength grid must be strictly positive")
+    if not (math.isfinite(g) and g > 0):
+        raise ValueError(f"coupling g must be positive, got {g}")
+    return grid, 2.0 * math.pi * g / grid
 
 
 def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
@@ -131,48 +145,99 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
     length (equal to lambda0 for this interferometer), so the modulation
     argument is pg = 2*pi*g/lambda.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("wavelength grid is empty")
-    if not np.all(grid > 0):
-        raise ValueError("wavelength grid must be strictly positive")
-    if not (math.isfinite(g) and g > 0):
-        raise ValueError(f"coupling g must be positive, got {g}")
-    pg = 2.0 * math.pi * g / grid
+    grid, pg = _modulation_argument(grid, g)
     intensities = modulation_factor(pg, wv, form) * intensity_envelope(probe, grid)
     return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
 
 
-def _moments(spec: SampledSpectrum) -> tuple[float, float]:
-    """Intensity-weighted mean and standard deviation of the wavelength (nm)."""
-    lam, inten = spec.wavelengths, spec.intensities
-    if lam.size == 1:
-        if inten[0] <= 0:
-            raise DegenerateInput("spectrum has zero total intensity")
-        return float(lam[0]), 0.0
-    total = np.trapezoid(inten, lam)
+# Bounded: one basis is 4 x GRID_POINTS doubles (64 KB), and a run uses one
+# per probe center and width.
+@lru_cache(maxsize=8)
+def _default_basis(lambda0: float, width_dlambda: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only default grid, cos pg, sin pg (g = lambda0) and the envelope
+    of a unit-peak probe; i0 times that envelope is intensity_envelope's."""
+    unit = SpectrumModel(1.0, lambda0, width_dlambda)
+    grid, pg = _modulation_argument(default_grid(unit), lambda0)
+    basis = (grid, np.cos(pg), np.sin(pg), intensity_envelope(unit, grid))
+    for arr in basis:
+        arr.flags.writeable = False
+    return basis
+
+
+def _default_spectrum(probe: SpectrumModel, wv: WeakValueResult,
+                      form: str) -> SampledSpectrum:
+    """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form),
+    bit for bit, from the cached basis of the probe's center and width."""
+    grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
+    intensities = _modulation(cos_pg, sin_pg, wv, form) * (probe.i0 * unit)
+    return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
+
+
+def _moments(lam: np.ndarray, inten: np.ndarray) -> tuple[float, float]:
+    """Intensity-weighted mean and standard deviation of the wavelength (nm).
+
+    The three trapezoids share one np.diff and use np.trapezoid's formula.
+    """
+    d = np.diff(lam)
+
+    def trapezoid(y):
+        return (d * (y[1:] + y[:-1]) / 2.0).sum()
+
+    total = trapezoid(inten)
     if total <= 0:
         raise DegenerateInput("spectrum has zero total intensity")
-    center = float(np.trapezoid(inten * lam, lam) / total)
-    var = np.trapezoid(inten * (lam - center) ** 2, lam) / total
+    center = float(trapezoid(inten * lam) / total)
+    var = trapezoid(inten * (lam - center) ** 2) / total
     return center, float(math.sqrt(max(var, 0.0)))
 
 
-def centroid(spec: SampledSpectrum) -> float:
-    """Intensity-weighted mean wavelength, trapezoidal quadrature on the grid."""
-    return _moments(spec)[0]
+def _gaussian_rows(lam: np.ndarray, peak: float, center: float, width: float,
+                   jac: np.ndarray) -> np.ndarray:
+    """Model peak*exp(-z^2), z = (lam - center)/width; its Jacobian rows
+    d/d(peak, center, width) are written into the (3, n) buffer `jac`."""
+    envelope, d_center, d_width = jac
+    np.subtract(lam, center, out=d_width)
+    d_width /= width                                # z
+    np.multiply(d_width, d_width, out=envelope)
+    np.negative(envelope, out=envelope)
+    np.exp(envelope, out=envelope)                  # d/d peak
+    model = envelope * peak
+    np.multiply(d_width, 2.0, out=d_center)         # 2z
+    d_width *= d_center
+    d_width /= width
+    d_width *= model                                # model * 2z^2/width
+    d_center /= width
+    d_center *= model                               # model * 2z/width
+    return model
 
 
-def _gaussian_and_jacobian(lam: np.ndarray, peak: float, center: float,
-                           width: float):
-    z = (lam - center) / width
-    envelope = np.exp(-z * z)
-    model = peak * envelope
-    jac = np.empty((lam.size, 3))
-    jac[:, 0] = envelope                       # d/d peak
-    jac[:, 1] = model * (2.0 * z / width)      # d/d center
-    jac[:, 2] = model * (2.0 * z * z / width)  # d/d width
-    return model, jac
+def _cholesky_solve(a: list[list[float]], b: list[float]
+                    ) -> tuple[float, float, float] | None:
+    """Solve the symmetric 3x3 system a x = b by Cholesky, reading the lower
+    triangle of `a`; None when a pivot is not positive."""
+    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    if not a00 > 0:
+        return None
+    l00 = math.sqrt(a00)
+    l10 = a10 / l00
+    l20 = a20 / l00
+    t11 = a11 - l10 * l10
+    if not t11 > 0:
+        return None
+    l11 = math.sqrt(t11)
+    l21 = (a21 - l20 * l10) / l11
+    t22 = a22 - l20 * l20 - l21 * l21
+    if not t22 > 0:
+        return None
+    l22 = math.sqrt(t22)
+    y0 = b[0] / l00
+    y1 = (b[1] - l10 * y0) / l11
+    y2 = (b[2] - l20 * y0 - l21 * y1) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - l10 * x1 - l20 * x2) / l00
+    return x0, x1, x2
 
 
 def fit_center(spec: SampledSpectrum) -> FitResult:
@@ -181,9 +246,12 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     Damped Gauss-Newton with the analytic Jacobian of the Gaussian model:
     the damping factor multiplies the normal-equation diagonal, is raised
     10x whenever a trial step increases the residual (step rejected) and
-    lowered 10x when it decreases. The iteration is fully deterministic.
-    Converged when every parameter changes by less than 1e-12 relative;
-    raises FitFailure after 200 iterations without convergence.
+    lowered 10x when it decreases. The damped 3x3 normal equations are
+    solved in closed form by Cholesky; a pivot that is not positive (a
+    singular or indefinite matrix) raises the damping 10x and retries. The
+    iteration is fully deterministic. Converged when every parameter changes
+    by less than 1e-12 relative; raises FitFailure after 200 iterations
+    without convergence.
 
     The window and the start come from the spectrum alone. The window is
     centered on the grid sample nearest the centroid and extends
@@ -192,14 +260,16 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     width.
     """
     lam, inten = spec.wavelengths, spec.intensities
-    if not np.any(inten > 0):
+    peak = float(inten.max())  # intensities are nonnegative
+    if not peak > 0:
         raise DegenerateInput("cannot fit an all-zero spectrum")
-    if np.count_nonzero(inten) < MIN_FIT_POINTS:
+    nonzero = np.count_nonzero(inten)
+    if nonzero < MIN_FIT_POINTS:
         raise ValueError(
             f"need at least {MIN_FIT_POINTS} grid points with nonzero intensity, "
-            f"got {np.count_nonzero(inten)}")
+            f"got {nonzero}")
 
-    center, sigma = _moments(spec)
+    center, sigma = _moments(lam, inten)
     if not sigma > 0:
         raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
 
@@ -216,36 +286,40 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             f"fit window holds fewer than {MIN_FIT_POINTS} nonzero points")
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
-    params = np.array([float(inten.max()), center, math.sqrt(2.0) * sigma])
-    model, jac = _gaussian_and_jacobian(lam_w, *params)
-    residual = model - y
+    params = (peak, center, math.sqrt(2.0) * sigma)
+    jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
+    residual = _gaussian_rows(lam_w, *params, jac) - y
     cost = float(residual @ residual)
     damping = 1e-3
 
     converged = False
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
-        jtj = jac.T @ jac
-        diag = jtj.diagonal()
-        np.fill_diagonal(jtj, diag + damping * np.where(diag <= 0, 1e-30, diag))
-        try:
-            step = np.linalg.solve(jtj, -(jac.T @ residual))
-        except np.linalg.LinAlgError:
+        # A GEMM against an (n, 3) copy: jac @ jac.T would take the slower
+        # SYRK path. The gradient goes through the same copy because the
+        # summation order of a matrix-vector product follows the layout.
+        jac_nt = jac.T.copy()
+        jtj = (jac @ jac_nt).tolist()
+        for i in range(3):
+            d = jtj[i][i]
+            jtj[i][i] = d + damping * (1e-30 if d <= 0 else d)
+        step = _cholesky_solve(jtj, (-(jac_nt.T @ residual)).tolist())
+        if step is None:
             damping *= 10.0
             continue
-        trial = params + step
+        trial = (params[0] + step[0], params[1] + step[1], params[2] + step[2])
         accepted = False
         if trial[2] > 0:  # width must stay positive
-            model_t, jac_t = _gaussian_and_jacobian(lam_w, *trial)
-            residual_t = model_t - y
+            residual_t = _gaussian_rows(lam_w, *trial, jac_t) - y
             cost_t = float(residual_t @ residual_t)
             if cost_t <= cost:
-                params, model, jac, residual, cost = trial, model_t, jac_t, residual_t, cost_t
+                params, residual, cost = trial, residual_t, cost_t
+                jac, jac_t = jac_t, jac
                 damping = max(damping * 0.1, 1e-15)
                 accepted = True
         if not accepted:
             damping *= 10.0
             continue
-        rel_change = np.max(np.abs(step) / np.maximum(np.abs(params), 1e-300))
+        rel_change = max(abs(s) / max(abs(p), 1e-300) for s, p in zip(step, params))
         if rel_change < FIT_RELATIVE_TOL:
             converged = True
             break
@@ -257,6 +331,5 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "
             f"(relative rms residual {residual_norm:.3e})",
             residual_norm=residual_norm, iterations=FIT_MAX_ITERATIONS)
-    return FitResult(center=float(params[1]), width=float(params[2]),
-                     peak=float(params[0]), residual_norm=residual_norm,
-                     iterations=iteration)
+    return FitResult(center=params[1], width=params[2], peak=params[0],
+                     residual_norm=residual_norm, iterations=iteration)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
-from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel, default_grid,
-                       fit_center, output_spectrum)
+from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel,
+                       _default_spectrum, fit_center)
 from .weak import (SelectionConfig, WeakValueResult, analytic_wavelength_shift,
                    sagnac_phase, weak_value)
 
@@ -129,15 +129,17 @@ def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]
 
 
 def spectrum_at(probe: SpectrumModel, alpha: float, beta: float, phi: float,
-                grid: np.ndarray, form: str = FORM_EXACT
-                ) -> tuple[WeakValueResult, SampledSpectrum]:
+                form: str = FORM_EXACT) -> tuple[WeakValueResult, SampledSpectrum]:
     """Weak value and post-selected spectrum at the differential phase `phi`.
 
-    The coupling length is the probe's center wavelength. An effectively
-    orthogonal selection raises NearOrthogonalSelection.
+    The spectrum is `output_spectrum` on `default_grid(probe)` with the
+    probe's center wavelength as coupling length, bit for bit, built from a
+    cached read-only basis (the grid, cos pg, sin pg and the unit envelope)
+    that no rate changes. An effectively orthogonal selection raises
+    NearOrthogonalSelection.
     """
     wv = weak_value(SelectionConfig(alpha, beta, phi))
-    return wv, output_spectrum(probe, wv, probe.lambda0, grid, form)
+    return wv, _default_spectrum(probe, wv, form)
 
 
 def reference_center(probe: SpectrumModel, alpha: float, beta: float,
@@ -147,7 +149,7 @@ def reference_center(probe: SpectrumModel, alpha: float, beta: float,
     Every fitted shift is measured from it. The differential phase vanishes
     at rest, so it does not depend on the loop area.
     """
-    spectrum = spectrum_at(probe, alpha, beta, 0.0, default_grid(probe), form)[1]
+    spectrum = spectrum_at(probe, alpha, beta, 0.0, form)[1]
     return fit_center(spectrum).center
 
 
@@ -168,7 +170,6 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     # A failure of the reference is not row-isolated because every fitted
     # shift is measured against it.
     ref_center = reference_center(model.probe, model.alpha, model.beta, form)
-    grid = default_grid(model.probe)
 
     lo, hi, steps = model.omega_range
     rows: list[SweepRow] = []
@@ -177,7 +178,7 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
         phi = sagnac_phase(cfg, omega)
         try:
             wv, spectrum = spectrum_at(model.probe, model.alpha, model.beta,
-                                       phi, grid, form)
+                                       phi, form)
         except NearOrthogonalSelection as exc:
             rows.append(SweepRow(omega=omega, phi=phi, im_aw=math.nan,
                                  dlambda_analytic=math.nan, dlambda_fitted=math.nan,

@@ -1,6 +1,8 @@
 """Spectra and fitting: input model, output forms, center extraction."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 import wvsagnac.spectral as spectral
 from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig,
                       NearOrthogonalSelection, SampledSpectrum, SelectionConfig,
-                      SpectrumModel, analytic_wavelength_shift, centroid,
+                      SpectrumModel, analytic_wavelength_shift, benchmark_models,
                       default_grid, fit_center, intensity_envelope,
                       modulation_factor, output_spectrum, sagnac_phase,
                       weak_value)
@@ -153,37 +155,6 @@ def test_sampled_spectrum_validation():
         SampledSpectrum(np.array([1.0, 2.0]), np.array([1.0, 1.0]), "other")
 
 
-# ── centroid ──────────────────────────────────────────────────────────────────
-
-def test_centroid_symmetric_spectrum():
-    grid = default_grid(PROBE)
-    spec = SampledSpectrum(grid, intensity_envelope(PROBE, grid), "exact")
-    assert centroid(spec) == pytest.approx(1550.0, abs=1e-9)
-
-
-def test_centroid_two_equal_bins():
-    lam = np.linspace(1540.0, 1560.0, 41)  # 0.5 nm spacing; 1549 and 1551 on grid
-    inten = np.zeros_like(lam)
-    inten[np.argmin(np.abs(lam - 1549.0))] = 3.0
-    inten[np.argmin(np.abs(lam - 1551.0))] = 3.0
-    assert centroid(SampledSpectrum(lam, inten, "exact")) == pytest.approx(
-        1550.0, abs=1e-12)
-
-
-def test_centroid_single_bin():
-    lam = np.linspace(1540.0, 1560.0, 41)
-    inten = np.zeros_like(lam)
-    inten[7] = 2.0
-    assert centroid(SampledSpectrum(lam, inten, "exact")) == pytest.approx(
-        float(lam[7]), abs=1e-12)
-
-
-def test_centroid_zero_intensity_raises():
-    lam = np.linspace(1540.0, 1560.0, 41)
-    with pytest.raises(DegenerateInput):
-        centroid(SampledSpectrum(lam, np.zeros_like(lam), "exact"))
-
-
 # ── fitting ───────────────────────────────────────────────────────────────────
 
 def test_fit_recovers_its_own_model():
@@ -271,3 +242,107 @@ def test_fit_failure_carries_residual(monkeypatch):
         fit_center(spec)
     assert err.value.iterations == 1
     assert err.value.residual_norm is not None
+
+
+# Fits recorded before the Gauss-Newton loop moved to a closed-form Cholesky
+# solve on reused Jacobian buffers: [model, form, omega, center, width, peak,
+# iterations] for the four benchmark models at five rates, [seed, points,
+# noise, center, width, peak, iterations] for noisy synthetic spectra (whose
+# last iterations sit at the rounding floor, so they notice a change in the
+# summation order of the gradient) and [FIT_MAX_ITERATIONS, type, message,
+# iterations, residual_norm] of the failure under small iteration caps.
+RECORDED = json.loads((Path(__file__).parent / "recorded_fits.json").read_text())
+
+
+def _noisy_spectrum(seed, points, noise):
+    rng = np.random.default_rng(seed)
+    lam = np.linspace(1500.0, 1600.0, points)
+    clean = 2.0 * np.exp(-((lam - 1551.3) / 11.0) ** 2)
+    return SampledSpectrum(lam, np.abs(clean + rng.normal(0.0, noise, points)),
+                           "exact")
+
+
+def _assert_matches_record(fit, center, width, peak, iterations):
+    assert fit.iterations == iterations
+    assert abs(fit.center - float.fromhex(center)) <= 1e-10
+    assert abs(fit.width - float.fromhex(width)) <= 1e-10
+    assert fit.peak == pytest.approx(float.fromhex(peak), rel=1e-10)
+
+
+def test_fit_matches_recorded_parent_fits(monkeypatch):
+    """Same iterations, centers and widths within 1e-10 nm (in practice
+    bit-identical), and the same FitFailure under a small iteration cap."""
+    models = {m.name: m for m in benchmark_models(1550.0, 10.0)}
+    for name, form, omega, *record in RECORDED["model_fits"]:
+        m = models[name]
+        cfg = InterferometerConfig.from_nm(m.area_s, 1550.0)
+        spec = output_spectrum(m.probe, _wv(m.alpha, m.beta, sagnac_phase(cfg, omega)),
+                               G, default_grid(m.probe), form)
+        _assert_matches_record(fit_center(spec), *record)
+    for seed, points, noise, *record in RECORDED["noisy_fits"]:
+        _assert_matches_record(fit_center(_noisy_spectrum(seed, points, noise)),
+                               *record)
+
+    m = models["model2"]
+    cfg = InterferometerConfig.from_nm(m.area_s, 1550.0)
+    spec = output_spectrum(m.probe, _wv(m.alpha, m.beta, sagnac_phase(cfg, 0.05)),
+                           G, default_grid(m.probe))
+    for cap, kind, message, iterations, residual_norm in RECORDED["failures"]:
+        monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
+        with pytest.raises(FitFailure) as err:
+            fit_center(spec)
+        assert type(err.value).__name__ == kind
+        assert str(err.value) == message
+        assert err.value.iterations == iterations
+        assert err.value.residual_norm == pytest.approx(
+            float.fromhex(residual_norm), rel=1e-12, abs=0.0)
+
+
+# ── closed-form normal equations ──────────────────────────────────────────────
+
+def test_cholesky_solve_matches_linalg_solve():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        jac = rng.normal(size=(3, 40)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, 1))
+        a = jac @ jac.T
+        a[np.diag_indices(3)] *= 1.0 + 10.0 ** rng.uniform(-15.0, 2.0)  # damping
+        b = rng.normal(size=3)
+        x = np.array(spectral._cholesky_solve(a.tolist(), b.tolist()))
+        want = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cholesky_solve_refuses_non_positive_pivots():
+    b = [1.0, 2.0, 3.0]
+    singular = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.0]]
+    indefinite = [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]
+    zero_first = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    last_pivot_zero = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
+    nan = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for a in (singular, indefinite, zero_first, last_pivot_zero, nan):
+        assert spectral._cholesky_solve(a, b) is None
+
+
+def test_refused_solve_raises_damping_and_retries(monkeypatch):
+    """A non-positive pivot costs one iteration and retries with the damping
+    raised 10x on the same normal matrix."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    clean = fit_center(spec)
+    solve = spectral._cholesky_solve
+    seen = []
+
+    def refuse_first(a, b):
+        seen.append(([row[:] for row in a], list(b)))
+        return None if len(seen) == 1 else solve(a, b)
+
+    monkeypatch.setattr(spectral, "_cholesky_solve", refuse_first)
+    fit = fit_center(spec)
+    (a1, b1), (a2, b2) = seen[:2]
+    assert b2 == b1
+    for i in range(3):
+        raw = a1[i][i] / (1.0 + 1e-3)  # start damping 1e-3, then 1e-2
+        assert a2[i][i] == pytest.approx(raw * (1.0 + 1e-2), rel=1e-14)
+        assert [a2[i][j] for j in range(3) if j != i] == \
+            [a1[i][j] for j in range(3) if j != i]
+    assert fit.iterations >= clean.iterations + 1
+    assert abs(fit.center - clean.center) <= 1e-10

@@ -6,8 +6,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from wvsagnac import (ModelSpec, SpectrumModel, SweepResult, SweepRow,
-                      benchmark_models, default_window, run_sweep, sensitivity)
+import wvsagnac.spectral as spectral
+from wvsagnac import (ModelSpec, SelectionConfig, SpectrumModel, SweepResult,
+                      SweepRow, benchmark_models, default_grid, default_window,
+                      output_spectrum, run_sweep, sensitivity, weak_value)
+from wvsagnac.sweep import spectrum_at
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 PHI_PER_OMEGA_S16 = 8.0 * math.pi * 16.0 / (1550e-9 * 299792458.0)
@@ -74,6 +77,39 @@ def test_row_depends_only_on_its_own_rate():
     assert len(shared) == 5
     for row in shared:
         assert repr(row) == repr(fine_rows[row.omega])
+
+
+def test_spectrum_at_is_output_spectrum_on_the_default_grid_bit_for_bit():
+    for probe in (PROBE, SpectrumModel(i0=3.7, lambda0=1310.0, width_dlambda=6.0)):
+        grid = default_grid(probe)
+        for phi in (-0.02, 0.0, 0.013):
+            for form in ("exact", "paper"):
+                wv, spec = spectrum_at(probe, 0.1, -0.3, phi, form)
+                want = output_spectrum(probe, wv, probe.lambda0, grid, form)
+                assert spec.intensities.tobytes() == want.intensities.tobytes()
+                assert spec.wavelengths.tobytes() == grid.tobytes()
+                assert spec.form_tag == form
+    wide = SpectrumModel(i0=1.0, lambda0=100.0, width_dlambda=40.0)
+    wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
+    with pytest.raises(ValueError, match="strictly positive"):
+        output_spectrum(wide, wv, wide.lambda0, default_grid(wide))
+    with pytest.raises(ValueError, match="strictly positive"):
+        spectrum_at(wide, 0.1, -0.3, 0.0)
+
+
+def test_spectrum_basis_is_read_only_and_bounded():
+    spec = spectrum_at(PROBE, 0.1, -0.3, 0.0)[1]
+    basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
+    assert len(basis) == 4
+    assert not any(arr.flags.writeable for arr in basis)
+    assert spec.wavelengths is basis[0]
+    with pytest.raises(ValueError):
+        spec.wavelengths[0] = 0.0
+    maxsize = spectral._default_basis.cache_info().maxsize
+    assert maxsize <= 16
+    for k in range(2 * maxsize):
+        spectrum_at(replace(PROBE, lambda0=1500.0 + k), 0.1, -0.3, 0.0)
+    assert spectral._default_basis.cache_info().currsize == maxsize
 
 
 def test_zero_rotation_row_is_exactly_zero():
