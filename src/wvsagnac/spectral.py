@@ -21,7 +21,7 @@ GRID_POINTS = 2048   # default resolution of the wavelength grid
 GRID_SPAN = 4.0      # default half span of the grid in units of the probe width
 FIT_WINDOW_SIGMAS = 2.5  # fit half window in units of the spectrum's moment std
 FIT_MAX_ITERATIONS = 200
-FIT_RELATIVE_TOL = 1e-12
+FIT_RELATIVE_TOL = 1e-13
 MIN_FIT_POINTS = 16
 
 FORM_PAPER = "paper"
@@ -60,7 +60,7 @@ class SampledSpectrum:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         if lam.size == 0:
             raise ValueError("spectrum grid is empty")
-        if not np.all(np.diff(lam) > 0):
+        if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
             raise ValueError("wavelength grid must be strictly increasing")
         if not np.all(np.isfinite(inten)) or np.any(inten < 0):
             raise ValueError("intensities must be finite and nonnegative")
@@ -249,9 +249,18 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     lowered 10x when it decreases. The damped 3x3 normal equations are
     solved in closed form by Cholesky; a pivot that is not positive (a
     singular or indefinite matrix) raises the damping 10x and retries. The
-    iteration is fully deterministic. Converged when every parameter changes
-    by less than 1e-12 relative; raises FitFailure after 200 iterations
-    without convergence.
+    iteration is fully deterministic.
+
+    The stop rule looks at r, the largest relative parameter change of an
+    accepted step, and at the contraction rate theta = r / r_prev over the
+    previous accepted step. The fit has converged when r < FIT_RELATIVE_TOL
+    (1e-13), or when theta < 1 and the estimated remaining error
+    r * theta / (1 - theta) is below FIT_RELATIVE_TOL (the Newton error
+    estimate of Hairer & Wanner, Solving ODEs II, IV.8). A fast-converging
+    fit thus stops once its next step is predicted to be negligible, rather
+    than at the rounding floor, where rounding makes steps cost-increasing
+    and the damping is raised until one passes. Raises FitFailure after
+    FIT_MAX_ITERATIONS (200) iterations without convergence.
 
     The window and the start come from the spectrum alone. The window is
     centered on the grid sample nearest the centroid and extends
@@ -291,6 +300,7 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     residual = _gaussian_rows(lam_w, *params, jac) - y
     cost = float(residual @ residual)
     damping = 1e-3
+    last_change = math.nan
 
     converged = False
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
@@ -320,9 +330,13 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             damping *= 10.0
             continue
         rel_change = max(abs(s) / max(abs(p), 1e-300) for s, p in zip(step, params))
-        if rel_change < FIT_RELATIVE_TOL:
+        # theta is NaN on the first accepted step, so the estimate needs two
+        theta = rel_change / last_change
+        if rel_change < FIT_RELATIVE_TOL or (
+                theta < 1.0 and rel_change * theta / (1.0 - theta) < FIT_RELATIVE_TOL):
             converged = True
             break
+        last_change = rel_change
 
     rms = math.sqrt(cost / lam_w.size)
     residual_norm = rms / (abs(params[0]) if params[0] != 0 else 1.0)

@@ -145,8 +145,12 @@ def test_output_validation():
 
 
 def test_sampled_spectrum_validation():
-    with pytest.raises(ValueError):
-        SampledSpectrum(np.array([2.0, 1.0]), np.array([1.0, 1.0]), "exact")
+    # a step down, a repeated point and a NaN anywhere get the same message
+    message = "^wavelength grid must be strictly increasing$"
+    for lam in ([2.0, 1.0, 3.0], [1.0, 1.0, 2.0], [1.0, math.nan, 2.0],
+                [math.nan, 1.0, 2.0], [1.0, 2.0, math.nan]):
+        with pytest.raises(ValueError, match=message):
+            SampledSpectrum(np.array(lam), np.ones(3), "exact")
     with pytest.raises(ValueError):
         SampledSpectrum(np.array([1.0, 2.0]), np.array([1.0, -1.0]), "exact")
     with pytest.raises(ValueError):
@@ -246,11 +250,15 @@ def test_fit_failure_carries_residual(monkeypatch):
 
 # Fits recorded before the Gauss-Newton loop moved to a closed-form Cholesky
 # solve on reused Jacobian buffers: [model, form, omega, center, width, peak,
-# iterations] for the four benchmark models at five rates, [seed, points,
-# noise, center, width, peak, iterations] for noisy synthetic spectra (whose
-# last iterations sit at the rounding floor, so they notice a change in the
-# summation order of the gradient) and [FIT_MAX_ITERATIONS, type, message,
-# iterations, residual_norm] of the failure under small iteration caps.
+# iterations] for the four benchmark models at five rates and [seed, points,
+# noise, center, width, peak, iterations] for noisy synthetic spectra (which
+# converge linearly, so their counts notice a change in the summation order
+# of the gradient). Centers, widths and peaks are those of the rounding-floor
+# stop rule; the iteration counts are those of the error-estimate stop.
+# [FIT_MAX_ITERATIONS, type, message, iterations, residual_norm] of the
+# failure under small iteration caps: caps 1-2 on the model2 spectrum at
+# 0.05 rad/s (which converges from cap 3 on) and, prefixed by the spectrum's
+# [seed, points, noise], caps 3-5 on a noisy spectrum that needs 28.
 RECORDED = json.loads((Path(__file__).parent / "recorded_fits.json").read_text())
 
 
@@ -262,6 +270,13 @@ def _noisy_spectrum(seed, points, noise):
                            "exact")
 
 
+def _model_spectrum(name, form, omega):
+    m, = [m for m in benchmark_models(1550.0, 10.0) if m.name == name]
+    cfg = InterferometerConfig.from_nm(m.area_s, 1550.0)
+    return output_spectrum(m.probe, _wv(m.alpha, m.beta, sagnac_phase(cfg, omega)),
+                           G, default_grid(m.probe), form)
+
+
 def _assert_matches_record(fit, center, width, peak, iterations):
     assert fit.iterations == iterations
     assert abs(fit.center - float.fromhex(center)) <= 1e-10
@@ -270,24 +285,15 @@ def _assert_matches_record(fit, center, width, peak, iterations):
 
 
 def test_fit_matches_recorded_parent_fits(monkeypatch):
-    """Same iterations, centers and widths within 1e-10 nm (in practice
-    bit-identical), and the same FitFailure under a small iteration cap."""
-    models = {m.name: m for m in benchmark_models(1550.0, 10.0)}
+    """Same iterations, centers and widths within 1e-10 nm, and the same
+    FitFailure under a small iteration cap."""
     for name, form, omega, *record in RECORDED["model_fits"]:
-        m = models[name]
-        cfg = InterferometerConfig.from_nm(m.area_s, 1550.0)
-        spec = output_spectrum(m.probe, _wv(m.alpha, m.beta, sagnac_phase(cfg, omega)),
-                               G, default_grid(m.probe), form)
-        _assert_matches_record(fit_center(spec), *record)
+        _assert_matches_record(fit_center(_model_spectrum(name, form, omega)), *record)
     for seed, points, noise, *record in RECORDED["noisy_fits"]:
         _assert_matches_record(fit_center(_noisy_spectrum(seed, points, noise)),
                                *record)
 
-    m = models["model2"]
-    cfg = InterferometerConfig.from_nm(m.area_s, 1550.0)
-    spec = output_spectrum(m.probe, _wv(m.alpha, m.beta, sagnac_phase(cfg, 0.05)),
-                           G, default_grid(m.probe))
-    for cap, kind, message, iterations, residual_norm in RECORDED["failures"]:
+    def assert_failure(spec, cap, kind, message, iterations, residual_norm):
         monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
         with pytest.raises(FitFailure) as err:
             fit_center(spec)
@@ -296,6 +302,47 @@ def test_fit_matches_recorded_parent_fits(monkeypatch):
         assert err.value.iterations == iterations
         assert err.value.residual_norm == pytest.approx(
             float.fromhex(residual_norm), rel=1e-12, abs=0.0)
+
+    spec = _model_spectrum("model2", "exact", 0.05)
+    for record in RECORDED["failures"]:
+        assert_failure(spec, *record)
+    records = {tuple(r[:3]): r[3:] for r in RECORDED["model_fits"]}
+    center, width, _, _ = records[("model2", "exact", 0.05)]
+    for cap in (3, 4, 5):
+        monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
+        fit = fit_center(spec)
+        assert abs(fit.center - float.fromhex(center)) <= 1e-10
+        assert abs(fit.width - float.fromhex(width)) <= 1e-10
+    for seed, points, noise, *record in RECORDED["noisy_failures"]:
+        assert_failure(_noisy_spectrum(seed, points, noise), *record)
+
+
+def test_fit_stops_once_the_estimated_error_is_negligible():
+    """The error-estimate stop ends a benchmark-model fit within 3 iterations
+    and still fits an exact Gaussian to the last bit of its center."""
+    for name, form, omega, *_ in RECORDED["model_fits"]:
+        assert fit_center(_model_spectrum(name, form, omega)).iterations <= 3
+    for center, width in ((1550.0, 10.0), (1551.3, 3.0), (1520.0, 25.0)):
+        lam = np.linspace(center - 4 * width, center + 4 * width, 2048)
+        fit = fit_center(SampledSpectrum(lam, np.exp(-((lam - center) / width) ** 2),
+                                         "exact"))
+        assert fit.center == center
+        assert fit.iterations <= 5
+
+
+def test_growing_steps_do_not_stop_the_fit():
+    """On a flat pedestal the moment start is poor and the first accepted
+    steps grow; the error estimate must not fire on them. Centers and widths
+    recorded under the rounding-floor stop rule."""
+    lam = np.linspace(1500.0, 1600.0, 1024)
+    for center, width, fitted_center, fitted_width in (
+            (1551.3, 11.0, "0x1.83d333290247ep+10", "0x1.9afef88c35d4cp+3"),
+            (1547.0, 6.0, "0x1.82c0000000000p+10", "0x1.c05cc56ccddb7p+2")):
+        spec = SampledSpectrum(lam, np.exp(-((lam - center) / width) ** 2) + 0.1,
+                               "exact")
+        fit = fit_center(spec)
+        assert abs(fit.center - float.fromhex(fitted_center)) <= 1e-10
+        assert abs(fit.width - float.fromhex(fitted_width)) <= 1e-10
 
 
 # ── closed-form normal equations ──────────────────────────────────────────────

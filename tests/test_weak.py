@@ -1,11 +1,14 @@
 """Weak-value core: amplitudes, closed form vs direct evaluation, shift formulas."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from wvsagnac import (InterferometerConfig, NearOrthogonalSelection,
+from wvsagnac import (OVERLAP_FLOOR, InterferometerConfig, NearOrthogonalSelection,
                       SelectionConfig, SpectrumModel, amplitudes_mn,
                       analytic_wavelength_shift, fringe_shift, sagnac_phase,
                       weak_value, weak_value_direct)
@@ -99,6 +102,26 @@ def test_closed_form_matches_direct_evaluation_everywhere():
         assert abs(a_closed - a_direct) <= 1e-12 * max(abs(a_closed), 1.0), (
             f"mismatch at alpha={alpha}, beta={beta}, phi={phi}: "
             f"{a_closed} vs {a_direct}")
+
+
+# angles anywhere, or within 1e-6 rad of zero, where m + n nearly cancels
+_ANGLE = st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e-6, 1e-6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(alpha=st.floats(-math.pi, math.pi), beta=_ANGLE, phi=_ANGLE)
+def test_closed_form_matches_direct_evaluation_property(alpha, beta, phi):
+    """weak_value and weak_value_direct agree to 1e-9 relative wherever the
+    overlap is at least 1e3 * OVERLAP_FLOOR, up to the rounding of m and n
+    (a few ulps each) that A_w = (m - n)/(m + n) amplifies by
+    4|m||n|/|m + n|^2 as the overlap cancels."""
+    sel = SelectionConfig(alpha, beta, phi)
+    m, n = amplitudes_mn(sel)
+    assume(abs(m + n) >= 1e3 * OVERLAP_FLOOR)
+    a_closed = weak_value(sel).a_w
+    a_direct = weak_value_direct(sel)
+    rounding = 16 * sys.float_info.epsilon * 4 * abs(m) * abs(n) / abs(m + n) ** 2
+    assert abs(a_closed - a_direct) <= max(1e-9 * abs(a_direct), rounding)
 
 
 def test_identity_aw_times_overlap():
