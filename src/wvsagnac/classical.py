@@ -39,7 +39,11 @@ def fringe_shift(cfg: InterferometerConfig, omega: float) -> float:
     """
     if not math.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    return 4.0 * omega * cfg.area_s / (cfg.lambda0 * SPEED_OF_LIGHT)
+    dz = 4.0 * omega * cfg.area_s / (cfg.lambda0 * SPEED_OF_LIGHT)
+    if not math.isfinite(dz):
+        raise ValueError(f"fringe shift overflows a float for omega = {omega:g} "
+                         f"rad/s and area_s = {cfg.area_s:g} m^2")
+    return dz
 
 
 def classical_intensity(cfg: InterferometerConfig, amplitude_a: float,
@@ -47,5 +51,8 @@ def classical_intensity(cfg: InterferometerConfig, amplitude_a: float,
     """Output-port intensity A*[1 + cos(2*pi*dz + mod_phase)]."""
     if not (math.isfinite(amplitude_a) and amplitude_a >= 0):
         raise ValueError(f"amplitude_a must be nonnegative, got {amplitude_a}")
-    dz = fringe_shift(cfg, omega)
-    return amplitude_a * (1.0 + math.cos(2.0 * math.pi * dz + cfg.mod_phase))
+    phase = 2.0 * math.pi * fringe_shift(cfg, omega) + cfg.mod_phase
+    if not math.isfinite(phase):
+        raise ValueError(f"fringe phase 2*pi*dz + mod_phase overflows a float "
+                         f"for omega = {omega:g} rad/s")
+    return amplitude_a * (1.0 + math.cos(phase))

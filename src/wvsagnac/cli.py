@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Five subcommands: simulate, sweep, design, geometry, classical. Parameters
-come from flags, which override a flat `key = value` config file (--config),
-which overrides built-in defaults. Config keys are the subcommand's flag
-names except config, out and format, with `-` and `_` alike. Physics
-parameters (lambda0, dlambda, alpha, beta, area, ...) have no defaults.
+Five subcommands: simulate, sweep, design, geometry, classical. Each one's
+keyword-only signature is the spec of its options: a parameter without a
+default, such as every physics parameter, is required. click resolves flag
+over a flat `key = value` config file (--config) over default. Config keys
+are the flag names except config, out and format, with `-` and `_` alike.
 
 Exit codes: 0 success, 2 usage error (including a missing parameter, an
 unknown config key and an unreadable config file), 3 domain error, 4 fit
@@ -13,6 +13,7 @@ failure, 5 infeasible design (the JSON report is still emitted).
 
 from __future__ import annotations
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,11 +34,7 @@ EXIT_INFEASIBLE = 5
 
 main = click.Group(help="Weak-value amplified Sagnac rotation sensing toolkit.")
 
-# Default of a parameter that has none: omitting it is a usage error.
-REQUIRED = object()
-
-# Every parameter of every subcommand: click type and help text. A default
-# other than REQUIRED or None is appended to the help by `_command`.
+# Every parameter of every subcommand: click type and help text.
 PARAMS = {
     "alpha": (click.FLOAT, "Pre-selection angle, rad."),
     "beta": (click.FLOAT, "Post-selection angle, rad."),
@@ -99,28 +96,22 @@ def _load_config(path: str, names) -> dict:
     return values
 
 
-def _help(name: str, default) -> str:
-    if default is REQUIRED or default is None:
-        return PARAMS[name][1]
-    shown = default if isinstance(default, str) else format(default, "g")
-    return f"{PARAMS[name][1]} [default: {shown}]"
+def _command(fmt_default: str):
+    """Register `run(*, name=default, ...) -> result` as a subcommand of `main`.
 
-
-def _command(fmt_default: str, **defaults):
-    """Register `run(**values) -> result` as a subcommand of `main`.
-
-    `defaults` maps each parameter, in --help order, to its default, None
-    (optional) or REQUIRED. Exit codes are chosen here and nowhere else."""
+    The signature of `run` is the spec: each keyword-only parameter, in
+    --help order, becomes the option `PARAMS` describes, required when it
+    has no default. click resolves flag over config over default, with the
+    config file as the context's default map. Exit codes are chosen here
+    and nowhere else."""
     def register(run):
-        def callback(fmt, out_path, config_path, **flags):
-            config = _load_config(config_path, defaults) if config_path else {}
-            # flag over config over default
-            values = {name: config.get(name, default) if flags[name] is None
-                      else flags[name] for name, default in defaults.items()}
-            missing = [n.replace("_", "-") for n, v in values.items() if v is REQUIRED]
-            if missing:
-                raise click.UsageError(f"missing required parameter '--{missing[0]}' "
-                                       "(pass the flag or set it in the config file)")
+        spec = inspect.signature(run).parameters.values()
+
+        def load_config(ctx, _param, path):
+            if path is not None:
+                ctx.default_map = _load_config(path, [p.name for p in spec])
+
+        def callback(fmt, out_path, **values):
             try:
                 result = run(**values)
             except (FitFailure, ValueError) as exc:
@@ -134,29 +125,31 @@ def _command(fmt_default: str, **defaults):
             if getattr(result, "feasible", True) is False:
                 sys.exit(EXIT_INFEASIBLE)
 
-        params = [click.Option(["--" + name.replace("_", "-")],
-                               type=PARAMS[name][0], help=_help(name, default))
-                  for name, default in defaults.items()]
+        # no `default` for a required option: click 8.3+ takes None as a value
+        params = [click.Option(["--" + p.name.replace("_", "-")],
+                               type=PARAMS[p.name][0], help=PARAMS[p.name][1],
+                               **({"required": True} if p.default is p.empty else
+                                  {"default": p.default,
+                                   "show_default": p.default is not None}))
+                  for p in spec]
         params += [
             click.Option(["--format", "fmt"], type=click.Choice(["csv", "json"]),
                          default=fmt_default, show_default=True,
                          help="Artifact format."),
             click.Option(["--out", "out_path"], default="-", show_default=True,
                          help="Output path; '-' writes to stdout."),
-            click.Option(["--config", "config_path"],
-                         type=click.Path(exists=True, dir_okay=False),
-                         default=None, help="Flat 'key = value' config file; "
+            click.Option(["--config"], type=click.Path(exists=True, dir_okay=False),
+                         is_eager=True, expose_value=False, callback=load_config,
+                         help="Flat 'key = value' config file; "
                          "flags override its values.")]
         return main.command(run.__name__, params=params,
                             help=run.__doc__)(callback)
     return register
 
 
-@_command("csv", alpha=REQUIRED, beta=REQUIRED, area=REQUIRED, omega=REQUIRED,
-          lambda0=REQUIRED, dlambda=REQUIRED, i0=1.0, grid_points=2048,
-          grid_span=4.0, form="exact")
-def simulate(alpha, beta, area, omega, lambda0, dlambda, i0, grid_points,
-             grid_span, form):
+@_command("csv")
+def simulate(*, alpha, beta, area, omega, lambda0, dlambda, i0=1.0,
+             grid_points=2048, grid_span=4.0, form="exact"):
     """Post-selected output spectrum at one rotation rate."""
     probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
     cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0)
@@ -165,12 +158,9 @@ def simulate(alpha, beta, area, omega, lambda0, dlambda, i0, grid_points,
     return output_spectrum(probe, wv, lambda0, grid, form)
 
 
-@_command("csv", omega_min=REQUIRED, omega_max=REQUIRED, steps=201,
-          alpha=REQUIRED, beta=REQUIRED, area=REQUIRED, lambda0=REQUIRED,
-          dlambda=REQUIRED, i0=1.0, window_lo=None, window_hi=None,
-          form="exact")
-def sweep(omega_min, omega_max, steps, alpha, beta, area, lambda0, dlambda,
-          i0, window_lo, window_hi, form):
+@_command("csv")
+def sweep(*, omega_min, omega_max, steps=201, alpha, beta, area, lambda0,
+          dlambda, i0=1.0, window_lo=None, window_hi=None, form="exact"):
     """Center-shift curve and sensitivity over a rotation-rate range."""
     if (window_lo is None) != (window_hi is None):
         raise click.UsageError("--window-lo and --window-hi must be given together")
@@ -181,11 +171,8 @@ def sweep(omega_min, omega_max, steps, alpha, beta, area, lambda0, dlambda,
                      else (window_lo, window_hi))
 
 
-@_command("json", alpha=REQUIRED, lambda0=REQUIRED, dlambda=REQUIRED,
-          i0=REQUIRED, i_min=REQUIRED, dlambda_res=REQUIRED,
-          omega_target=REQUIRED, beta_grid=REQUIRED, area_lo=REQUIRED,
-          area_hi=REQUIRED)
-def design(alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
+@_command("json")
+def design(*, alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
            beta_grid, area_lo, area_hi):
     """Smallest feasible loop area under detection and resolution floors."""
     try:
@@ -203,15 +190,14 @@ def design(alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
     return min_area(constraints, betas, (area_lo, area_hi))
 
 
-@_command("json", theta_deg=REQUIRED, rs=REQUIRED)
-def geometry(theta_deg, rs):
+@_command("json")
+def geometry(*, theta_deg, rs):
     """Multipass loop turn count and equivalent area for one injection angle."""
     return multipass_design(theta_deg, rs)
 
 
-@_command("csv", area=REQUIRED, lambda0=REQUIRED, omega=REQUIRED,
-          amplitude=1.0, mod_phase=0.0)
-def classical(area, lambda0, omega, amplitude, mod_phase):
+@_command("csv")
+def classical(*, area, lambda0, omega, amplitude=1.0, mod_phase=0.0):
     """Classical fringe shift and output intensity at one rotation rate."""
     cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0,
                                        mod_phase=mod_phase)

@@ -20,12 +20,23 @@ class MultipassDesign:
     def __post_init__(self):
         if not 0 < self.theta_deg < 90:
             raise ValueError(f"theta_deg must lie in (0, 90), got {self.theta_deg}")
-        if not (math.isfinite(self.radius_rs) and self.radius_rs > 0):
-            raise ValueError(f"radius_rs must be positive, got {self.radius_rs}")
+        _square(self.radius_rs)  # positive, with a finite square
         if self.n_turns < 1:
             raise ValueError("n_turns must be at least 1")
-        if not self.area_equiv > 0:
-            raise ValueError("area_equiv must be positive")
+        if not (math.isfinite(self.area_equiv) and self.area_equiv > 0):
+            raise ValueError(
+                f"area_equiv must be positive and finite, got {self.area_equiv}")
+
+
+def _square(radius_rs: float) -> float:
+    """R^2 of a positive radius whose square is a finite float."""
+    if not (math.isfinite(radius_rs) and radius_rs > 0):
+        raise ValueError(f"radius_rs must be positive, got {radius_rs}")
+    try:
+        return radius_rs ** 2
+    except OverflowError:
+        raise ValueError(f"radius_rs = {radius_rs:g} m is too large: "
+                         "its square overflows a float") from None
 
 
 def _check_theta(theta_deg) -> int:
@@ -58,11 +69,13 @@ def equivalent_area(theta_deg, radius_rs: float) -> float:
     with beta = 90 deg - theta; the bracket is the (integer) chord count.
     """
     t = _check_theta(theta_deg)
-    if not (math.isfinite(radius_rs) and radius_rs > 0):
-        raise ValueError(f"radius_rs must be positive, got {radius_rs}")
     chords = math.lcm(2 * t, 360) // (2 * t)
     beta = math.radians(90 - t)
-    return chords * radius_rs ** 2 * math.sin(beta) * math.cos(beta)
+    area = chords * _square(radius_rs) * math.sin(beta) * math.cos(beta)
+    if not math.isfinite(area):
+        raise ValueError(f"equivalent area overflows a float for "
+                         f"radius_rs = {radius_rs:g} m")
+    return area
 
 
 def multipass_design(theta_deg, radius_rs: float) -> MultipassDesign:

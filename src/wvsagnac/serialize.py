@@ -71,7 +71,7 @@ def _layout(result) -> tuple:
     if isinstance(result, MultipassDesign):
         header = ["theta_deg", "n_turns", "area_equiv_m2", "ratio_vs_square"]
         row = (result.theta_deg, result.n_turns, result.area_equiv,
-               result.area_equiv / (4.0 * result.radius_rs ** 2))
+               result.area_equiv / result.radius_rs ** 2 / 4.0)
     elif isinstance(result, DesignSolution):
         header = ["feasible", "beta", "area_s_min_m2",
                   "k_achieved_nm_per_rad_s", "peak_intensity"]

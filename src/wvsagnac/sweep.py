@@ -45,6 +45,9 @@ class ModelSpec:
         lo, hi, steps = self.omega_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"omega_range must satisfy min < max, got {lo}, {hi}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"omega_range width max - min overflows a float, "
+                             f"got {lo}, {hi}")
         if int(steps) != steps or steps < 3:
             raise ValueError(f"omega_range needs at least 3 steps, got {steps}")
 

@@ -83,3 +83,16 @@ def test_rejects_nonfinite_omega_and_negative_amplitude():
         fringe_shift(CFG, math.nan)
     with pytest.raises(ValueError):
         classical_intensity(CFG, -0.5, 0.1)
+
+
+def test_overflowing_fringe_shift_and_phase_are_domain_errors():
+    huge = InterferometerConfig(area_s=1e308, lambda0=1550e-9)
+    with pytest.raises(ValueError, match="fringe shift"):
+        fringe_shift(huge, 1e308)
+    with pytest.raises(ValueError, match="fringe shift"):
+        classical_intensity(huge, 1.0, 1e308)
+    # a finite shift whose phase 2*pi*dz + mod_phase overflows
+    near = InterferometerConfig(area_s=1e300, lambda0=1550e-9, mod_phase=1.79e308)
+    assert math.isfinite(fringe_shift(near, 4e7))
+    with pytest.raises(ValueError, match="fringe phase"):
+        classical_intensity(near, 1.0, 4e7)

@@ -9,8 +9,8 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wvsagnac import (InterferometerConfig, SampledSpectrum, fit_center,
-                      fringe_shift, serialize)
+from wvsagnac import (InterferometerConfig, SampledSpectrum, equivalent_area,
+                      fit_center, fringe_shift, multipass_design, serialize)
 from wvsagnac.cli import main
 from wvsagnac.errors import FitFailure
 
@@ -33,10 +33,41 @@ COMMAND_ARGS = {
                   "--omega", "0.1"],
 }
 
+# every parameter of every subcommand: (required, optional), in --help order
+FULL_RUNS = {
+    "simulate": ({"alpha": 0.1, "beta": -0.3, "area": 16, "omega": 0.05,
+                  "lambda0": 1550, "dlambda": 10},
+                 {"i0": 2.0, "grid_points": 512, "grid_span": 3.5,
+                  "form": "paper"}),
+    "sweep": ({"omega_min": -0.1, "omega_max": 0.1, "alpha": 0.1, "beta": -0.3,
+               "area": 16, "lambda0": 1550, "dlambda": 10},
+              {"steps": 21, "i0": 2.0, "window_lo": -0.05, "window_hi": 0.05,
+               "form": "paper"}),
+    "design": ({"alpha": 0.1, "lambda0": 1550, "dlambda": 10, "i0": 1.0,
+                "i_min": 0.005, "dlambda_res": 0.01, "omega_target": 0.05,
+                "beta_grid": "-0.5,-0.3,-0.2", "area_lo": 1, "area_hi": 20}, {}),
+    "geometry": ({"theta_deg": 25, "rs": 1.0}, {}),
+    "classical": ({"area": 16, "lambda0": 1550, "omega": 0.1},
+                  {"amplitude": 2.0, "mod_phase": 0.5}),
+}
+# one parameter per subcommand and a value that changes the artifact
+OVERRIDES = {"simulate": ("omega", 0.02), "sweep": ("beta", -0.2),
+             "design": ("dlambda_res", 0.02), "geometry": ("theta_deg", 45),
+             "classical": ("omega", 0.2)}
+
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _flags(params):
+    return [f"--{name.replace('_', '-')}={value}" for name, value in params.items()]
+
+
+def _config(path, params):
+    path.write_text("".join(f"{name} = {value}\n" for name, value in params.items()))
+    return str(path)
 
 
 def _parse_csv(text):
@@ -66,6 +97,13 @@ def test_geometry_csv_format(runner):
     header, data = _parse_csv(result.output)
     assert header == ["theta_deg", "n_turns", "area_equiv_m2", "ratio_vs_square"]
     assert data[0][2] == pytest.approx(8.0, rel=1e-12)
+
+
+def test_ratio_vs_square_where_four_r_squared_overflows():
+    # R^2 and the area are finite floats here, 4 R^2 is not
+    doc = json.loads(serialize.result_to_json(multipass_design(60, 7.3e153)))
+    assert doc["ratio_vs_square"] == pytest.approx(equivalent_area(60, 1.0) / 4.0,
+                                                   rel=1e-12)
 
 
 # ── simulate ──────────────────────────────────────────────────────────────────
@@ -365,3 +403,61 @@ def test_domain_error_exit_code(runner):
 def test_unknown_command_rejected(runner):
     result = runner.invoke(main, ["frobnicate"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, quantity", [
+    (["geometry", "--theta-deg", "1", "--rs", "1e300"], "radius_rs"),
+    (["classical", "--area", "1e308", "--lambda0", "1550", "--omega", "1e308"],
+     "fringe shift"),
+    (["sweep", "--omega-min", "-1e308", "--omega-max", "1e308"] + SWEEP_ARGS[5:],
+     "omega_range width"),
+])
+def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
+                                                                 quantity):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert quantity in result.stderr
+
+
+# ── parameter resolution: flag over config over default ──────────────────────
+
+@pytest.mark.parametrize("command", list(FULL_RUNS))
+def test_config_with_every_parameter_gives_the_flags_artifact(runner, tmp_path,
+                                                              command):
+    required, optional = FULL_RUNS[command]
+    params = {**required, **optional}
+    by_flags, by_config = tmp_path / "flags.out", tmp_path / "config.out"
+    assert runner.invoke(main, [command, "--out", str(by_flags)]
+                         + _flags(params)).exit_code == 0
+    assert runner.invoke(main, [command, "--out", str(by_config), "--config",
+                                _config(tmp_path / "run.cfg", params)]).exit_code == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    # every optional parameter has a working default
+    assert runner.invoke(main, [command] + _flags(required)).exit_code == 0
+
+
+@pytest.mark.parametrize("command", list(FULL_RUNS))
+def test_each_missing_required_parameter_is_named(runner, tmp_path, command):
+    required, optional = FULL_RUNS[command]
+    for name in required:
+        rest = {k: v for k, v in {**required, **optional}.items() if k != name}
+        for args in (_flags(rest), ["--config", _config(tmp_path / "run.cfg", rest)]):
+            result = runner.invoke(main, [command] + args)
+            assert result.exit_code == 2, (name, result.output)
+            assert f"'--{name.replace('_', '-')}'" in result.stderr
+
+
+@pytest.mark.parametrize("config_first", [True, False])
+@pytest.mark.parametrize("command", list(FULL_RUNS))
+def test_flag_beats_config_on_either_side(runner, tmp_path, command, config_first):
+    required, optional = FULL_RUNS[command]
+    params = {**required, **optional}
+    name, value = OVERRIDES[command]
+    config = ["--config", _config(tmp_path / "run.cfg", params)]
+    flag = _flags({name: value})
+    result = runner.invoke(main, [command] + (config + flag if config_first
+                                              else flag + config))
+    expected = runner.invoke(main, [command] + _flags({**params, name: value}))
+    assert result.exit_code == expected.exit_code == 0
+    assert result.stdout == expected.stdout
+    assert result.stdout != runner.invoke(main, [command] + config).stdout

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wvsagnac.design as design
@@ -63,23 +63,30 @@ def test_orthogonal_angle_reports_infeasible_not_error():
     assert "orthogonal" in rep.reason
 
 
-def test_solution_matches_brute_force_grid():
+@settings(max_examples=15, deadline=None)
+@given(planted_beta=st.floats(-0.45, -0.18), planted_area=st.floats(2.0, 18.0),
+       i_min=st.floats(0.0, 0.05), omega_target=st.floats(0.01, 0.1))
+@example(planted_beta=-0.24, planted_area=9.0, i_min=0.005, omega_target=0.05)
+def test_solution_matches_brute_force_grid(planted_beta, planted_area, i_min,
+                                           omega_target):
+    """min_area lands within one cell of the smallest feasible grid area."""
     betas = list(np.linspace(-0.45, -0.18, 10))
     areas = np.linspace(2.0, 18.0, 12)
-    planted = feasible(-0.24, 9.0, _constraints()).shift_nm
-    cons = _constraints(i_min=0.005, res=planted)
+    planted = feasible(planted_beta, planted_area,
+                       _constraints(omega=omega_target))
+    cons = _constraints(i_min=min(i_min, planted.peak_intensity),
+                        res=planted.shift_nm, omega=omega_target)
 
-    best = None
-    for beta in betas:
-        for s in areas:
-            if feasible(beta, float(s), cons).feasible:
-                if best is None or s < best[0]:
-                    best = (float(s), beta)
-                break
+    # every cell, no early exit: feasibility need not be monotone in area
+    grid = [float(s) for beta in betas for s in areas
+            if feasible(beta, float(s), cons).feasible]
     sol = min_area(cons, betas, (2.0, 18.0))
-    assert sol.feasible and best is not None
+    if not grid:
+        assert not sol.feasible
+        return
     cell = areas[1] - areas[0]
-    assert abs(sol.area_s_min - best[0]) <= cell
+    assert sol.feasible
+    assert min(grid) - cell <= sol.area_s_min <= min(grid) + cell
 
 
 def test_tightening_never_shrinks_the_area():

@@ -104,3 +104,18 @@ def test_multipass_design_validation():
         MultipassDesign(theta_deg=95, radius_rs=1.0, n_turns=1, area_equiv=1.0)
     with pytest.raises(ValueError):
         MultipassDesign(theta_deg=25, radius_rs=-1.0, n_turns=1, area_equiv=1.0)
+
+
+def test_huge_radius_is_a_domain_error_not_an_overflow():
+    # the square itself overflows at 1e300; at 1.3e154 the square fits but
+    # the area does not
+    for theta, radius in ((1, 1e300), (1, 1.3e154), (45, 1.3e154)):
+        with pytest.raises(ValueError, match="radius_rs|equivalent area"):
+            equivalent_area(theta, radius)
+        with pytest.raises(ValueError):
+            multipass_design(theta, radius)
+    with pytest.raises(ValueError, match="radius_rs"):
+        MultipassDesign(theta_deg=25, radius_rs=1e300, n_turns=5, area_equiv=1.0)
+    with pytest.raises(ValueError, match="area_equiv"):
+        MultipassDesign(theta_deg=25, radius_rs=1.0, n_turns=5,
+                        area_equiv=math.inf)

@@ -63,6 +63,9 @@ def test_model_spec_validation():
         _model(omega_range=(0.1, -0.1, 201))
     with pytest.raises(ValueError):
         _model(omega_range=(-0.1, 0.1, 2))
+    # both ends finite, but the width overflows: rejected before linspace
+    with pytest.raises(ValueError, match="width"):
+        _model(omega_range=(-1e308, 1e308, 201))
 
 
 # ── sweep content ─────────────────────────────────────────────────────────────
