@@ -5,6 +5,11 @@ rotation accuracy that must be resolved, the solver searches post-selection
 angles and loop areas for the smallest area whose fitted center shift at the
 target rate clears the resolution floor while the detected peak stays above
 the detection floor.
+
+Each angle's smallest area is found by Illinois regula falsi on the shift
+margin, started from the bracketing pair of an 8-point regime probe. It
+matches the whole-bracket bisection of earlier releases to BISECTION_REL_TOL
+(1e-4) relative, not bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ from .spectral import SpectrumModel, fit_center
 from .sweep import reference_center, spectrum_at
 from .weak import sagnac_phase
 
-BISECTION_REL_TOL = 1e-4   # relative tolerance on the returned area
+# Relative width of the final area bracket: the returned area is feasible and
+# lies within this of an infeasible one. Named for the whole-bracket bisection
+# that regula falsi replaced; areas match it to this tolerance, not bit for bit.
+BISECTION_REL_TOL = 1e-4
 MONOTONE_PROBE_POINTS = 8  # areas sampled to verify the monotone regime
 MONOTONE_IM_AW_MAX = 0.05  # |Im A_w| bound inside the trusted-monotone regime
 FALLBACK_SCAN_POINTS = 256
@@ -135,16 +143,9 @@ def _min_area_for_beta(constraints: DesignConstraints, beta: float,
             return float(probes[0]), reports[0]
         if not reports[-1].feasible:
             return None
-        lo, hi = s_lo, s_hi
-        best = reports[-1]
-        while hi - lo > BISECTION_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            rep = feasible(beta, mid, constraints)
-            if rep.feasible:
-                hi, best = mid, rep
-            else:
-                lo = mid
-        return hi, best
+        k = flags.index(True)
+        return _illinois(constraints, beta, float(probes[k - 1]), reports[k - 1],
+                         float(probes[k]), reports[k])
 
     warnings.append(
         f"beta = {beta:g}: response is outside the verified-monotone regime; "
@@ -156,16 +157,57 @@ def _min_area_for_beta(constraints: DesignConstraints, beta: float,
     return None
 
 
+def _illinois(constraints: DesignConstraints, beta: float,
+              lo: float, lo_rep: FeasibilityReport,
+              hi: float, hi_rep: FeasibilityReport
+              ) -> tuple[float, FeasibilityReport]:
+    """Shrink an infeasible-lo / feasible-hi area bracket to
+    BISECTION_REL_TOL * hi by the Illinois variant of regula falsi on the
+    shift margin (Dowell & Jarratt, BIT 11, 1971); returns the feasible end.
+
+    The feasible verdict moves the bracket; the margin only places the next
+    point. When one end is kept twice in a row its margin is halved, which
+    stops regula falsi from creeping in from one side. Each point is kept
+    0.25 * BISECTION_REL_TOL * hi inside the bracket, so a secant point that
+    lands next to the root brackets it on the next step. Where the margin
+    does not change sign (the detection floor, not the resolution floor,
+    decides) the step is a plain midpoint.
+    """
+    f_lo, f_hi = lo_rep.shift_margin_nm, hi_rep.shift_margin_nm
+    kept = 0  # +1: hi moved last (lo kept), -1: lo moved last (hi kept)
+    while hi - lo > BISECTION_REL_TOL * hi:
+        if f_lo < 0.0 <= f_hi:
+            inset = 0.25 * BISECTION_REL_TOL * hi
+            s = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            s = min(max(s, lo + inset), hi - inset)
+        else:
+            s = 0.5 * (lo + hi)
+        rep = feasible(beta, s, constraints)
+        if rep.feasible:
+            hi, f_hi, hi_rep = s, rep.shift_margin_nm, rep
+            if kept == 1:
+                f_lo *= 0.5
+            kept = 1
+        else:
+            lo, f_lo = s, rep.shift_margin_nm
+            if kept == -1:
+                f_hi *= 0.5
+            kept = -1
+    return hi, hi_rep
+
+
 def min_area(constraints: DesignConstraints, beta_grid: list[float],
              area_bracket: tuple[float, float]) -> DesignSolution:
     """Smallest feasible loop area over the post-selection angle grid.
 
-    For each angle the smallest feasible area inside the bracket is located
-    by bisection, after an 8-point probe confirms the regime where the shift
-    magnitude grows monotonically with area (|Im A_w| small); outside that
-    regime the solver degrades to an exhaustive scan and says so. The
-    returned solution is the globally smallest area; ties go to the smaller
-    |beta|, then the smaller beta.
+    For each angle an 8-point probe first confirms the regime where the
+    shift magnitude grows monotonically with area (|Im A_w| small); there
+    the smallest feasible area is located by Illinois regula falsi between
+    the last infeasible and the first feasible probe, to BISECTION_REL_TOL
+    relative (so areas match the bisection of earlier releases to 1e-4
+    relative, not bit for bit). Outside that regime the solver degrades to
+    an exhaustive scan and says so. The returned solution is the globally
+    smallest area; ties go to the smaller |beta|, then the smaller beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):

@@ -83,7 +83,11 @@ def default_grid(probe: SpectrumModel, points: int = GRID_POINTS,
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
     half = span * probe.width_dlambda
-    return np.linspace(probe.lambda0 - half, probe.lambda0 + half, points)
+    lo, hi = probe.lambda0 - half, probe.lambda0 + half
+    if not math.isfinite(hi - lo):  # also when half, lo or hi is not finite
+        raise ValueError(f"wavelength grid lambda0 +/- span*width_dlambda "
+                         f"overflows a float for span = {span:g}")
+    return np.linspace(lo, hi, points)
 
 
 def intensity_envelope(probe: SpectrumModel, lam):
@@ -178,17 +182,25 @@ def _moments(lam: np.ndarray, inten: np.ndarray) -> tuple[float, float]:
     """Intensity-weighted mean and standard deviation of the wavelength (nm).
 
     The three trapezoids share one np.diff and use np.trapezoid's formula.
+    Huge finite intensities can overflow them; that raises a ValueError
+    naming the integral, not numpy warnings.
     """
     d = np.diff(lam)
 
     def trapezoid(y):
         return (d * (y[1:] + y[:-1]) / 2.0).sum()
 
-    total = trapezoid(inten)
-    if total <= 0:
-        raise DegenerateInput("spectrum has zero total intensity")
-    center = float(trapezoid(inten * lam) / total)
-    var = trapezoid(inten * (lam - center) ** 2) / total
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = trapezoid(inten)
+        if not math.isfinite(total):
+            raise ValueError("integrated intensity of the spectrum overflows a float")
+        if total <= 0:
+            raise DegenerateInput("spectrum has zero total intensity")
+        center = float(trapezoid(inten * lam) / total)
+        var = trapezoid(inten * (lam - center) ** 2) / total
+    if not (math.isfinite(center) and math.isfinite(var)):
+        raise ValueError("intensity-weighted wavelength moments of the "
+                         "spectrum overflow a float")
     return center, float(math.sqrt(max(var, 0.0)))
 
 

@@ -201,7 +201,7 @@ def test_criterion_7_fitter_exactness():
 
 
 def test_criterion_8_design_solver_oracle_agreement():
-    """Bisection optimum matches a 100x100 brute-force grid to one cell,
+    """The solver's optimum matches a 100x100 brute-force grid to one cell,
     and 50 randomized constraint tightenings never shrink the area."""
     start = time.perf_counter()
     alpha = 0.1

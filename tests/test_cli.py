@@ -411,6 +411,10 @@ def test_unknown_command_rejected(runner):
      "fringe shift"),
     (["sweep", "--omega-min", "-1e308", "--omega-max", "1e308"] + SWEEP_ARGS[5:],
      "omega_range width"),
+    (SIMULATE_ARGS + ["--grid-points", "3", "--grid-span", "1e308"],
+     "span*width_dlambda"),
+    (DESIGN_ARGS[:7] + ["--i0", "1e308", "--i-min", "1e-300"] + DESIGN_ARGS[11:-1]
+     + ["1e308"], "integrated intensity"),
 ])
 def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
                                                                  quantity):

@@ -168,3 +168,103 @@ def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
     for i in range(10):
         feasible(-0.25, 4.0 + i, _constraints())
     assert len(fits) == 11  # one reference, one fit per call
+
+
+# ── root-finding against a plain bisection ────────────────────────────────────
+
+def _bisection_reference(cons, beta, s_lo, s_hi):
+    """Smallest feasible area by plain bisection from the bracketing pair of
+    the solver's own 8-point probe, to the solver's tolerance."""
+    probes = np.linspace(s_lo, s_hi, design.MONOTONE_PROBE_POINTS)
+    flags = [feasible(beta, float(s), cons).feasible for s in probes]
+    if flags[0]:
+        return float(probes[0])
+    if not any(flags):
+        return None
+    k = flags.index(True)
+    lo, hi = float(probes[k - 1]), float(probes[k])
+    while hi - lo > design.BISECTION_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(beta, mid, cons).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=25, deadline=None)
+@given(betas=st.lists(st.floats(-0.55, -0.15), min_size=1, max_size=3),
+       planted_area=st.floats(2.5, 17.5), i_min=st.floats(0.0, 0.008),
+       omega_target=st.floats(0.01, 0.1))
+@example(betas=[-0.3], planted_area=10.5, i_min=0.005, omega_target=0.05)
+def test_min_area_matches_a_plain_bisection(betas, planted_area, i_min,
+                                            omega_target):
+    tol = design.BISECTION_REL_TOL
+    planted = feasible(betas[0], planted_area, _constraints(omega=omega_target))
+    cons = _constraints(i_min=min(i_min, planted.peak_intensity),
+                        res=planted.shift_nm, omega=omega_target)
+    sol = min_area(cons, betas, (2.0, 18.0))
+    refs = [r for b in betas
+            if (r := _bisection_reference(cons, b, 2.0, 18.0)) is not None]
+    assert sol.feasible == bool(refs)
+    if refs:
+        assert abs(sol.area_s_min - min(refs)) <= tol * min(refs)
+    for beta in betas:
+        warnings = []
+        found = design._min_area_for_beta(cons, beta, 2.0, 18.0, warnings)
+        if found is None:
+            continue
+        area, rep = found
+        assert rep.feasible and feasible(beta, area, cons).feasible
+        if not warnings and area > 2.0:
+            assert not feasible(beta, area * (1.0 - tol), cons).feasible
+
+
+def test_root_finding_needs_few_feasibility_evaluations(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return feasible(*args, **kwargs)
+
+    monkeypatch.setattr(design, "feasible", counted)
+    cons = _constraints(i_min=0.005, res=0.01)
+    betas = [-0.5, -0.3, -0.2]  # the README design
+    sol = min_area(cons, betas, (1.0, 20.0))
+    assert sol.feasible and not sol.warnings
+    assert len(calls) <= 35  # bisecting the whole bracket took 68
+    for beta in betas:
+        calls.clear()
+        warnings = []
+        area, _ = design._min_area_for_beta(cons, beta, 1.0, 20.0, warnings)
+        assert not warnings and area > 1.0
+        assert design.MONOTONE_PROBE_POINTS < len(calls) <= 12
+
+
+@pytest.mark.parametrize("margin, feasible_at", [
+    (lambda s: (s / 7.3) ** 3 - 1.0, None),
+    (lambda s: (s / 7.3) ** 10 - 1.0, None),
+    (lambda s: (s / 7.3) ** 0.1 - 1.0, None),
+    (lambda s: 1.0 - (s / 7.3) ** -5, None),
+    # the detection floor decides: the shift margin never changes sign
+    (lambda s: 1.0, lambda s: s >= 7.3),
+], ids=["cube", "tenth_power", "tenth_root", "inverse_fifth", "detection_floor"])
+def test_illinois_needs_no_more_steps_than_bisection(monkeypatch, margin,
+                                                     feasible_at):
+    """Curved margins, where plain regula falsi creeps in from one side."""
+    tol = design.BISECTION_REL_TOL
+    steps = []
+
+    def synthetic(beta, s, constraints):
+        steps.append(s)
+        m = margin(s)
+        ok = m >= 0.0 if feasible_at is None else feasible_at(s)
+        return design.FeasibilityReport(ok, 1.0, 1.0, m, m, 0.0)
+
+    monkeypatch.setattr(design, "feasible", synthetic)
+    lo, hi = 4.0, 12.0
+    lo_rep, hi_rep = synthetic(-0.3, lo, None), synthetic(-0.3, hi, None)
+    steps.clear()
+    area, rep = design._illinois(None, -0.3, lo, lo_rep, hi, hi_rep)
+    assert rep.feasible and 7.3 <= area <= 7.3 * (1.0 + tol)
+    assert len(steps) <= math.ceil(math.log2((hi - lo) / (tol * 7.3)))  # 14

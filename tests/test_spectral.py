@@ -159,6 +159,17 @@ def test_sampled_spectrum_validation():
         SampledSpectrum(np.array([1.0, 2.0]), np.array([1.0, 1.0]), "other")
 
 
+@pytest.mark.parametrize("probe, span", [
+    (PROBE, 1e308),                                 # span * width is inf
+    (PROBE, 1e307),                                 # hi - lo is inf
+    (SpectrumModel(1.0, 1.7e308, 1e307), 4.0),      # lambda0 + half is inf
+])
+def test_default_grid_rejects_an_overflowing_span(probe, span):
+    # warnings are errors in this suite, so a numpy RuntimeWarning fails it
+    with pytest.raises(ValueError, match=r"span\*width_dlambda overflows"):
+        default_grid(probe, points=3, span=span)
+
+
 # ── fitting ───────────────────────────────────────────────────────────────────
 
 def test_fit_recovers_its_own_model():
@@ -236,6 +247,29 @@ def test_fit_rejects_degenerate_input():
     sparse[10:20] = 1.0  # only 10 nonzero samples
     with pytest.raises(ValueError):
         fit_center(SampledSpectrum(lam, sparse, "exact"))
+
+
+@pytest.mark.parametrize("scale, quantity", [
+    (1e308, "integrated intensity"),               # the total is inf
+    (1e306, "wavelength moments"),                 # intensity * lambda is inf
+])
+def test_fit_names_the_moment_that_overflows(scale, quantity):
+    lam = np.linspace(1510.0, 1590.0, 512)
+    inten = scale * np.exp(-((lam - 1550.0) / 10.0) ** 2)
+    with pytest.raises(ValueError, match=quantity):
+        fit_center(SampledSpectrum(lam, inten, "exact"))
+
+
+def test_fit_scales_exactly_with_a_power_of_two_intensity():
+    """Large and small finite intensities fit bit for bit like unit ones."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    base = fit_center(spec)
+    for k in (-300, -100, 100, 300):
+        scaled = fit_center(SampledSpectrum(spec.wavelengths,
+                                            spec.intensities * 2.0 ** k, "exact"))
+        assert (scaled.center, scaled.width, scaled.iterations) == (
+            base.center, base.width, base.iterations)
+        assert scaled.peak == base.peak * 2.0 ** k
 
 
 def test_fit_failure_carries_residual(monkeypatch):
