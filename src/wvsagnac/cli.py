@@ -20,13 +20,24 @@ from pathlib import Path
 import click
 
 from .classical import InterferometerConfig, classical_intensity, fringe_shift
-from .design import DesignConstraints, min_area
 from .errors import FitFailure
 from .geometry import multipass_design
 from .serialize import ClassicalReading, result_to_csv, result_to_json
-from .spectral import SpectrumModel, default_grid, output_spectrum
-from .sweep import ModelSpec, run_sweep
 from .weak import SelectionConfig, sagnac_phase, weak_value
+
+# The numpy-backed names are imported by the subcommands that use them, so
+# geometry, classical and usage errors never load numpy. Those this module
+# once imported at the top still resolve here: the package serves them,
+# uncached, so each lookup sees the defining module's current binding.
+_LAZY = ("DesignConstraints", "ModelSpec", "SpectrumModel", "default_grid",
+         "min_area", "output_spectrum", "run_sweep")
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 EXIT_DOMAIN_ERROR = 3
 EXIT_FIT_FAILURE = 4
@@ -151,6 +162,7 @@ def _command(fmt_default: str):
 def simulate(*, alpha, beta, area, omega, lambda0, dlambda, i0=1.0,
              grid_points=2048, grid_span=4.0, form="exact"):
     """Post-selected output spectrum at one rotation rate."""
+    from .spectral import SpectrumModel, default_grid, output_spectrum
     probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
     cfg = InterferometerConfig.from_nm(area_s=area, lambda0_nm=lambda0)
     wv = weak_value(SelectionConfig(alpha, beta, sagnac_phase(cfg, omega)))
@@ -164,6 +176,8 @@ def sweep(*, omega_min, omega_max, steps=201, alpha, beta, area, lambda0,
     """Center-shift curve and sensitivity over a rotation-rate range."""
     if (window_lo is None) != (window_hi is None):
         raise click.UsageError("--window-lo and --window-hi must be given together")
+    from .spectral import SpectrumModel
+    from .sweep import ModelSpec, run_sweep
     probe = SpectrumModel(i0=i0, lambda0=lambda0, width_dlambda=dlambda)
     model = ModelSpec(name="cli", area_s=area, alpha=alpha, beta=beta,
                       probe=probe, omega_range=(omega_min, omega_max, steps))
@@ -183,6 +197,8 @@ def design(*, alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
     if not betas:
         raise click.UsageError(
             f"--beta-grid: cannot parse {beta_grid!r} as comma-separated angles")
+    from .design import DesignConstraints, min_area
+    from .spectral import SpectrumModel
     constraints = DesignConstraints(
         i0=i0, i_min=i_min, delta_lambda_res=dlambda_res,
         omega_target=omega_target, alpha=alpha,

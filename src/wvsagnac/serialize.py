@@ -16,11 +16,6 @@ import json
 import math
 from collections import namedtuple
 
-from .design import DesignSolution
-from .geometry import MultipassDesign
-from .spectral import SampledSpectrum
-from .sweep import SweepResult
-
 # Classical fringe shift and output intensity at one rotation rate.
 ClassicalReading = namedtuple("ClassicalReading", "omega fringe_shift intensity")
 
@@ -44,14 +39,19 @@ def _record(header: list[str], row) -> dict:
 
 
 def _layout(result) -> tuple:
-    """Comment lines, CSV header, CSV rows and JSON document of one result."""
+    """Comment lines, CSV header, CSV rows and JSON document of one result.
+
+    Dispatches on the type's name, so this module imports none of the
+    result types and emitting geometry or classical results needs no numpy.
+    """
+    kind = type(result).__name__
     warnings = list(getattr(result, "warnings", ()))
     comments = [f"warning: {w}" for w in warnings]
-    if isinstance(result, SampledSpectrum):
+    if kind == "SampledSpectrum":
         lam, inten = result.wavelengths.tolist(), result.intensities.tolist()
         return comments, ["lambda_nm", "intensity"], zip(lam, inten), {
             "form": result.form_tag, "lambda_nm": lam, "intensity": inten}
-    if isinstance(result, SweepResult):
+    if kind == "SweepResult":
         header = ["omega", "phi", "im_aw", "dlambda_analytic_nm",
                   "dlambda_fitted_nm", "postselect_prob"]
         rows = [(r.omega, r.phi, r.im_aw, r.dlambda_analytic,
@@ -68,19 +68,19 @@ def _layout(result) -> tuple:
                       "note": r.note} for r, row in zip(result.rows, rows)]}
     # The rest are one-row tables: the JSON document is that row, then the
     # warnings when the type carries them.
-    if isinstance(result, MultipassDesign):
+    if kind == "MultipassDesign":
         header = ["theta_deg", "n_turns", "area_equiv_m2", "ratio_vs_square"]
         row = (result.theta_deg, result.n_turns, result.area_equiv,
                result.area_equiv / result.radius_rs ** 2 / 4.0)
-    elif isinstance(result, DesignSolution):
+    elif kind == "DesignSolution":
         header = ["feasible", "beta", "area_s_min_m2",
                   "k_achieved_nm_per_rad_s", "peak_intensity"]
         row = (result.feasible, result.beta, result.area_s_min,
                result.k_achieved, result.peak_intensity)
-    elif isinstance(result, ClassicalReading):
+    elif kind == "ClassicalReading":
         header, row = list(result._fields), tuple(result)
     else:
-        raise TypeError(f"no artifact layout for {type(result).__name__}")
+        raise TypeError(f"no artifact layout for {kind}")
     doc = _record(header, row)
     if hasattr(result, "warnings"):
         doc["warnings"] = warnings

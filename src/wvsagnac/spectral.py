@@ -183,21 +183,21 @@ def _moments(lam: np.ndarray, inten: np.ndarray) -> tuple[float, float]:
 
     The three trapezoids share one np.diff and use np.trapezoid's formula.
     Huge finite intensities can overflow them; that raises a ValueError
-    naming the integral, not numpy warnings.
+    naming the integral. Called under fit_center's errstate, so an overflow
+    gives no numpy warning.
     """
     d = np.diff(lam)
 
     def trapezoid(y):
         return (d * (y[1:] + y[:-1]) / 2.0).sum()
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = trapezoid(inten)
-        if not math.isfinite(total):
-            raise ValueError("integrated intensity of the spectrum overflows a float")
-        if total <= 0:
-            raise DegenerateInput("spectrum has zero total intensity")
-        center = float(trapezoid(inten * lam) / total)
-        var = trapezoid(inten * (lam - center) ** 2) / total
+    total = trapezoid(inten)
+    if not math.isfinite(total):
+        raise ValueError("integrated intensity of the spectrum overflows a float")
+    if total <= 0:
+        raise DegenerateInput("spectrum has zero total intensity")
+    center = float(trapezoid(inten * lam) / total)
+    var = trapezoid(inten * (lam - center) ** 2) / total
     if not (math.isfinite(center) and math.isfinite(var)):
         raise ValueError("intensity-weighted wavelength moments of the "
                          "spectrum overflow a float")
@@ -252,6 +252,10 @@ def _cholesky_solve(a: list[list[float]], b: list[float]
     return x0, x1, x2
 
 
+# Huge finite intensities can overflow the moments, the cost or the normal
+# equations: each is checked and raises a ValueError naming it, and a trial
+# step that overflows is rejected, so numpy's warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def fit_center(spec: SampledSpectrum) -> FitResult:
     """Windowed least-squares Gaussian fit of (peak, center, width).
 
@@ -311,6 +315,9 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
     residual = _gaussian_rows(lam_w, *params, jac) - y
     cost = float(residual @ residual)
+    if not math.isfinite(cost):
+        raise ValueError("sum of squared fit residuals of the spectrum "
+                         "overflows a float")
     damping = 1e-3
     last_change = math.nan
 
@@ -321,10 +328,15 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
         # summation order of a matrix-vector product follows the layout.
         jac_nt = jac.T.copy()
         jtj = (jac @ jac_nt).tolist()
+        gradient = (-(jac_nt.T @ residual)).tolist()
+        # the off-diagonal entries are bounded by the diagonal ones
+        if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
+            raise ValueError("normal equations of the fit to the spectrum "
+                             "overflow a float")
         for i in range(3):
             d = jtj[i][i]
             jtj[i][i] = d + damping * (1e-30 if d <= 0 else d)
-        step = _cholesky_solve(jtj, (-(jac_nt.T @ residual)).tolist())
+        step = _cholesky_solve(jtj, gradient)
         if step is None:
             damping *= 10.0
             continue

@@ -9,8 +9,9 @@ from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wvsagnac import (InterferometerConfig, SampledSpectrum, equivalent_area,
-                      fit_center, fringe_shift, multipass_design, serialize)
+from wvsagnac import (FitResult, InterferometerConfig, SampledSpectrum,
+                      equivalent_area, fit_center, fringe_shift,
+                      multipass_design, serialize)
 from wvsagnac.cli import main
 from wvsagnac.errors import FitFailure
 
@@ -104,6 +105,15 @@ def test_ratio_vs_square_where_four_r_squared_overflows():
     doc = json.loads(serialize.result_to_json(multipass_design(60, 7.3e153)))
     assert doc["ratio_vs_square"] == pytest.approx(equivalent_area(60, 1.0) / 4.0,
                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("result", [object(), FitResult(1550.0, 10.0, 1.0, 0.0, 3)],
+                         ids=["object", "FitResult"])
+def test_a_type_without_a_layout_is_rejected(result):
+    for emit in (serialize.result_to_csv, serialize.result_to_json):
+        with pytest.raises(TypeError, match=f"no artifact layout for "
+                           f"{type(result).__name__}$"):
+            emit(result)
 
 
 # ── simulate ──────────────────────────────────────────────────────────────────
@@ -415,6 +425,8 @@ def test_unknown_command_rejected(runner):
      "span*width_dlambda"),
     (DESIGN_ARGS[:7] + ["--i0", "1e308", "--i-min", "1e-300"] + DESIGN_ARGS[11:-1]
      + ["1e308"], "integrated intensity"),
+    (DESIGN_ARGS[:7] + ["--i0", "1e200", "--i-min", "1e-300"] + DESIGN_ARGS[11:15]
+     + ["--beta-grid=-0.5,-0.3"] + DESIGN_ARGS[16:], "squared fit residuals"),
 ])
 def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
                                                                  quantity):

@@ -260,6 +260,17 @@ def test_fit_names_the_moment_that_overflows(scale, quantity):
         fit_center(SampledSpectrum(lam, inten, "exact"))
 
 
+@pytest.mark.parametrize("scale, quantity", [
+    (1e160, "squared fit residuals"),              # the starting cost is inf
+    (1e156, "normal equations"),                   # the cost is not, J^T J is
+])
+def test_fit_names_the_overflowing_cost_or_normal_equations(scale, quantity):
+    lam = np.linspace(1510.0, 1590.0, 512)
+    inten = scale * np.exp(-((lam - 1550.0) / 10.0) ** 2)
+    with pytest.raises(ValueError, match=quantity):
+        fit_center(SampledSpectrum(lam, inten, "exact"))
+
+
 def test_fit_scales_exactly_with_a_power_of_two_intensity():
     """Large and small finite intensities fit bit for bit like unit ones."""
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
