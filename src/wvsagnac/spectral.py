@@ -9,8 +9,9 @@ three-parameter Gaussian fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,10 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
+    # fit_center's window and start, set when the spectrum is a row of a
+    # stack built by _spectrum_rows; None makes fit_center work them out
+    _fit_setup: object = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.wavelengths, dtype=float)
@@ -58,14 +63,26 @@ class SampledSpectrum:
         object.__setattr__(self, "intensities", inten)
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
-        if lam.size == 0:
-            raise ValueError("spectrum grid is empty")
-        if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
-            raise ValueError("wavelength grid must be strictly increasing")
-        if not np.all(np.isfinite(inten)) or np.any(inten < 0):
-            raise ValueError("intensities must be finite and nonnegative")
-        if self.form_tag not in (FORM_PAPER, FORM_EXACT):
-            raise ValueError(f"unknown form_tag {self.form_tag!r}")
+        _check_grid(lam)
+        _check_intensities(inten, self.form_tag)
+
+
+def _check_grid(lam: np.ndarray):
+    """SampledSpectrum's checks of its wavelength grid."""
+    if lam.size == 0:
+        raise ValueError("spectrum grid is empty")
+    if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
+        raise ValueError("wavelength grid must be strictly increasing")
+
+
+def _check_intensities(intensities: np.ndarray, form_tag: str):
+    """SampledSpectrum's checks of the intensities on its grid: one
+    spectrum, or a stack of them along the last axis."""
+    # the minimum is NaN at a NaN, and only the maximum can be +inf
+    if not (intensities.min() >= 0 and intensities.max() < math.inf):
+        raise ValueError("intensities must be finite and nonnegative")
+    if form_tag not in (FORM_PAPER, FORM_EXACT):
+        raise ValueError(f"unknown form_tag {form_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +122,14 @@ def intensity_envelope(probe: SpectrumModel, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _modulation(cos_pg, sin_pg, wv: WeakValueResult, form: str):
-    ov2 = abs(wv.overlap) ** 2
-    first_order = (cos_pg + wv.a_w.imag * sin_pg) ** 2
+def _modulation(cos_pg, sin_pg, ov2, a_w, form: str):
+    """The modulation for |m+n|^2 = ov2 and weak value a_w: numbers, or
+    (rows, 1) columns that give one row per weak value."""
+    first_order = (cos_pg + a_w.imag * sin_pg) ** 2
     if form == FORM_PAPER:
         return ov2 * first_order
     if form == FORM_EXACT:
-        return ov2 * (first_order + (wv.a_w.real * sin_pg) ** 2)
+        return ov2 * (first_order + (a_w.real * sin_pg) ** 2)
     raise ValueError(f"form must be 'paper' or 'exact', got {form!r}")
 
 
@@ -125,7 +143,7 @@ def modulation_factor(pg, wv: WeakValueResult, form: str = FORM_EXACT):
     exactly |m+n|^2 Re(A_w)^2 sin^2(pg), nonnegative everywhere.
     """
     pg = np.asarray(pg, dtype=float)
-    out = _modulation(np.cos(pg), np.sin(pg), wv, form)
+    out = _modulation(np.cos(pg), np.sin(pg), wv.postselect_prob, wv.a_w, form)
     return float(out) if out.ndim == 0 else out
 
 
@@ -160,48 +178,149 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
 def _default_basis(lambda0: float, width_dlambda: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only default grid, cos pg, sin pg (g = lambda0) and the envelope
-    of a unit-peak probe; i0 times that envelope is intensity_envelope's."""
+    of a unit-peak probe; i0 times that envelope is intensity_envelope's.
+    The grid is checked here, once, for every spectrum built on it."""
     unit = SpectrumModel(1.0, lambda0, width_dlambda)
     grid, pg = _modulation_argument(default_grid(unit), lambda0)
+    _check_grid(grid)
     basis = (grid, np.cos(pg), np.sin(pg), intensity_envelope(unit, grid))
     for arr in basis:
         arr.flags.writeable = False
     return basis
 
 
-def _default_spectrum(probe: SpectrumModel, wv: WeakValueResult,
-                      form: str) -> SampledSpectrum:
-    """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form),
-    bit for bit, from the cached basis of the probe's center and width."""
+class _FitSetup(NamedTuple):
+    lo: int         # the fit window is the grid slice [lo, hi)
+    hi: int
+    scale: float    # power of two the intensities are fit multiplied by
+    peak: float     # start values, from the scaled intensities
+    center: float
+    sigma: float
+
+
+# Huge finite intensities can overflow the moments, the cost or the normal
+# equations: each is checked and raises a ValueError naming it, and a trial
+# step that overflows is rejected, so numpy's warnings would only repeat that.
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+# A fit's squared residuals can fall below the smallest normal float (2^-1022)
+# once the peak is below 2^-256 and the relative residuals below 2^-255; then
+# the cost no longer tells steps apart and every step is accepted. Such a
+# spectrum is fit multiplied by the power of two that brings its peak into
+# [0.5, 1), which is exact.
+_TINY_PEAK = 2.0 ** -256
+
+
+def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult],
+                     form: str) -> list[SampledSpectrum]:
+    """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form)
+    for each weak value, bit for bit: the rows of one stack broadcast from
+    the cached basis of the probe's center and width (see _spectrum_rows)."""
     grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
-    intensities = _modulation(cos_pg, sin_pg, wv, form) * (probe.i0 * unit)
-    return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
+    if len(wvs) == 1:  # numbers, not columns, keep numpy's 1-d fast path
+        ov2, a_w = wvs[0].postselect_prob, wvs[0].a_w
+    else:
+        ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
+        a_w = np.array([wv.a_w for wv in wvs])[:, None]
+    stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
+    return _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
 
 
-def _moments(lam: np.ndarray, inten: np.ndarray) -> tuple[float, float]:
-    """Intensity-weighted mean and standard deviation of the wavelength (nm).
+@np.errstate(**_QUIET)
+def _spectrum_rows(lam: np.ndarray, stack: np.ndarray,
+                   form: str) -> list[SampledSpectrum]:
+    """The rows of a (rows, n) stack of intensities on the checked grid
+    `lam` as spectra: read-only views sharing `lam`, each carrying its fit
+    setup.
 
-    The three trapezoids share one np.diff and use np.trapezoid's formula.
-    Huge finite intensities can overflow them; that raises a ValueError
-    naming the integral. Called under fit_center's errstate, so an overflow
-    gives no numpy warning.
+    The stack is checked once, as SampledSpectrum checks the intensities of
+    one spectrum, and the setups come from one _fit_setups pass over it.
     """
+    if stack.shape[0] == 0:
+        return []
+    _check_intensities(stack, form)
+    stack.flags.writeable = False
+    rows = []
+    for inten, setup in zip(stack, _fit_setups(lam, stack)):
+        spec = object.__new__(SampledSpectrum)  # checked above, as a stack
+        vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
+                          _fit_setup=setup)
+        rows.append(spec)
+    return rows
+
+
+def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | Exception]:
+    """fit_center's window and start for each row of a (rows, n) stack of
+    checked intensities on the grid `lam`, or the error its fit raises.
+
+    The start is the peak sample and the intensity-weighted mean and
+    standard deviation of the wavelength, from three trapezoids with
+    np.trapezoid's formula. The window is centered on the grid sample
+    nearest that mean, so that a mirror-image spectrum gets the mirror-image
+    window, and reaches FIT_WINDOW_SIGMAS standard deviations to each side;
+    on a strictly increasing grid it is an interval. Each numpy call serves
+    every row, and its reductions run along the last axis, so a row's
+    numbers are bit for bit those of the row alone. Every row is computed,
+    also one whose error is reported: call under _QUIET.
+    """
+    # ufunc reductions: the same sums as .max() or .sum(), with less
+    # per-call cost
+    peaks = np.maximum.reduce(stack, axis=1).tolist()
+    scales = [2.0 ** min(-math.frexp(p)[1], 1023) if 0 < p < _TINY_PEAK else 1.0
+              for p in peaks]
+    if any(s != 1.0 for s in scales):
+        stack = stack * np.array(scales)[:, None]
+        peaks = [p * s for p, s in zip(peaks, scales)]
+    positive = (np.minimum.reduce(stack, axis=1) > 0).tolist()  # no zero to count
     d = np.diff(lam)
 
-    def trapezoid(y):
-        return (d * (y[1:] + y[:-1]) / 2.0).sum()
+    def trapezoid(y):  # d * (y[1:] + y[:-1]) / 2.0 of each row, summed
+        y = np.add(y[:, 1:], y[:, :-1])
+        y *= d
+        y *= 0.5  # the same rounding as / 2.0, and cheaper
+        return np.add.reduce(y, axis=1)
 
-    total = trapezoid(inten)
-    if not math.isfinite(total):
-        raise ValueError("integrated intensity of the spectrum overflows a float")
-    if total <= 0:
-        raise DegenerateInput("spectrum has zero total intensity")
-    center = float(trapezoid(inten * lam) / total)
-    var = trapezoid(inten * (lam - center) ** 2) / total
-    if not (math.isfinite(center) and math.isfinite(var)):
-        raise ValueError("intensity-weighted wavelength moments of the "
-                         "spectrum overflow a float")
-    return center, float(math.sqrt(max(var, 0.0)))
+    total = trapezoid(stack)
+    center = trapezoid(stack * lam) / total
+    dev = lam - center[:, None]
+    snap = lam[np.abs(dev).argmin(axis=1)]
+    np.square(dev, out=dev)
+    dev *= stack
+    var = trapezoid(dev) / total
+    sigma = np.sqrt(np.maximum(var, 0.0))
+    dist = np.subtract(lam, snap[:, None])
+    inside = np.abs(dist, out=dist) <= (FIT_WINDOW_SIGMAS * sigma)[:, None]
+    lo = inside.argmax(axis=1).tolist()
+    hi = (lam.size - inside[:, ::-1].argmax(axis=1)).tolist()
+
+    setups = []
+    for row, (peak, pos, t, c, v, s, a, b, scale) in enumerate(zip(
+            peaks, positive, total.tolist(), center.tolist(), var.tolist(),
+            sigma.tolist(), lo, hi, scales)):
+        count = lam.size if pos else np.count_nonzero(stack[row])
+        if not peak > 0:  # intensities are nonnegative
+            setups.append(DegenerateInput("cannot fit an all-zero spectrum"))
+        elif count < MIN_FIT_POINTS:
+            setups.append(ValueError(
+                f"need at least {MIN_FIT_POINTS} grid points with nonzero "
+                f"intensity, got {count}"))
+        elif not math.isfinite(t):
+            setups.append(ValueError(
+                "integrated intensity of the spectrum overflows a float"))
+        elif t <= 0:
+            setups.append(DegenerateInput("spectrum has zero total intensity"))
+        elif not (math.isfinite(c) and math.isfinite(v)):
+            setups.append(ValueError("intensity-weighted wavelength moments of "
+                                     "the spectrum overflow a float"))
+        elif not s > 0:
+            setups.append(DegenerateInput(
+                "spectrum is too narrow or too weak to seed a fit"))
+        elif not pos and np.count_nonzero(stack[row, a:b]) < MIN_FIT_POINTS:
+            setups.append(ValueError(
+                f"fit window holds fewer than {MIN_FIT_POINTS} nonzero points"))
+        else:
+            setups.append(_FitSetup(a, b, scale, peak, c, s))
+    return setups
 
 
 def _gaussian_rows(lam: np.ndarray, peak: float, center: float, width: float,
@@ -252,10 +371,7 @@ def _cholesky_solve(a: list[list[float]], b: list[float]
     return x0, x1, x2
 
 
-# Huge finite intensities can overflow the moments, the cost or the normal
-# equations: each is checked and raises a ValueError naming it, and a trial
-# step that overflows is rejected, so numpy's warnings would only repeat that.
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(**_QUIET)
 def fit_center(spec: SampledSpectrum) -> FitResult:
     """Windowed least-squares Gaussian fit of (peak, center, width).
 
@@ -282,33 +398,21 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     centered on the grid sample nearest the centroid and extends
     FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
     each side; the start is the peak sample, the centroid and the moment
-    width.
+    width. A row of a stack carries them (_spectrum_rows); any other
+    spectrum gets them from the same _fit_setups, as a stack of one. A
+    spectrum whose peak is below 2^-256 is fit multiplied by a power of two
+    and its fitted peak divided by it, which is exact.
     """
-    lam, inten = spec.wavelengths, spec.intensities
-    peak = float(inten.max())  # intensities are nonnegative
-    if not peak > 0:
-        raise DegenerateInput("cannot fit an all-zero spectrum")
-    nonzero = np.count_nonzero(inten)
-    if nonzero < MIN_FIT_POINTS:
-        raise ValueError(
-            f"need at least {MIN_FIT_POINTS} grid points with nonzero intensity, "
-            f"got {nonzero}")
-
-    center, sigma = _moments(lam, inten)
-    if not sigma > 0:
-        raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
-
-    # Snap the window center to the grid sample nearest the centroid: a cut
-    # at the continuously varying centroid itself would flip edge points in
-    # and out of the window, breaking the mirror symmetry of fits to
-    # mirror-image spectra.
-    center_snap = lam[int(np.argmin(np.abs(lam - center)))]
-    mask = np.abs(lam - center_snap) <= FIT_WINDOW_SIGMAS * sigma
-    lam_w = lam[mask]
-    y = inten[mask]
-    if np.count_nonzero(y) < MIN_FIT_POINTS:
-        raise ValueError(
-            f"fit window holds fewer than {MIN_FIT_POINTS} nonzero points")
+    setup = spec._fit_setup
+    if setup is None:
+        setup, = _fit_setups(spec.wavelengths, spec.intensities[None, :])
+    if isinstance(setup, Exception):
+        raise setup.with_traceback(None)  # raised afresh on every call
+    lo, hi, scale, peak, center, sigma = setup
+    lam_w = spec.wavelengths[lo:hi]
+    y = spec.intensities[lo:hi]
+    if scale != 1.0:
+        y = y * scale
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
     params = (peak, center, math.sqrt(2.0) * sigma)
@@ -369,5 +473,5 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "
             f"(relative rms residual {residual_norm:.3e})",
             residual_norm=residual_norm, iterations=FIT_MAX_ITERATIONS)
-    return FitResult(center=params[1], width=params[2], peak=params[0],
+    return FitResult(center=params[1], width=params[2], peak=params[0] / scale,
                      residual_norm=residual_norm, iterations=iteration)

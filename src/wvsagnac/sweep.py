@@ -16,7 +16,7 @@ import numpy as np
 from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
 from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel,
-                       _default_spectrum, fit_center)
+                       _default_spectra, fit_center)
 from .weak import (SelectionConfig, WeakValueResult, analytic_wavelength_shift,
                    sagnac_phase, weak_value)
 
@@ -26,6 +26,12 @@ DEGENERACY_TOL = 1e-9
 
 # Fraction of the sweep range used for the default sensitivity window.
 DEFAULT_WINDOW_FRACTION = 0.2
+
+# Rows whose spectra a sweep builds and sets up for fitting as one stack:
+# enough to spread numpy's per-call cost over the rows, few enough that the
+# stack and each temporary of its setup stay near 128 KB on the 2048-point
+# grid, whatever the number of steps (4 to 32 rows timed about the same).
+_CHUNK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -142,7 +148,7 @@ def spectrum_at(probe: SpectrumModel, alpha: float, beta: float, phi: float,
     NearOrthogonalSelection.
     """
     wv = weak_value(SelectionConfig(alpha, beta, phi))
-    return wv, _default_spectrum(probe, wv, form)
+    return wv, _default_spectra(probe, [wv], form)[0]
 
 
 def reference_center(probe: SpectrumModel, alpha: float, beta: float,
@@ -156,6 +162,47 @@ def reference_center(probe: SpectrumModel, alpha: float, beta: float,
     return fit_center(spectrum).center
 
 
+def _evaluated_rows(model: ModelSpec, cfg: InterferometerConfig, form: str):
+    """Yield (omega, phi, weak value, spectrum) for each rate of the sweep,
+    in order, where `spectrum_at` would give the weak value and spectrum.
+
+    A row whose selection is effectively orthogonal yields the
+    NearOrthogonalSelection in place of the weak value and None for the
+    spectrum. Weak values are evaluated and spectra built _CHUNK_ROWS rows
+    at a time, but any other error of a row is raised at that row's turn,
+    after every row before it was yielded.
+    """
+    lo, hi, steps = model.omega_range
+    omegas = np.linspace(lo, hi, int(steps)).tolist()
+    for start in range(0, len(omegas), _CHUNK_ROWS):
+        chunk, error = [], None
+        for omega in omegas[start:start + _CHUNK_ROWS]:
+            try:
+                phi = sagnac_phase(cfg, omega)
+                wv = weak_value(SelectionConfig(model.alpha, model.beta, phi))
+            except NearOrthogonalSelection as exc:  # only weak_value raises it
+                wv = exc
+            except Exception as exc:
+                error = exc
+                break
+            chunk.append((omega, phi, wv))
+        wvs = [wv for _, _, wv in chunk
+               if not isinstance(wv, NearOrthogonalSelection)]
+        try:
+            spectra = iter(_default_spectra(model.probe, wvs, form))
+        except ValueError:
+            # some row's spectrum is invalid: build them one by one, so that
+            # its error is raised at its turn
+            spectra = (_default_spectra(model.probe, [wv], form)[0] for wv in wvs)
+        for omega, phi, wv in chunk:
+            if isinstance(wv, NearOrthogonalSelection):
+                yield omega, phi, wv, None
+            else:
+                yield omega, phi, wv, next(spectra)
+        if error is not None:
+            raise error
+
+
 def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
               window: tuple[float, float] | None = None) -> SweepResult:
     """Evaluate the shift curve over the model's rate range.
@@ -167,25 +214,21 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     The sensitivity is taken inside `window`; without one, inside
     `default_window`, and a default window with too few usable rows leaves
     k NaN with a warning, where a given one raises ValueError.
-    Output is deterministic and independent of evaluation order.
+    Output is deterministic and independent of evaluation order: each row
+    is bit for bit `fit_center(spectrum_at(...)[1]).center` minus the
+    reference, whichever rows share its stack.
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     # A failure of the reference is not row-isolated because every fitted
     # shift is measured against it.
     ref_center = reference_center(model.probe, model.alpha, model.beta, form)
 
-    lo, hi, steps = model.omega_range
     rows: list[SweepRow] = []
-    for omega in np.linspace(lo, hi, int(steps)):
-        omega = float(omega)
-        phi = sagnac_phase(cfg, omega)
-        try:
-            wv, spectrum = spectrum_at(model.probe, model.alpha, model.beta,
-                                       phi, form)
-        except NearOrthogonalSelection as exc:
+    for omega, phi, wv, spectrum in _evaluated_rows(model, cfg, form):
+        if spectrum is None:
             rows.append(SweepRow(omega=omega, phi=phi, im_aw=math.nan,
                                  dlambda_analytic=math.nan, dlambda_fitted=math.nan,
-                                 postselect_prob=0.0, failed=True, note=str(exc)))
+                                 postselect_prob=0.0, failed=True, note=str(wv)))
             continue
         analytic = analytic_wavelength_shift(model.probe, wv.a_w)
         try:

@@ -235,6 +235,20 @@ def test_sweep_degeneracy_warning_surfaces(runner):
     assert "# warning:" in result.output and "identically zero" in result.output
 
 
+def test_sweep_of_a_tiny_probe_fits_like_a_unit_one(runner):
+    """At i0 = 1e-200 the squared fit residuals would underflow; the fit
+    scales the spectrum up, so the shifts match those at i0 = 1."""
+    args = SWEEP_ARGS[:6] + ["3"] + SWEEP_ARGS[7:]
+    columns = []
+    for i0 in ("1", "1e-200"):
+        result = runner.invoke(main, args + ["--i0", i0])
+        assert result.exit_code == 0, result.output
+        header, data = _parse_csv(result.output)
+        columns.append(data[:, header.index("dlambda_fitted_nm")])
+    assert np.abs(columns[1] - columns[0]).max() <= 1e-9
+    assert np.abs(columns[0]).max() > 0.03
+
+
 def test_sweep_window_override(runner):
     result = runner.invoke(main, SWEEP_ARGS + ["--window-lo", "-0.05",
                                                "--window-hi", "0.05",

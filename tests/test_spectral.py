@@ -283,6 +283,86 @@ def test_fit_scales_exactly_with_a_power_of_two_intensity():
         assert scaled.peak == base.peak * 2.0 ** k
 
 
+def test_tiny_intensities_fit_exactly_like_unit_ones():
+    """Below 2^-256 the fit scales the spectrum to a unit peak, so squared
+    residuals stay out of the subnormal range and the fit stays exact."""
+    spectra = [output_spectrum(PROBE, _wv(0.1, beta, phi), G, default_grid(PROBE),
+                               form)
+               for beta, phi, form in ((-0.3, 0.05, "exact"), (-0.5, -0.08, "paper"))]
+    spectra.append(_noisy_spectrum(3, 800, 0.02))
+    for spec in spectra:
+        base = fit_center(spec)
+        for k in (-600, -700, -800, -900):
+            inten = spec.intensities * 2.0 ** k
+            assert np.array_equal(inten * 2.0 ** -k, spec.intensities)  # exact
+            scaled = fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
+            assert (scaled.center, scaled.width, scaled.residual_norm,
+                    scaled.iterations) == (base.center, base.width,
+                                           base.residual_norm, base.iterations)
+            assert scaled.peak == base.peak * 2.0 ** k
+
+
+def _stack(probe, form, phis):
+    return spectral._default_spectra(
+        probe, [_wv(0.1, -0.3, phi) for phi in phis], form)
+
+
+@pytest.mark.parametrize("form", ["exact", "paper"])
+def test_stack_rows_fit_like_fresh_spectra(form):
+    probe = SpectrumModel(i0=2.5, lambda0=1310.0, width_dlambda=6.0)
+    rows = _stack(probe, form, np.linspace(-0.09, 0.09, 7))
+    grid = spectral._default_basis(probe.lambda0, probe.width_dlambda)[0]
+    for row in rows:
+        assert row.wavelengths is grid
+        assert not row.intensities.flags.writeable
+        with pytest.raises(ValueError):
+            row.intensities[0] = 0.0
+        fresh = SampledSpectrum(np.array(row.wavelengths),
+                                np.array(row.intensities), form)
+        assert repr(fit_center(row)) == repr(fit_center(fresh))
+        assert repr(row) == repr(fresh) and row == row
+    assert [r.form_tag for r in rows] == [form] * 7
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+def test_stack_with_a_bad_row_raises_the_spectrum_message(bad):
+    lam = default_grid(PROBE)
+    stack = np.ones((3, lam.size))
+    stack[1, 100] = bad
+    message = "^intensities must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        SampledSpectrum(lam, stack[1], "exact")
+    with pytest.raises(ValueError, match=message):
+        spectral._spectrum_rows(lam, stack, "exact")
+
+
+def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
+    """A row whose fit cannot start raises its error only when it is fit,
+    the same error as a fresh spectrum, after the rows before it."""
+    lam = np.linspace(1540.0, 1560.0, 64)
+    good = np.exp(-((lam - 1550.0) / 4.0) ** 2)
+    sparse = np.zeros_like(lam)
+    sparse[10:20] = 1.0  # only 10 nonzero samples
+    stack = np.array([good, np.zeros_like(lam), good[::-1], sparse, 1e-300 * good])
+    rows = spectral._spectrum_rows(lam, stack, "exact")  # raises nothing
+
+    def outcome(spec):
+        try:
+            return repr(fit_center(spec))
+        except (ValueError, FitFailure) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    for cap in (1, spectral.FIT_MAX_ITERATIONS):
+        monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
+        got = [outcome(row) for row in rows]
+        assert got == [outcome(SampledSpectrum(lam, inten, "exact"))
+                       for inten in stack]
+        assert got[1] == "DegenerateInput: cannot fit an all-zero spectrum"
+        assert got[3].startswith("ValueError: need at least 16 grid points")
+        assert got[0].startswith("FitFailure" if cap == 1 else "FitResult")
+        assert got == [outcome(row) for row in rows]  # again, the same
+
+
 def test_fit_failure_carries_residual(monkeypatch):
     monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", 1)
     grid = default_grid(PROBE)

@@ -5,12 +5,17 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
-from wvsagnac import (ModelSpec, SelectionConfig, SpectrumModel, SweepResult,
-                      SweepRow, benchmark_models, default_grid, default_window,
-                      output_spectrum, run_sweep, sensitivity, weak_value)
-from wvsagnac.sweep import spectrum_at
+import wvsagnac.sweep as sweep
+from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig, ModelSpec,
+                      SelectionConfig, SpectrumModel, SweepResult, SweepRow,
+                      benchmark_models, default_grid, default_window, fit_center,
+                      output_spectrum, run_sweep, sagnac_phase, sensitivity,
+                      weak_value)
+from wvsagnac.sweep import reference_center, spectrum_at
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 PHI_PER_OMEGA_S16 = 8.0 * math.pi * 16.0 / (1550e-9 * 299792458.0)
@@ -80,6 +85,128 @@ def test_row_depends_only_on_its_own_rate():
     assert len(shared) == 5
     for row in shared:
         assert repr(row) == repr(fine_rows[row.omega])
+
+
+@settings(max_examples=8, deadline=None)
+@given(area_s=st.floats(1.0, 30.0), alpha=st.floats(0.05, 0.3),
+       beta=st.floats(-0.6, -0.05), half=st.floats(0.01, 0.2),
+       probe=st.sampled_from([(1550.0, 10.0), (1310.0, 5.0), (800.0, 20.0)]),
+       form=st.sampled_from(["exact", "paper"]))
+def test_rows_do_not_depend_on_chunking(area_s, alpha, beta, half, probe, form):
+    """Sweeps of 5, 17 and 41 steps, and stacks of 1, 3 and the default
+    number of rows, give repr-identical rows; each row is its own fit."""
+    probe = SpectrumModel(i0=1.0, lambda0=probe[0], width_dlambda=probe[1])
+    model = ModelSpec(name="m", area_s=area_s, alpha=alpha, beta=beta,
+                      probe=probe, omega_range=(-half, half, 41))
+    ref = reference_center(probe, alpha, beta, form)
+    cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
+    seen = {}
+    for chunk in (1, 3, sweep._CHUNK_ROWS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_CHUNK_ROWS", chunk)
+            for steps in (5, 17, 41):
+                result = run_sweep(replace(model, omega_range=(-half, half, steps)),
+                                   form=form)
+                for row in result.rows:
+                    seen.setdefault(row.omega, set()).add(repr(row))
+    assert len(seen) >= 41
+    assert all(len(reprs) == 1 for reprs in seen.values())
+    for omega, (row_repr,) in seen.items():
+        phi = sagnac_phase(cfg, omega)
+        fitted = fit_center(spectrum_at(probe, alpha, beta, phi, form)[1]).center
+        assert f"dlambda_fitted={fitted - ref!r}" in row_repr
+
+
+def _no_overlap(wv):  # the spectrum is all zero: no fit can start
+    return replace(wv, overlap=0j)
+
+
+def _nan_overlap(wv):  # the spectrum is all NaN: it is not a valid spectrum
+    return replace(wv, overlap=complex(math.nan, 0.0))
+
+
+def _raise(wv):
+    raise ValueError("planted")
+
+
+def _planted_sweep(monkeypatch, fit_failure_row, bad_row, plant=_no_overlap):
+    """run_sweep over 12 rows of model2 where the fit of one row runs out of
+    iterations and `plant` replaces the weak value of another; returns each
+    fit call's outcome, the phases weak values were asked for and the
+    sweep's result or error."""
+    original_fit, original_wv = sweep.fit_center, sweep.weak_value
+    fits, weak_values = [], []
+
+    def planted_fit(spec):
+        cap = 1 if len(fits) == fit_failure_row + 1 else spectral.FIT_MAX_ITERATIONS
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
+            try:
+                fit = original_fit(spec)
+            except Exception as exc:
+                fits.append(type(exc).__name__)
+                raise
+        fits.append("ok")
+        return fit
+
+    def planted_wv(sel):
+        wv = original_wv(sel)
+        weak_values.append(sel.phi)
+        if len(weak_values) == bad_row + 2:  # after the reference's
+            return plant(wv)
+        return wv
+
+    monkeypatch.setattr(sweep, "fit_center", planted_fit)
+    monkeypatch.setattr(sweep, "weak_value", planted_wv)
+    model = replace(benchmark_models(1550.0, 10.0)[1], omega_range=(-0.1, 0.1, 12))
+    try:
+        outcome = run_sweep(model)
+    except ValueError as exc:
+        outcome = exc
+    return fits, weak_values, outcome
+
+
+def test_fit_failure_row_stays_isolated(monkeypatch):
+    fits, weak_values, result = _planted_sweep(monkeypatch, 5, 99)
+    assert fits == ["ok"] * 6 + ["FitFailure"] + ["ok"] * 6  # reference first
+    assert weak_values[0] == 0.0 and weak_values[1:] == [r.phi for r in result.rows]
+    monkeypatch.undo()
+    clean = run_sweep(replace(benchmark_models(1550.0, 10.0)[1],
+                              omega_range=(-0.1, 0.1, 12)))
+    row = result.rows[5]
+    assert row.failed and math.isnan(row.dlambda_fitted)
+    monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", 1)
+    with pytest.raises(FitFailure) as err:
+        fit_center(spectrum_at(PROBE, 0.1, -0.3, row.phi)[1])
+    assert row.note == str(err.value)
+    assert replace(row, failed=False, note="", dlambda_fitted=0.0) == replace(
+        clean.rows[5], dlambda_fitted=0.0)
+    assert [repr(r) for i, r in enumerate(result.rows) if i != 5] == [
+        repr(r) for i, r in enumerate(clean.rows) if i != 5]
+
+
+@pytest.mark.parametrize("fit_failure_row, bad_row", [(1, 6), (9, 11), (2, 3)])
+@pytest.mark.parametrize("plant, error", [
+    (_no_overlap, "cannot fit an all-zero spectrum"),
+    (_nan_overlap, "intensities must be finite and nonnegative"),
+    (_raise, "planted")], ids=["zero", "nan", "raise"])
+def test_row_error_is_raised_at_its_rows_turn(monkeypatch, fit_failure_row,
+                                              bad_row, plant, error):
+    """The bad row shares a stack with the failing fit before it, yet its
+    error comes only after that row was fit and recorded, and no row after
+    it has its weak value evaluated when the weak value is what fails."""
+    fits, weak_values, outcome = _planted_sweep(monkeypatch, fit_failure_row,
+                                                bad_row, plant)
+    assert type(outcome) is (DegenerateInput if plant is _no_overlap
+                             else ValueError)
+    assert str(outcome) == error
+    want = ["ok"] * (bad_row + 1)
+    want[fit_failure_row + 1] = "FitFailure"
+    if plant is _no_overlap:
+        want.append("DegenerateInput")
+    assert fits == want
+    if plant is _raise:
+        assert len(weak_values) == bad_row + 2
 
 
 def test_spectrum_at_is_output_spectrum_on_the_default_grid_bit_for_bit():
