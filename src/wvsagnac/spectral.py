@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,9 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
-    # fit_center's window and start, set when the spectrum is a row of a
-    # stack built by _spectrum_rows; None makes fit_center work them out
+    # fit_center's window and start (or a factory of its error), set when
+    # the spectrum is a row of a stack built by _spectrum_rows; None makes
+    # fit_center work them out
     _fit_setup: object = field(default=None, init=False, repr=False,
                                compare=False)
 
@@ -64,7 +65,7 @@ class SampledSpectrum:
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        _check_intensities(inten, self.form_tag)
+        _check_intensities(inten.min(), inten.max(), self.form_tag)
 
 
 def _check_grid(lam: np.ndarray):
@@ -75,11 +76,11 @@ def _check_grid(lam: np.ndarray):
         raise ValueError("wavelength grid must be strictly increasing")
 
 
-def _check_intensities(intensities: np.ndarray, form_tag: str):
-    """SampledSpectrum's checks of the intensities on its grid: one
-    spectrum, or a stack of them along the last axis."""
+def _check_intensities(low: float, high: float, form_tag: str):
+    """SampledSpectrum's checks of its intensities, from their minimum and
+    maximum."""
     # the minimum is NaN at a NaN, and only the maximum can be +inf
-    if not (intensities.min() >= 0 and intensities.max() < math.inf):
+    if not (low >= 0 and high < math.inf):
         raise ValueError("intensities must be finite and nonnegative")
     if form_tag not in (FORM_PAPER, FORM_EXACT):
         raise ValueError(f"unknown form_tag {form_tag!r}")
@@ -217,11 +218,8 @@ def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult],
     for each weak value, bit for bit: the rows of one stack broadcast from
     the cached basis of the probe's center and width (see _spectrum_rows)."""
     grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
-    if len(wvs) == 1:  # numbers, not columns, keep numpy's 1-d fast path
-        ov2, a_w = wvs[0].postselect_prob, wvs[0].a_w
-    else:
-        ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
-        a_w = np.array([wv.a_w for wv in wvs])[:, None]
+    ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
+    a_w = np.array([wv.a_w for wv in wvs])[:, None]
     stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
     return _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
 
@@ -233,25 +231,35 @@ def _spectrum_rows(lam: np.ndarray, stack: np.ndarray,
     `lam` as spectra: read-only views sharing `lam`, each carrying its fit
     setup.
 
-    The stack is checked once, as SampledSpectrum checks the intensities of
-    one spectrum, and the setups come from one _fit_setups pass over it.
+    Each row is checked as SampledSpectrum checks the intensities of one
+    spectrum, from the row maxima and minima the fit setups start from, and
+    the setups come from one _fit_setups pass over the stack.
     """
-    if stack.shape[0] == 0:
-        return []
-    _check_intensities(stack, form)
+    peaks, floors = _row_extremes(stack)
+    for low, high in zip(floors, peaks):
+        _check_intensities(low, high, form)
     stack.flags.writeable = False
     rows = []
-    for inten, setup in zip(stack, _fit_setups(lam, stack)):
-        spec = object.__new__(SampledSpectrum)  # checked above, as a stack
+    for inten, setup in zip(stack, _fit_setups(lam, stack, peaks, floors)):
+        spec = object.__new__(SampledSpectrum)  # its row is checked above
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
                           _fit_setup=setup)
         rows.append(spec)
     return rows
 
 
-def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | Exception]:
+def _row_extremes(stack: np.ndarray) -> tuple[list[float], list[float]]:
+    """The maximum and the minimum of each row of a (rows, n) stack."""
+    # ufunc reductions: the same as .max() or .min(), with less per-call cost
+    return (np.maximum.reduce(stack, axis=1).tolist(),
+            np.minimum.reduce(stack, axis=1).tolist())
+
+
+def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
+                floors: list[float]) -> list[_FitSetup | Callable[[], Exception]]:
     """fit_center's window and start for each row of a (rows, n) stack of
-    checked intensities on the grid `lam`, or the error its fit raises.
+    checked intensities on the grid `lam`, with the rows' _row_extremes, or
+    a factory of the error its fit raises.
 
     The start is the peak sample and the intensity-weighted mean and
     standard deviation of the wavelength, from three trapezoids with
@@ -263,22 +271,18 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | Exceptio
     numbers are bit for bit those of the row alone. Every row is computed,
     also one whose error is reported: call under _QUIET.
     """
-    # ufunc reductions: the same sums as .max() or .sum(), with less
-    # per-call cost
-    peaks = np.maximum.reduce(stack, axis=1).tolist()
     scales = [2.0 ** min(-math.frexp(p)[1], 1023) if 0 < p < _TINY_PEAK else 1.0
               for p in peaks]
     if any(s != 1.0 for s in scales):
         stack = stack * np.array(scales)[:, None]
         peaks = [p * s for p, s in zip(peaks, scales)]
-    positive = (np.minimum.reduce(stack, axis=1) > 0).tolist()  # no zero to count
-    d = np.diff(lam)
+    d = np.subtract(lam[1:], lam[:-1])  # np.diff, with less per-call cost
 
     def trapezoid(y):  # d * (y[1:] + y[:-1]) / 2.0 of each row, summed
         y = np.add(y[:, 1:], y[:, :-1])
         y *= d
         y *= 0.5  # the same rounding as / 2.0, and cheaper
-        return np.add.reduce(y, axis=1)
+        return np.add.reduce(y, axis=1)  # the same sums as .sum(axis=1)
 
     total = trapezoid(stack)
     center = trapezoid(stack * lam) / total
@@ -286,40 +290,45 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | Exceptio
     snap = lam[np.abs(dev).argmin(axis=1)]
     np.square(dev, out=dev)
     dev *= stack
-    var = trapezoid(dev) / total
-    sigma = np.sqrt(np.maximum(var, 0.0))
+    var = (trapezoid(dev) / total).tolist()
+    sigma = [math.sqrt(max(v, 0.0)) for v in var]
     dist = np.subtract(lam, snap[:, None])
-    inside = np.abs(dist, out=dist) <= (FIT_WINDOW_SIGMAS * sigma)[:, None]
+    half = np.array([FIT_WINDOW_SIGMAS * s for s in sigma])[:, None]
+    inside = np.abs(dist, out=dist) <= half
     lo = inside.argmax(axis=1).tolist()
     hi = (lam.size - inside[:, ::-1].argmax(axis=1)).tolist()
 
     setups = []
-    for row, (peak, pos, t, c, v, s, a, b, scale) in enumerate(zip(
-            peaks, positive, total.tolist(), center.tolist(), var.tolist(),
-            sigma.tolist(), lo, hi, scales)):
+    for row, (peak, floor, t, c, v, s, a, b, scale) in enumerate(zip(
+            peaks, floors, total.tolist(), center.tolist(), var, sigma,
+            lo, hi, scales)):
+        # an error is kept as a factory, so every fit of the row raises a
+        # fresh exception; a row with no zero needs no nonzero count
+        pos = floor > 0
         count = lam.size if pos else np.count_nonzero(stack[row])
         if not peak > 0:  # intensities are nonnegative
-            setups.append(DegenerateInput("cannot fit an all-zero spectrum"))
+            setup = partial(DegenerateInput, "cannot fit an all-zero spectrum")
         elif count < MIN_FIT_POINTS:
-            setups.append(ValueError(
-                f"need at least {MIN_FIT_POINTS} grid points with nonzero "
-                f"intensity, got {count}"))
+            setup = partial(ValueError,
+                            f"need at least {MIN_FIT_POINTS} grid points with "
+                            f"nonzero intensity, got {count}")
         elif not math.isfinite(t):
-            setups.append(ValueError(
-                "integrated intensity of the spectrum overflows a float"))
+            setup = partial(ValueError, "integrated intensity of the spectrum "
+                                        "overflows a float")
         elif t <= 0:
-            setups.append(DegenerateInput("spectrum has zero total intensity"))
+            setup = partial(DegenerateInput, "spectrum has zero total intensity")
         elif not (math.isfinite(c) and math.isfinite(v)):
-            setups.append(ValueError("intensity-weighted wavelength moments of "
-                                     "the spectrum overflow a float"))
+            setup = partial(ValueError, "intensity-weighted wavelength moments "
+                                        "of the spectrum overflow a float")
         elif not s > 0:
-            setups.append(DegenerateInput(
-                "spectrum is too narrow or too weak to seed a fit"))
-        elif not pos and np.count_nonzero(stack[row, a:b]) < MIN_FIT_POINTS:
-            setups.append(ValueError(
-                f"fit window holds fewer than {MIN_FIT_POINTS} nonzero points"))
+            setup = partial(DegenerateInput,
+                            "spectrum is too narrow or too weak to seed a fit")
+        elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < MIN_FIT_POINTS:
+            setup = partial(ValueError, f"fit window holds fewer than "
+                                        f"{MIN_FIT_POINTS} nonzero points")
         else:
-            setups.append(_FitSetup(a, b, scale, peak, c, s))
+            setup = _FitSetup(a, b, scale, peak, c, s)
+        setups.append(setup)
     return setups
 
 
@@ -405,9 +414,10 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     """
     setup = spec._fit_setup
     if setup is None:
-        setup, = _fit_setups(spec.wavelengths, spec.intensities[None, :])
-    if isinstance(setup, Exception):
-        raise setup.with_traceback(None)  # raised afresh on every call
+        stack = spec.intensities[None, :]
+        setup, = _fit_setups(spec.wavelengths, stack, *_row_extremes(stack))
+    if not isinstance(setup, _FitSetup):
+        raise setup()
     lo, hi, scale, peak, center, sigma = setup
     lam_w = spec.wavelengths[lo:hi]
     y = spec.intensities[lo:hi]

@@ -363,6 +363,34 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
         assert got == [outcome(row) for row in rows]  # again, the same
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -900])
+def test_window_of_too_few_points_is_refused_when_every_sample_is_positive(scale):
+    """A narrow Gaussian on a coarse grid: no sample is zero (the tails are
+    about 1e-44), but the +/-2.5 sigma window holds only 11 of them."""
+    lam = np.linspace(1540.0, 1560.0, 64)
+    inten = scale * np.exp(-((lam - 1550.0) / 1.0) ** 2)
+    assert inten.min() > 0
+    message = "^fit window holds fewer than 16 nonzero points$"
+    with pytest.raises(ValueError, match=message):
+        fit_center(SampledSpectrum(lam, inten, "exact"))
+    row, = spectral._spectrum_rows(lam, inten[None, :].copy(), "exact")
+    with pytest.raises(ValueError, match=message):
+        fit_center(row)
+
+
+def test_each_fit_of_a_refused_row_raises_a_fresh_exception():
+    lam = np.linspace(1540.0, 1560.0, 64)
+    row, = spectral._spectrum_rows(lam, np.zeros((1, lam.size)), "exact")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(DegenerateInput, match="all-zero") as info:
+            fit_center(row)
+        info.value.add_note("seen by the caller")
+        errors.append(info.value)
+    assert errors[0] is not errors[1]
+    assert errors[1].__notes__ == ["seen by the caller"]
+
+
 def test_fit_failure_carries_residual(monkeypatch):
     monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", 1)
     grid = default_grid(PROBE)
