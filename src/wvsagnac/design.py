@@ -10,6 +10,14 @@ Each angle's smallest area is found by Illinois regula falsi on the shift
 margin, started from the bracketing pair of an 8-point regime probe. It
 matches the whole-bracket bisection of earlier releases to BISECTION_REL_TOL
 (1e-4) relative, not bit for bit.
+
+At one angle and the target rate the candidate areas differ only in the
+Sagnac phase, so the regime probe and the fallback scan are read out as
+sweeps are, in stacks of 8 (sweep._evaluated_rows): each stack's spectra and
+fit setups are built in one pass, and every candidate is still fit alone,
+bit for bit as feasible() would. The scan stops at its first feasible area;
+it has built the spectra of up to 7 areas past it, but fits none of them.
+Regula falsi steps and direct feasible() calls are stacks of one.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import SpectrumModel, fit_center
-from .sweep import reference_center, spectrum_at
+from .spectral import FORM_EXACT, SpectrumModel, fit_center
+from .sweep import _evaluated_rows, reference_center
 from .weak import sagnac_phase
 
 # Relative width of the final area bracket: the returned area is feasible and
@@ -88,6 +96,13 @@ class DesignSolution:
 _reference_center = lru_cache(maxsize=256)(reference_center)
 
 
+@lru_cache(maxsize=256)
+def _source_probe(probe: SpectrumModel, i0: float) -> SpectrumModel:
+    """The probe at the source intensity: a cache hit costs a fifth of the
+    validating replace()."""
+    return replace(probe, i0=i0)
+
+
 def feasible(beta: float, area_s: float,
              constraints: DesignConstraints) -> FeasibilityReport:
     """Evaluate one (beta, area) candidate at the target rate.
@@ -100,32 +115,56 @@ def feasible(beta: float, area_s: float,
     """
     if not (math.isfinite(area_s) and area_s > 0):
         raise ValueError(f"area_s must be positive, got {area_s}")
+    report, = _feasible_rows(beta, [area_s], constraints)
+    return report
+
+
+def _orthogonal_report(c: DesignConstraints,
+                       exc: NearOrthogonalSelection) -> FeasibilityReport:
+    return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
+                             math.nan, reason=str(exc))
+
+
+def _feasible_rows(beta: float, areas, constraints: DesignConstraints):
+    """Yield feasible(beta, s, constraints) for each positive area s of
+    `areas`, in order, bit for bit, reading the spectra at the target rate
+    out as stacks (sweep._evaluated_rows).
+
+    Each candidate is fit only when its report is asked for, so a caller
+    that stops early fits nothing past its answer; the stack it stopped in
+    has its spectra built, and any error of a row is raised at its turn.
+    """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     c = constraints
-    probe = replace(c.probe, i0=c.i0)
-    cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
+    probe = _source_probe(c.probe, c.i0)
     try:
         ref_center = _reference_center(probe, c.alpha, beta)
-        wv, spectrum = spectrum_at(probe, c.alpha, beta,
-                                   sagnac_phase(cfg, c.omega_target))
     except NearOrthogonalSelection as exc:
-        return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
-                                 math.nan, reason=str(exc))
-    peak = float(spectrum.intensities.max())
-    shift = abs(fit_center(spectrum).center - ref_center)
-    return FeasibilityReport(
-        feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
-        peak_intensity=peak, intensity_margin=peak - c.i_min,
-        shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
-        im_aw=wv.a_w.imag)
+        for _ in areas:
+            yield _orthogonal_report(c, exc)
+        return
+    phases = (sagnac_phase(InterferometerConfig.from_nm(s, probe.lambda0),
+                           c.omega_target) for s in areas)
+    for _, wv, spectrum in _evaluated_rows(probe, c.alpha, beta, phases,
+                                           FORM_EXACT):
+        if spectrum is None:
+            yield _orthogonal_report(c, wv)
+            continue
+        shift = abs(fit_center(spectrum).center - ref_center)
+        peak = spectrum._fit_setup.peak  # the stack's row maximum
+        yield FeasibilityReport(
+            feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
+            peak_intensity=peak, intensity_margin=peak - c.i_min,
+            shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
+            im_aw=wv.a_w.imag)
 
 
 def _min_area_for_beta(constraints: DesignConstraints, beta: float,
                        s_lo: float, s_hi: float, warnings: list[str]
                        ) -> tuple[float, FeasibilityReport] | None:
-    probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS)
-    reports = [feasible(beta, float(s), constraints) for s in probes]
+    probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS).tolist()
+    reports = list(_feasible_rows(beta, probes, constraints))
     if all(r.reason for r in reports):
         return None
 
@@ -140,20 +179,20 @@ def _min_area_for_beta(constraints: DesignConstraints, beta: float,
 
     if in_regime:
         if reports[0].feasible:
-            return float(probes[0]), reports[0]
+            return probes[0], reports[0]
         if not reports[-1].feasible:
             return None
         k = flags.index(True)
-        return _illinois(constraints, beta, float(probes[k - 1]), reports[k - 1],
-                         float(probes[k]), reports[k])
+        return _illinois(constraints, beta, probes[k - 1], reports[k - 1],
+                         probes[k], reports[k])
 
     warnings.append(
         f"beta = {beta:g}: response is outside the verified-monotone regime; "
         f"falling back to an exhaustive {FALLBACK_SCAN_POINTS}-point area scan")
-    for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS):
-        rep = feasible(beta, float(s), constraints)
+    scan = np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
+    for s, rep in zip(scan, _feasible_rows(beta, scan, constraints)):
         if rep.feasible:
-            return float(s), rep
+            return s, rep
     return None
 
 
@@ -206,8 +245,12 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
     the last infeasible and the first feasible probe, to BISECTION_REL_TOL
     relative (so areas match the bisection of earlier releases to 1e-4
     relative, not bit for bit). Outside that regime the solver degrades to
-    an exhaustive scan and says so. The returned solution is the globally
-    smallest area; ties go to the smaller |beta|, then the smaller beta.
+    an exhaustive scan and says so. The probe and the scan are read out in
+    stacks of 8; the scan may build the spectra of up to 7 areas past its
+    answer, but fits none of them, so its answer, its errors and its fits
+    are those of a scan one area at a time. The returned solution is the
+    globally smallest area; ties go to the smaller |beta|, then the smaller
+    beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):

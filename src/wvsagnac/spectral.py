@@ -9,6 +9,7 @@ three-parameter Gaussian fit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -194,8 +195,8 @@ class _FitSetup(NamedTuple):
     lo: int         # the fit window is the grid slice [lo, hi)
     hi: int
     scale: float    # power of two the intensities are fit multiplied by
-    peak: float     # start values, from the scaled intensities
-    center: float
+    peak: float     # the row's maximum sample, unscaled
+    center: float   # start values, from the scaled intensities
     sigma: float
 
 
@@ -208,7 +209,9 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # once the peak is below 2^-256 and the relative residuals below 2^-255; then
 # the cost no longer tells steps apart and every step is accepted. Such a
 # spectrum is fit multiplied by the power of two that brings its peak into
-# [0.5, 1), which is exact.
+# [0.5, 1), which is exact. Samples below the smallest normal float have
+# lost significant bits before any scaling, so a fit window holding one is
+# refused.
 _TINY_PEAK = 2.0 ** -256
 
 
@@ -273,9 +276,9 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
     """
     scales = [2.0 ** min(-math.frexp(p)[1], 1023) if 0 < p < _TINY_PEAK else 1.0
               for p in peaks]
+    raw = stack
     if any(s != 1.0 for s in scales):
         stack = stack * np.array(scales)[:, None]
-        peaks = [p * s for p, s in zip(peaks, scales)]
     d = np.subtract(lam[1:], lam[:-1])  # np.diff, with less per-call cost
 
     def trapezoid(y):  # d * (y[1:] + y[:-1]) / 2.0 of each row, summed
@@ -326,6 +329,12 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
         elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < MIN_FIT_POINTS:
             setup = partial(ValueError, f"fit window holds fewer than "
                                         f"{MIN_FIT_POINTS} nonzero points")
+        elif scale != 1.0 and ((raw[row, a:b] > 0)
+                               & (raw[row, a:b] < sys.float_info.min)).any():
+            setup = partial(ValueError, "fit window of the spectrum holds "
+                                        "intensities below the smallest normal "
+                                        "float, which have lost precision; the "
+                                        "probe intensity i0 is too small")
         else:
             setup = _FitSetup(a, b, scale, peak, c, s)
         setups.append(setup)
@@ -410,7 +419,8 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     width. A row of a stack carries them (_spectrum_rows); any other
     spectrum gets them from the same _fit_setups, as a stack of one. A
     spectrum whose peak is below 2^-256 is fit multiplied by a power of two
-    and its fitted peak divided by it, which is exact.
+    and its fitted peak divided by it, which is exact; one whose fit window
+    holds a nonzero sample below the smallest normal float is refused.
     """
     setup = spec._fit_setup
     if setup is None:
@@ -425,7 +435,7 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
         y = y * scale
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
-    params = (peak, center, math.sqrt(2.0) * sigma)
+    params = (peak * scale, center, math.sqrt(2.0) * sigma)
     jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
     residual = _gaussian_rows(lam_w, *params, jac) - y
     cost = float(residual @ residual)

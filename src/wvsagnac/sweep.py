@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -162,45 +163,48 @@ def reference_center(probe: SpectrumModel, alpha: float, beta: float,
     return fit_center(spectrum).center
 
 
-def _evaluated_rows(model: ModelSpec, cfg: InterferometerConfig, form: str):
-    """Yield (omega, phi, weak value, spectrum) for each rate of the sweep,
-    in order, where `spectrum_at` would give the weak value and spectrum.
+def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
+                    form: str):
+    """Yield (phi, weak value, spectrum) for each phase of the iterable
+    `phases`, in order, where `spectrum_at` would give the weak value and
+    spectrum: the stacked row readout of sweeps and design candidates.
 
     A row whose selection is effectively orthogonal yields the
     NearOrthogonalSelection in place of the weak value and None for the
-    spectrum. Weak values are evaluated and spectra built _CHUNK_ROWS rows
-    at a time, but any other error of a row is raised at that row's turn,
-    after every row before it was yielded.
+    spectrum. Phases are read and weak values evaluated row by row, and
+    spectra built _CHUNK_ROWS rows at a time, each carrying its fit setup
+    or the factory of the error its fit raises; any other error of a row,
+    its phase's included, is raised at that row's turn, after every row
+    before it was yielded.
     """
-    lo, hi, steps = model.omega_range
-    omegas = np.linspace(lo, hi, int(steps)).tolist()
-    for start in range(0, len(omegas), _CHUNK_ROWS):
+    phases = iter(phases)
+    while True:
         chunk, error = [], None
-        for omega in omegas[start:start + _CHUNK_ROWS]:
-            try:
-                phi = sagnac_phase(cfg, omega)
-                wv = weak_value(SelectionConfig(model.alpha, model.beta, phi))
-            except NearOrthogonalSelection as exc:  # only weak_value raises it
-                wv = exc
-            except Exception as exc:
-                error = exc
-                break
-            chunk.append((omega, phi, wv))
-        wvs = [wv for _, _, wv in chunk
-               if not isinstance(wv, NearOrthogonalSelection)]
         try:
-            spectra = iter(_default_spectra(model.probe, wvs, form))
+            for phi in islice(phases, _CHUNK_ROWS):
+                try:
+                    wv = weak_value(SelectionConfig(alpha, beta, phi))
+                except NearOrthogonalSelection as exc:  # only weak_value raises it
+                    wv = exc
+                chunk.append((phi, wv))
+        except Exception as exc:
+            error = exc
+        wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
+        try:
+            spectra = iter(_default_spectra(probe, wvs, form) if wvs else ())
         except ValueError:
             # some row's spectrum is invalid: build them one by one, so that
             # its error is raised at its turn
-            spectra = (_default_spectra(model.probe, [wv], form)[0] for wv in wvs)
-        for omega, phi, wv in chunk:
+            spectra = (_default_spectra(probe, [wv], form)[0] for wv in wvs)
+        for phi, wv in chunk:
             if isinstance(wv, NearOrthogonalSelection):
-                yield omega, phi, wv, None
+                yield phi, wv, None
             else:
-                yield omega, phi, wv, next(spectra)
+                yield phi, wv, next(spectra)
         if error is not None:
             raise error
+        if len(chunk) < _CHUNK_ROWS:
+            return
 
 
 def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
@@ -223,8 +227,12 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     # shift is measured against it.
     ref_center = reference_center(model.probe, model.alpha, model.beta, form)
 
+    lo, hi, steps = model.omega_range
+    omegas = np.linspace(lo, hi, int(steps)).tolist()
+    phases = (sagnac_phase(cfg, omega) for omega in omegas)
     rows: list[SweepRow] = []
-    for omega, phi, wv, spectrum in _evaluated_rows(model, cfg, form):
+    for omega, (phi, wv, spectrum) in zip(omegas, _evaluated_rows(
+            model.probe, model.alpha, model.beta, phases, form)):
         if spectrum is None:
             rows.append(SweepRow(omega=omega, phi=phi, im_aw=math.nan,
                                  dlambda_analytic=math.nan, dlambda_fitted=math.nan,

@@ -249,6 +249,18 @@ def test_sweep_of_a_tiny_probe_fits_like_a_unit_one(runner):
     assert np.abs(columns[0]).max() > 0.03
 
 
+@pytest.mark.parametrize("args", [
+    SWEEP_ARGS[:6] + ["3"] + SWEEP_ARGS[7:] + ["--i0", "1e-320"],
+    DESIGN_ARGS[:7] + ["--i0", "1e-320", "--i-min", "0"] + DESIGN_ARGS[11:]],
+    ids=["sweep", "design"])
+def test_a_subnormal_probe_is_a_domain_error_naming_i0(runner, args):
+    """At i0 = 1e-320 every sample is subnormal and has lost significant
+    bits, so the fit would be wrong; it is refused instead."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "probe intensity i0" in result.stderr
+
+
 def test_sweep_window_override(runner):
     result = runner.invoke(main, SWEEP_ARGS + ["--window-lo", "-0.05",
                                                "--window-hi", "0.05",

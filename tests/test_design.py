@@ -1,6 +1,7 @@
 """Inverse design solver: feasibility reports and minimum-area search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import strategies as st
 import wvsagnac.design as design
 import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
-from wvsagnac import DesignConstraints, SpectrumModel, feasible, min_area
+from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, InterferometerConfig,
+                      NearOrthogonalSelection, SpectrumModel, feasible,
+                      fit_center, min_area, sagnac_phase)
+from wvsagnac.sweep import reference_center, spectrum_at
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 
@@ -170,6 +174,93 @@ def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
     assert len(fits) == 11  # one reference, one fit per call
 
 
+# ── stacked candidates ────────────────────────────────────────────────────────
+
+# beta = -2 alpha and a phase of pi at the target rate: the selections of
+# that one area are orthogonal, those of its neighbours are not
+ORTHOGONAL_AREA = 1550e-9 * SPEED_OF_LIGHT / (8 * 0.05)
+
+
+def _unstacked_report(beta, area_s, cons):
+    """feasible() as one spectrum at a time, from the public pieces."""
+    probe = replace(cons.probe, i0=cons.i0)
+    cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
+    try:
+        ref = reference_center(probe, cons.alpha, beta)
+        wv, spectrum = spectrum_at(probe, cons.alpha, beta,
+                                   sagnac_phase(cfg, cons.omega_target))
+    except NearOrthogonalSelection as exc:
+        return design.FeasibilityReport(False, 0.0, -cons.i_min, 0.0,
+                                        -cons.delta_lambda_res, math.nan,
+                                        reason=str(exc))
+    peak = float(spectrum.intensities.max())
+    shift = abs(fit_center(spectrum).center - ref)
+    return design.FeasibilityReport(
+        peak >= cons.i_min and shift >= cons.delta_lambda_res, peak,
+        peak - cons.i_min, shift, shift - cons.delta_lambda_res, wv.a_w.imag)
+
+
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(-0.55, 0.05),
+       areas=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=17),
+       i_min=st.floats(0.0, 0.01), res=st.floats(0.0, 0.03),
+       i0=st.sampled_from([1.0, 1e-200]))  # 1e-200: fit scaled up, see spectral
+@example(beta=0.0, areas=[2.0, 5.0], i_min=0.0, res=0.0, i0=1.0)  # orthogonal reference
+@example(beta=-0.2, areas=[3.0] * 7 + [ORTHOGONAL_AREA] + [40.0] * 3,
+         i_min=0.0, res=0.01, i0=1.0)  # an orthogonal row in the first stack
+@example(beta=-0.3, areas=[2.0, 9.0], i_min=0.004, res=0.01, i0=1e-200)
+def test_stacked_rows_equal_one_candidate_at_a_time(beta, areas, i_min, res, i0):
+    cons = _constraints(i_min=i_min * i0, res=res, i0=i0)
+    stacked = [repr(r) for r in design._feasible_rows(beta, areas, cons)]
+    assert stacked == [repr(feasible(beta, s, cons)) for s in areas]
+    assert stacked == [repr(_unstacked_report(beta, s, cons)) for s in areas]
+
+
+def _sequential_scan(cons, beta, s_lo, s_hi):
+    """The fallback scan one feasible() call at a time."""
+    for s in np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS):
+        rep = feasible(beta, float(s), cons)
+        if rep.feasible:
+            return float(s), rep
+    return None
+
+
+@pytest.mark.parametrize("first", [0, 7, 8, 255, None])
+def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
+    """At beta = -0.15 over (1, 60) |Im A_w| leaves the monotone regime, so
+    the solver scans; the shift grows along the scan, so a resolution floor
+    at the shift of one scan area makes that area the first feasible one.
+    The stacked scan returns the same area, report and warning, and fits
+    no area past its answer."""
+    beta, s_lo, s_hi = -0.15, 1.0, 60.0
+    scan = np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS).tolist()
+    shifts = [r.shift_nm for r in design._feasible_rows(beta, scan, _constraints())]
+    assert all(b > a for a, b in zip(shifts, shifts[1:]))
+    res = 1.01 * shifts[-1] if first is None else shifts[first]
+    cons = _constraints(res=res)
+    expected = _sequential_scan(cons, beta, s_lo, s_hi)
+
+    fits = []
+
+    def counted(spec):
+        fits.append(1)
+        return spectral.fit_center(spec)
+
+    monkeypatch.setattr(design, "fit_center", counted)
+    warnings = []
+    found = design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings)
+    assert repr(found) == repr(expected)
+    assert warnings == [
+        "beta = -0.15: response is outside the verified-monotone regime; "
+        "falling back to an exhaustive 256-point area scan"]
+    if first is None:
+        assert found is None
+    else:
+        assert found[0] == scan[first]
+    scanned = design.FALLBACK_SCAN_POINTS if first is None else first + 1
+    assert len(fits) == design.MONOTONE_PROBE_POINTS + scanned
+
+
 # ── root-finding against a plain bisection ────────────────────────────────────
 
 def _bisection_reference(cons, beta, s_lo, s_hi):
@@ -221,13 +312,17 @@ def test_min_area_matches_a_plain_bisection(betas, planted_area, i_min,
 
 
 def test_root_finding_needs_few_feasibility_evaluations(monkeypatch):
+    """Counts every candidate area evaluated: the rows of the stacked probe
+    and scan, and the feasible() calls, each of which is a stack of one."""
     calls = []
+    stacked = design._feasible_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return feasible(*args, **kwargs)
+    def counted(beta, areas, constraints):
+        for rep in stacked(beta, areas, constraints):
+            calls.append(rep)
+            yield rep
 
-    monkeypatch.setattr(design, "feasible", counted)
+    monkeypatch.setattr(design, "_feasible_rows", counted)
     cons = _constraints(i_min=0.005, res=0.01)
     betas = [-0.5, -0.3, -0.2]  # the README design
     sol = min_area(cons, betas, (1.0, 20.0))

@@ -302,6 +302,40 @@ def test_tiny_intensities_fit_exactly_like_unit_ones():
             assert scaled.peak == base.peak * 2.0 ** k
 
 
+def test_a_fit_window_below_the_smallest_normal_float_is_refused():
+    """Samples below 2^-1022 lost significant bits when they were computed,
+    which no scaling brings back: a fit window holding one is refused. A
+    peak of 2^-1000 keeps every sample normal and fits bit for bit like the
+    unit spectrum; the window's smallest sample decides the boundary."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    base = fit_center(spec)
+    stack = spec.intensities[None, :]
+    setup, = spectral._fit_setups(spec.wavelengths, stack,
+                                  *spectral._row_extremes(stack))
+    low = math.frexp(spec.intensities[setup.lo:setup.hi].min())[1]
+    normal, subnormal = -1021 - low, -1022 - low  # the window's least exponent
+    assert subnormal < -1000
+
+    inten = spec.intensities * 2.0 ** -1000
+    assert np.array_equal(inten * 2.0 ** 1000, spec.intensities)  # exact
+    scaled = fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
+    assert (scaled.center, scaled.width, scaled.residual_norm,
+            scaled.iterations) == (base.center, base.width, base.residual_norm,
+                                   base.iterations)
+    assert scaled.peak == base.peak * 2.0 ** -1000
+
+    lowest = fit_center(SampledSpectrum(spec.wavelengths,
+                                        spec.intensities * 2.0 ** normal, "exact"))
+    assert lowest.center == pytest.approx(base.center, abs=1e-9)
+    inten = spec.intensities * 2.0 ** subnormal
+    message = "below the smallest normal float.*probe intensity i0"
+    with pytest.raises(ValueError, match=message):
+        fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
+    row, = spectral._spectrum_rows(spec.wavelengths, inten[None, :], "exact")
+    with pytest.raises(ValueError, match=message):
+        fit_center(row)
+
+
 def _stack(probe, form, phis):
     return spectral._default_spectra(
         probe, [_wv(0.1, -0.3, phi) for phi in phis], form)
