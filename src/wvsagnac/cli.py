@@ -7,8 +7,8 @@ over a flat `key = value` config file (--config) over default. Config keys
 are the flag names except config, out and format, with `-` and `_` alike.
 
 Exit codes: 0 success, 2 usage error (including a missing parameter, an
-unknown config key and an unreadable config file), 3 domain error, 4 fit
-failure, 5 infeasible design (the JSON report is still emitted).
+unknown config key and an unreadable config file), 3 domain error or out of
+memory, 4 fit failure, 5 infeasible design (JSON report still emitted).
 """
 
 from __future__ import annotations
@@ -125,8 +125,8 @@ def _command(fmt_default: str):
         def callback(fmt, out_path, **values):
             try:
                 result = run(**values)
-            except (FitFailure, ValueError) as exc:
-                click.echo(f"error: {exc}", err=True)
+            except (FitFailure, ValueError, MemoryError) as exc:
+                click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
                 sys.exit(EXIT_FIT_FAILURE if isinstance(exc, FitFailure)
                          else EXIT_DOMAIN_ERROR)
             # looked up at call time, so rebinding the module names takes effect

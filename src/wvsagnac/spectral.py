@@ -341,24 +341,45 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
     return setups
 
 
-def _gaussian_rows(lam: np.ndarray, peak: float, center: float, width: float,
-                   jac: np.ndarray) -> np.ndarray:
-    """Model peak*exp(-z^2), z = (lam - center)/width; its Jacobian rows
-    d/d(peak, center, width) are written into the (3, n) buffer `jac`."""
-    envelope, d_center, d_width = jac
-    np.subtract(lam, center, out=d_width)
-    d_width /= width                                # z
-    np.multiply(d_width, d_width, out=envelope)
+def _gaussian_model(lam: np.ndarray, peak: float, center: float, width: float,
+                    rows: tuple) -> np.ndarray:
+    """Model peak*exp(-z^2), z = (lam - center)/width; leaves exp(-z^2) and
+    z in the first and last of the Jacobian `rows` for _gaussian_jacobian."""
+    envelope, _, z = rows
+    np.subtract(lam, center, out=z)
+    z /= width
+    np.multiply(z, z, out=envelope)
     np.negative(envelope, out=envelope)
     np.exp(envelope, out=envelope)                  # d/d peak
-    model = envelope * peak
+    return envelope * peak
+
+
+def _gaussian_jacobian(rows: tuple, width: float, model: np.ndarray):
+    """Complete the Jacobian `rows` that _gaussian_model left with `model`."""
+    _, d_center, d_width = rows                     # d_width holds z
     np.multiply(d_width, 2.0, out=d_center)         # 2z
     d_width *= d_center
     d_width /= width
     d_width *= model                                # model * 2z^2/width
     d_center /= width
     d_center *= model                               # model * 2z/width
-    return model
+
+
+def _normal_equations(jac: np.ndarray, jac_nt: np.ndarray, rows: tuple,
+                      cols: tuple, residual: np.ndarray):
+    """J J^T and -J r for J = `jac` and its `rows`, through the (n, 3) copy
+    `jac_nt` of J, whose columns are `cols`."""
+    # A GEMM against the copy, as jac @ jac.T would take the slower SYRK
+    # path; the gradient too, as a matrix-vector product sums in layout order.
+    for col, row in zip(cols, rows):
+        col[...] = row
+    jtj = jac.dot(jac_nt).tolist()
+    gradient = [-g for g in jac_nt.T.dot(residual).tolist()]
+    # the off-diagonal entries are bounded by the diagonal ones
+    if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
+        raise ValueError("normal equations of the fit to the spectrum "
+                         "overflow a float")
+    return jtj, gradient
 
 
 def _cholesky_solve(a: list[list[float]], b: list[float]
@@ -399,6 +420,9 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     lowered 10x when it decreases. The damped 3x3 normal equations are
     solved in closed form by Cholesky; a pivot that is not positive (a
     singular or indefinite matrix) raises the damping 10x and retries. The
+    Jacobian and the normal equations are formed only for a step that
+    continues the fit: a rejected step or a refused solve retries on the
+    same normal equations, and the step that ends the fit forms none. The
     iteration is fully deterministic.
 
     The stop rule looks at r, the largest relative parameter change of an
@@ -436,48 +460,44 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
     params = (peak * scale, center, math.sqrt(2.0) * sigma)
-    jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
-    residual = _gaussian_rows(lam_w, *params, jac) - y
-    cost = float(residual @ residual)
+    jac, jac_nt = np.empty((3, lam_w.size)), np.empty((lam_w.size, 3))
+    rows, cols = tuple(jac), tuple(jac_nt.T)  # views cost: make them once
+    model = _gaussian_model(lam_w, *params, rows)
+    residual = model - y
+    cost = float(residual.dot(residual))
     if not math.isfinite(cost):
         raise ValueError("sum of squared fit residuals of the spectrum "
                          "overflows a float")
     damping = 1e-3
     last_change = math.nan
+    jtj = None  # the normal equations at params, formed when a step needs them
 
     converged = False
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
-        # A GEMM against an (n, 3) copy: jac @ jac.T would take the slower
-        # SYRK path. The gradient goes through the same copy because the
-        # summation order of a matrix-vector product follows the layout.
-        jac_nt = jac.T.copy()
-        jtj = (jac @ jac_nt).tolist()
-        gradient = (-(jac_nt.T @ residual)).tolist()
-        # the off-diagonal entries are bounded by the diagonal ones
-        if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
-            raise ValueError("normal equations of the fit to the spectrum "
-                             "overflow a float")
-        for i in range(3):
-            d = jtj[i][i]
-            jtj[i][i] = d + damping * (1e-30 if d <= 0 else d)
-        step = _cholesky_solve(jtj, gradient)
+        if jtj is None:
+            _gaussian_jacobian(rows, params[2], model)
+            jtj, gradient = _normal_equations(jac, jac_nt, rows, cols, residual)
+        damped = [row[:] for row in jtj]
+        for i, row in enumerate(damped):
+            row[i] += damping * (1e-30 if row[i] <= 0 else row[i])
+        step = _cholesky_solve(damped, gradient)
         if step is None:
             damping *= 10.0
             continue
         trial = (params[0] + step[0], params[1] + step[1], params[2] + step[2])
-        accepted = False
         if trial[2] > 0:  # width must stay positive
-            residual_t = _gaussian_rows(lam_w, *trial, jac_t) - y
-            cost_t = float(residual_t @ residual_t)
-            if cost_t <= cost:
-                params, residual, cost = trial, residual_t, cost_t
-                jac, jac_t = jac_t, jac
-                damping = max(damping * 0.1, 1e-15)
-                accepted = True
-        if not accepted:
+            model_t = _gaussian_model(lam_w, *trial, rows)
+            residual_t = model_t - y
+            cost_t = float(residual_t.dot(residual_t))
+        if not (trial[2] > 0 and cost_t <= cost):  # the step is rejected
             damping *= 10.0
             continue
-        rel_change = max(abs(s) / max(abs(p), 1e-300) for s, p in zip(step, params))
+        params, model, residual, cost = trial, model_t, residual_t, cost_t
+        jtj = None
+        damping = max(damping * 0.1, 1e-15)
+        rel_change = max(abs(step[0]) / max(abs(params[0]), 1e-300),
+                         abs(step[1]) / max(abs(params[1]), 1e-300),
+                         abs(step[2]) / max(abs(params[2]), 1e-300))
         # theta is NaN on the first accepted step, so the estimate needs two
         theta = rel_change / last_change
         if rel_change < FIT_RELATIVE_TOL or (

@@ -461,6 +461,30 @@ def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
     assert quantity in result.stderr
 
 
+@pytest.mark.parametrize("command, allocation", [
+    ("simulate", "wvsagnac.spectral.default_grid"),  # --grid-points 1e11
+    ("sweep", "wvsagnac.sweep.np.linspace"),         # --steps 1e11
+])
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+     "and data type float64", "Unable to allocate 745. GiB"),
+    ("", "MemoryError"),
+])
+def test_out_of_memory_is_a_one_line_domain_error(runner, monkeypatch, command,
+                                                  allocation, message, shown):
+    """A planted failing allocation: a real one that large could get the
+    test process killed under memory overcommit."""
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(allocation, allocate)
+    result = runner.invoke(main, COMMAND_ARGS[command])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == f"error: {message or shown}\n"
+    assert shown in result.stderr
+    assert result.stdout == ""
+
+
 # ── parameter resolution: flag over config over default ──────────────────────
 
 @pytest.mark.parametrize("command", list(FULL_RUNS))

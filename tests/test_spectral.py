@@ -580,3 +580,211 @@ def test_refused_solve_raises_damping_and_retries(monkeypatch):
             [a1[i][j] for j in range(3) if j != i]
     assert fit.iterations >= clean.iterations + 1
     assert abs(fit.center - clean.center) <= 1e-10
+
+
+# ── the lean iteration against the loop that formed everything each time ─────
+
+def _rows_every_trial(lam, peak, center, width, jac):
+    """The model and its Jacobian rows in one pass, as the loop below forms
+    them for every trial step."""
+    envelope, d_center, d_width = jac
+    np.subtract(lam, center, out=d_width)
+    d_width /= width
+    np.multiply(d_width, d_width, out=envelope)
+    np.negative(envelope, out=envelope)
+    np.exp(envelope, out=envelope)
+    model = envelope * peak
+    np.multiply(d_width, 2.0, out=d_center)
+    d_width *= d_center
+    d_width /= width
+    d_width *= model
+    d_center /= width
+    d_center *= model
+    return model
+
+
+def _fit_forming_everything(spec):
+    """fit_center with a Jacobian for every trial step and the normal
+    equations formed afresh on every iteration, also after a rejected step
+    or a refused solve: the oracle the lean loop must match bit for bit."""
+    stack = spec.intensities[None, :]
+    setup, = spectral._fit_setups(spec.wavelengths, stack,
+                                  *spectral._row_extremes(stack))
+    if not isinstance(setup, spectral._FitSetup):
+        raise setup()
+    lo, hi, scale, peak, center, sigma = setup
+    lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale
+    params = (peak * scale, center, math.sqrt(2.0) * sigma)
+    jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
+    with np.errstate(**spectral._QUIET):
+        residual = _rows_every_trial(lam_w, *params, jac) - y
+        cost = float(residual @ residual)
+        if not math.isfinite(cost):
+            raise ValueError("sum of squared fit residuals of the spectrum "
+                             "overflows a float")
+        damping, last_change = 1e-3, math.nan
+        for iteration in range(1, spectral.FIT_MAX_ITERATIONS + 1):
+            jac_nt = jac.T.copy()
+            jtj = (jac @ jac_nt).tolist()
+            gradient = (-(jac_nt.T @ residual)).tolist()
+            if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
+                raise ValueError("normal equations of the fit to the spectrum "
+                                 "overflow a float")
+            for i in range(3):
+                d = jtj[i][i]
+                jtj[i][i] = d + damping * (1e-30 if d <= 0 else d)
+            step = spectral._cholesky_solve(jtj, gradient)
+            if step is None:
+                damping *= 10.0
+                continue
+            trial = tuple(p + s for p, s in zip(params, step))
+            accepted = False
+            if trial[2] > 0:
+                residual_t = _rows_every_trial(lam_w, *trial, jac_t) - y
+                cost_t = float(residual_t @ residual_t)
+                if cost_t <= cost:
+                    params, residual, cost = trial, residual_t, cost_t
+                    jac, jac_t = jac_t, jac
+                    damping = max(damping * 0.1, 1e-15)
+                    accepted = True
+            if not accepted:
+                damping *= 10.0
+                continue
+            rel_change = max(abs(s) / max(abs(p), 1e-300)
+                             for s, p in zip(step, params))
+            theta = rel_change / last_change
+            if rel_change < spectral.FIT_RELATIVE_TOL or (
+                    theta < 1.0 and rel_change * theta / (1.0 - theta)
+                    < spectral.FIT_RELATIVE_TOL):
+                break
+            last_change = rel_change
+        else:
+            iteration = None
+    residual_norm = math.sqrt(cost / lam_w.size) / (abs(params[0]) or 1.0)
+    if iteration is None:
+        cap = spectral.FIT_MAX_ITERATIONS
+        raise FitFailure(f"Gaussian fit did not converge in {cap} iterations "
+                         f"(relative rms residual {residual_norm:.3e})",
+                         residual_norm=residual_norm, iterations=cap)
+    return spectral.FitResult(params[1], params[2], params[0] / scale,
+                              residual_norm, iteration)
+
+
+def _outcome(fit, spec):
+    """The repr of a fit, or the type, message, iterations and residual
+    norm of its error."""
+    try:
+        return repr(fit(spec))
+    except (ValueError, FitFailure) as exc:
+        return repr((type(exc).__name__, str(exc), getattr(exc, "iterations", None),
+                     getattr(exc, "residual_norm", None)))
+
+
+def _assert_fits_like_the_oracle(spec):
+    want = _outcome(_fit_forming_everything, spec)
+    assert _outcome(fit_center, spec) == want
+    return want
+
+
+def _pedestal_spectrum(center, width, pedestal, points):
+    lam = np.linspace(1500.0, 1600.0, points)
+    return SampledSpectrum(lam, np.exp(-((lam - center) / width) ** 2) + pedestal,
+                           "exact")
+
+
+_MODEL_NAMES = [m.name for m in benchmark_models(1550.0, 10.0)]
+_SPECTRA = st.one_of(
+    st.builds(_noisy_spectrum, st.integers(0, 2 ** 32 - 1),
+              st.integers(64, 2048), st.floats(0.0, 0.2)),
+    st.builds(_pedestal_spectrum, st.floats(1530.0, 1570.0), st.floats(3.0, 25.0),
+              st.floats(0.01, 0.5), st.integers(256, 2048)),
+    st.builds(_model_spectrum, st.sampled_from(_MODEL_NAMES),
+              st.sampled_from(["exact", "paper"]), st.floats(-0.1, 0.1)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=_SPECTRA, tiny=st.booleans())
+def test_fit_matches_the_loop_that_forms_everything_each_time(spec, tiny):
+    """Bit for bit, iterations and residual norm included: noisy spectra,
+    flat pedestals (whose fits reject steps), benchmark-model rows, each at
+    unit scale and scaled by 2^-300."""
+    if tiny:
+        spec = SampledSpectrum(spec.wavelengths, spec.intensities * 2.0 ** -300,
+                               "exact")
+    _assert_fits_like_the_oracle(spec)
+
+
+@pytest.mark.parametrize("refused", [{1}, {2}, {1, 2, 3}, {2, 4, 6, 8}])
+def test_refused_solves_fit_like_the_oracle(monkeypatch, refused):
+    solve = spectral._cholesky_solve
+    calls = []
+
+    def refuse(a, b):
+        calls.append(None)
+        return None if len(calls) in refused else solve(a, b)
+
+    monkeypatch.setattr(spectral, "_cholesky_solve", refuse)
+    for spec in (_model_spectrum("model2", "exact", 0.05),
+                 _pedestal_spectrum(1551.3, 11.0, 0.1, 1024),
+                 _noisy_spectrum(5, 900, 0.05)):
+        calls.clear()
+        want = _outcome(_fit_forming_everything, spec)
+        calls.clear()
+        assert _outcome(fit_center, spec) == want
+
+
+@pytest.mark.parametrize("scale, quantity", [(1e160, "squared fit residuals"),
+                                             (1e156, "normal equations")])
+def test_overflowing_fits_fail_like_the_oracle(scale, quantity):
+    lam = np.linspace(1510.0, 1590.0, 512)
+    spec = SampledSpectrum(lam, scale * np.exp(-((lam - 1550.0) / 10.0) ** 2),
+                           "exact")
+    assert quantity in _assert_fits_like_the_oracle(spec)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_capped_fits_fail_like_the_oracle(monkeypatch, cap):
+    monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
+    outcomes = [_assert_fits_like_the_oracle(spec) for spec in (
+        _model_spectrum("model2", "exact", 0.05), _noisy_spectrum(7, 600, 0.05),
+        _pedestal_spectrum(1547.0, 6.0, 0.1, 1024))]
+    assert "FitFailure" in outcomes[1]
+
+
+def _count_evaluations(monkeypatch):
+    counts = dict.fromkeys(("model", "jacobian", "normal"), 0)
+    for key, name in (("model", "_gaussian_model"),
+                      ("jacobian", "_gaussian_jacobian"),
+                      ("normal", "_normal_equations")):
+        def counted(*args, _key=key, _evaluate=getattr(spectral, name)):
+            counts[_key] += 1
+            return _evaluate(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    return counts
+
+
+def test_a_fit_forms_the_jacobian_only_for_steps_that_continue(monkeypatch):
+    """A 3-iteration fit evaluates 4 models (start and 3 trials) and forms 3
+    Jacobians and normal equations: none for the step that ends it. A
+    refused solve of that last step costs an iteration and no evaluation; a
+    rejected last step one model evaluation and nothing more."""
+    spec = _model_spectrum("model2", "exact", 0.05)
+    counts = _count_evaluations(monkeypatch)
+    clean = fit_center(spec)
+    assert clean.iterations == 3
+    assert counts == {"model": 4, "jacobian": 3, "normal": 3}
+
+    solve = spectral._cholesky_solve
+    for planted, models in ((None, 4), ((0.0, 5.0, 0.0), 5)):
+        calls = []
+
+        def third_planted(a, b):
+            calls.append(None)
+            return planted if len(calls) == 3 else solve(a, b)
+
+        monkeypatch.setattr(spectral, "_cholesky_solve", third_planted)
+        counts.update(model=0, jacobian=0, normal=0)
+        fit = fit_center(spec)
+        assert fit.iterations == clean.iterations + 1
+        assert counts == {"model": models, "jacobian": 3, "normal": 3}
+        assert abs(fit.center - clean.center) <= 1e-10
