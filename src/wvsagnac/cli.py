@@ -7,8 +7,9 @@ over a flat `key = value` config file (--config) over default. Config keys
 are the flag names except config, out and format, with `-` and `_` alike.
 
 Exit codes: 0 success, 2 usage error (including a missing parameter, an
-unknown config key and an unreadable config file), 3 domain error or out of
-memory, 4 fit failure, 5 infeasible design (JSON report still emitted).
+unknown config key, an unreadable config file and an --out that cannot be
+opened), 3 domain error or out of memory, 4 fit failure, 5 infeasible design
+(JSON report still emitted).
 """
 
 from __future__ import annotations
@@ -131,7 +132,12 @@ def _command(fmt_default: str):
                          else EXIT_DOMAIN_ERROR)
             # looked up at call time, so rebinding the module names takes effect
             text = (result_to_csv if fmt == "csv" else result_to_json)(result)
-            with click.open_file(out_path, "w") as out:  # '-' is stdout
+            try:
+                out = click.open_file(out_path, "w")  # '-' is stdout
+            except OSError as exc:
+                raise click.BadParameter(f"cannot write {out_path!r}: "
+                                         f"{exc.strerror}", param_hint="'--out'")
+            with out:
                 out.write(text)
             if getattr(result, "feasible", True) is False:
                 sys.exit(EXIT_INFEASIBLE)

@@ -7,9 +7,8 @@ target rate clears the resolution floor while the detected peak stays above
 the detection floor.
 
 Each angle's smallest area is found by Illinois regula falsi on the shift
-margin, started from the bracketing pair of an 8-point regime probe. It
-matches the whole-bracket bisection of earlier releases to BISECTION_REL_TOL
-(1e-4) relative, not bit for bit.
+margin to BISECTION_REL_TOL (1e-4) relative, started from the bracketing
+pair of an 8-point regime probe.
 
 At one angle and the target rate the candidate areas differ only in the
 Sagnac phase, so the regime probe and the fallback scan are read out as
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +68,12 @@ class DesignConstraints:
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
 
+    @cached_property
+    def _probe_at_source(self) -> SpectrumModel:
+        """The probe at the source intensity, kept: every feasible() needs it
+        and replace() costs five lookups. Not a field, so not in eq or repr."""
+        return replace(self.probe, i0=self.i0)
+
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -94,13 +99,6 @@ class DesignSolution:
 # Zero-rotation reference center per (probe, alpha, beta), shared by every
 # area and every call at one selection. Exceptions are not cached.
 _reference_center = lru_cache(maxsize=256)(reference_center)
-
-
-@lru_cache(maxsize=256)
-def _source_probe(probe: SpectrumModel, i0: float) -> SpectrumModel:
-    """The probe at the source intensity: a cache hit costs a fifth of the
-    validating replace()."""
-    return replace(probe, i0=i0)
 
 
 def feasible(beta: float, area_s: float,
@@ -137,7 +135,7 @@ def _feasible_rows(beta: float, areas, constraints: DesignConstraints):
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     c = constraints
-    probe = _source_probe(c.probe, c.i0)
+    probe = c._probe_at_source
     try:
         ref_center = _reference_center(probe, c.alpha, beta)
     except NearOrthogonalSelection as exc:
@@ -243,14 +241,11 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
     shift magnitude grows monotonically with area (|Im A_w| small); there
     the smallest feasible area is located by Illinois regula falsi between
     the last infeasible and the first feasible probe, to BISECTION_REL_TOL
-    relative (so areas match the bisection of earlier releases to 1e-4
-    relative, not bit for bit). Outside that regime the solver degrades to
-    an exhaustive scan and says so. The probe and the scan are read out in
-    stacks of 8; the scan may build the spectra of up to 7 areas past its
-    answer, but fits none of them, so its answer, its errors and its fits
-    are those of a scan one area at a time. The returned solution is the
-    globally smallest area; ties go to the smaller |beta|, then the smaller
-    beta.
+    relative. Outside that regime the solver degrades to an exhaustive scan
+    and says so; the scan fits no area past its answer, so its answer, its
+    errors and its fits are those of a scan one area at a time. The
+    returned solution is the globally smallest area; ties go to the smaller
+    |beta|, then the smaller beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):

@@ -29,6 +29,9 @@ MIN_FIT_POINTS = 16
 FORM_PAPER = "paper"
 FORM_EXACT = "exact"
 
+# the error of negative, NaN or infinite intensities, in a spectrum or a row
+_BAD_INTENSITIES = "intensities must be finite and nonnegative"
+
 
 @dataclass(frozen=True)
 class SpectrumModel:
@@ -66,7 +69,11 @@ class SampledSpectrum:
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        _check_intensities(inten.min(), inten.max(), self.form_tag)
+        # the minimum is NaN at a NaN, and only the maximum can be +inf
+        if not (inten.min() >= 0 and inten.max() < math.inf):
+            raise ValueError(_BAD_INTENSITIES)
+        if self.form_tag not in (FORM_PAPER, FORM_EXACT):
+            raise ValueError(f"unknown form_tag {self.form_tag!r}")
 
 
 def _check_grid(lam: np.ndarray):
@@ -75,16 +82,6 @@ def _check_grid(lam: np.ndarray):
         raise ValueError("spectrum grid is empty")
     if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
         raise ValueError("wavelength grid must be strictly increasing")
-
-
-def _check_intensities(low: float, high: float, form_tag: str):
-    """SampledSpectrum's checks of its intensities, from their minimum and
-    maximum."""
-    # the minimum is NaN at a NaN, and only the maximum can be +inf
-    if not (low >= 0 and high < math.inf):
-        raise ValueError("intensities must be finite and nonnegative")
-    if form_tag not in (FORM_PAPER, FORM_EXACT):
-        raise ValueError(f"unknown form_tag {form_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -215,11 +212,11 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _TINY_PEAK = 2.0 ** -256
 
 
-def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult],
-                     form: str) -> list[SampledSpectrum]:
+def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult], form: str
+                     ) -> list[SampledSpectrum | Callable[[], ValueError]]:
     """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form)
-    for each weak value, bit for bit: the rows of one stack broadcast from
-    the cached basis of the probe's center and width (see _spectrum_rows)."""
+    for each weak value, bit for bit, or the factory of its ValueError: the
+    rows of one stack broadcast from the cached basis (see _spectrum_rows)."""
     grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
     ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
     a_w = np.array([wv.a_w for wv in wvs])[:, None]
@@ -228,22 +225,24 @@ def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult],
 
 
 @np.errstate(**_QUIET)
-def _spectrum_rows(lam: np.ndarray, stack: np.ndarray,
-                   form: str) -> list[SampledSpectrum]:
+def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
+                   ) -> list[SampledSpectrum | Callable[[], ValueError]]:
     """The rows of a (rows, n) stack of intensities on the checked grid
-    `lam` as spectra: read-only views sharing `lam`, each carrying its fit
-    setup.
+    `lam`, in the checked `form`, as spectra: read-only views sharing `lam`,
+    each carrying its fit setup.
 
-    Each row is checked as SampledSpectrum checks the intensities of one
-    spectrum, from the row maxima and minima the fit setups start from, and
-    the setups come from one _fit_setups pass over the stack.
+    A row that SampledSpectrum would refuse, which is told from the row
+    maxima and minima the fit setups start from, is the factory of that
+    error instead. The setups come from one _fit_setups pass over the stack.
     """
     peaks, floors = _row_extremes(stack)
-    for low, high in zip(floors, peaks):
-        _check_intensities(low, high, form)
     stack.flags.writeable = False
     rows = []
-    for inten, setup in zip(stack, _fit_setups(lam, stack, peaks, floors)):
+    for inten, low, high, setup in zip(stack, floors, peaks,
+                                       _fit_setups(lam, stack, peaks, floors)):
+        if not (low >= 0 and high < math.inf):  # SampledSpectrum's check
+            rows.append(partial(ValueError, _BAD_INTENSITIES))
+            continue
         spec = object.__new__(SampledSpectrum)  # its row is checked above
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
                           _fit_setup=setup)

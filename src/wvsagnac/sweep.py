@@ -16,10 +16,9 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
-from .spectral import (FORM_EXACT, SampledSpectrum, SpectrumModel,
-                       _default_spectra, fit_center)
-from .weak import (SelectionConfig, WeakValueResult, analytic_wavelength_shift,
-                   sagnac_phase, weak_value)
+from .spectral import FORM_EXACT, SpectrumModel, _default_spectra, fit_center
+from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
+                   weak_value)
 
 # |sin| below this means one path amplitude vanishes identically: the weak
 # value is pinned to +/-1 for every rate and the first-order shift is zero.
@@ -55,7 +54,8 @@ class ModelSpec:
         if not math.isfinite(hi - lo):
             raise ValueError(f"omega_range width max - min overflows a float, "
                              f"got {lo}, {hi}")
-        if int(steps) != steps or steps < 3:
+        # compared, not converted: int() overflows at inf, math.isfinite at 10**400
+        if not (3 <= steps < math.inf and int(steps) == steps):
             raise ValueError(f"omega_range needs at least 3 steps, got {steps}")
 
 
@@ -138,44 +138,34 @@ def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]
     return (center - half, center + half)
 
 
-def spectrum_at(probe: SpectrumModel, alpha: float, beta: float, phi: float,
-                form: str = FORM_EXACT) -> tuple[WeakValueResult, SampledSpectrum]:
-    """Weak value and post-selected spectrum at the differential phase `phi`.
-
-    The spectrum is `output_spectrum` on `default_grid(probe)` with the
-    probe's center wavelength as coupling length, bit for bit, built from a
-    cached read-only basis (the grid, cos pg, sin pg and the unit envelope)
-    that no rate changes. An effectively orthogonal selection raises
-    NearOrthogonalSelection.
-    """
-    wv = weak_value(SelectionConfig(alpha, beta, phi))
-    return wv, _default_spectra(probe, [wv], form)[0]
-
-
 def reference_center(probe: SpectrumModel, alpha: float, beta: float,
                      form: str = FORM_EXACT) -> float:
     """Fitted center (nm) of the zero-rotation spectrum on `default_grid(probe)`.
 
     Every fitted shift is measured from it. The differential phase vanishes
-    at rest, so it does not depend on the loop area.
+    at rest, so it does not depend on the loop area. An effectively
+    orthogonal selection raises NearOrthogonalSelection.
     """
-    spectrum = spectrum_at(probe, alpha, beta, 0.0, form)[1]
+    (_, wv, spectrum), = _evaluated_rows(probe, alpha, beta, [0.0], form)
+    if spectrum is None:
+        raise wv
     return fit_center(spectrum).center
 
 
 def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
                     form: str):
     """Yield (phi, weak value, spectrum) for each phase of the iterable
-    `phases`, in order, where `spectrum_at` would give the weak value and
-    spectrum: the stacked row readout of sweeps and design candidates.
+    `phases`, in order, the spectrum bit for bit output_spectrum(probe, wv,
+    probe.lambda0, default_grid(probe), form): the one readout of the
+    default-grid spectra that sweeps, references and design candidates fit.
 
     A row whose selection is effectively orthogonal yields the
     NearOrthogonalSelection in place of the weak value and None for the
     spectrum. Phases are read and weak values evaluated row by row, and
     spectra built _CHUNK_ROWS rows at a time, each carrying its fit setup
     or the factory of the error its fit raises; any other error of a row,
-    its phase's included, is raised at that row's turn, after every row
-    before it was yielded.
+    its phase's and its spectrum's included, is raised at that row's turn,
+    after every row before it was yielded.
     """
     phases = iter(phases)
     while True:
@@ -190,17 +180,15 @@ def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
         except Exception as exc:
             error = exc
         wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
-        try:
-            spectra = iter(_default_spectra(probe, wvs, form) if wvs else ())
-        except ValueError:
-            # some row's spectrum is invalid: build them one by one, so that
-            # its error is raised at its turn
-            spectra = (_default_spectra(probe, [wv], form)[0] for wv in wvs)
+        spectra = iter(_default_spectra(probe, wvs, form) if wvs else ())
         for phi, wv in chunk:
             if isinstance(wv, NearOrthogonalSelection):
                 yield phi, wv, None
-            else:
-                yield phi, wv, next(spectra)
+                continue
+            spectrum = next(spectra)
+            if callable(spectrum):  # the factory of the row's error
+                raise spectrum()
+            yield phi, wv, spectrum
         if error is not None:
             raise error
         if len(chunk) < _CHUNK_ROWS:
@@ -219,8 +207,8 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     `default_window`, and a default window with too few usable rows leaves
     k NaN with a warning, where a given one raises ValueError.
     Output is deterministic and independent of evaluation order: each row
-    is bit for bit `fit_center(spectrum_at(...)[1]).center` minus the
-    reference, whichever rows share its stack.
+    is bit for bit the fit of `output_spectrum` on `default_grid` alone,
+    minus the reference, whichever rows share its stack.
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     # A failure of the reference is not row-isolated because every fitted
@@ -233,23 +221,20 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     rows: list[SweepRow] = []
     for omega, (phi, wv, spectrum) in zip(omegas, _evaluated_rows(
             model.probe, model.alpha, model.beta, phases, form)):
+        im_aw = analytic = fitted = math.nan
+        prob, note = 0.0, ""  # a failed row's note is its error, never empty
         if spectrum is None:
-            rows.append(SweepRow(omega=omega, phi=phi, im_aw=math.nan,
-                                 dlambda_analytic=math.nan, dlambda_fitted=math.nan,
-                                 postselect_prob=0.0, failed=True, note=str(wv)))
-            continue
-        analytic = analytic_wavelength_shift(model.probe, wv.a_w)
-        try:
-            fitted = fit_center(spectrum).center - ref_center
-        except FitFailure as exc:
-            rows.append(SweepRow(omega=omega, phi=phi, im_aw=wv.a_w.imag,
-                                 dlambda_analytic=analytic, dlambda_fitted=math.nan,
-                                 postselect_prob=wv.postselect_prob,
-                                 failed=True, note=str(exc)))
-            continue
-        rows.append(SweepRow(omega=omega, phi=phi, im_aw=wv.a_w.imag,
+            note = str(wv)
+        else:
+            im_aw, prob = wv.a_w.imag, wv.postselect_prob
+            analytic = analytic_wavelength_shift(model.probe, wv.a_w)
+            try:
+                fitted = fit_center(spectrum).center - ref_center
+            except FitFailure as exc:
+                note = str(exc)
+        rows.append(SweepRow(omega=omega, phi=phi, im_aw=im_aw,
                              dlambda_analytic=analytic, dlambda_fitted=fitted,
-                             postselect_prob=wv.postselect_prob))
+                             postselect_prob=prob, failed=bool(note), note=note))
 
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,

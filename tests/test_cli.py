@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +388,23 @@ def test_config_undecodable_file_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
     assert "cannot read config file" in result.output
     assert not isinstance(result.exception, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, where):
+    """An --out that cannot be opened exits 2 with a message naming --out,
+    and no traceback, in a real `python -m wvsagnac.cli` child."""
+    out = tmp_path / "no" / "out.json" if where == "missing directory" else tmp_path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-m", "wvsagnac.cli", "geometry",
+                           "--theta-deg", "10", "--rs", "1", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Invalid value for '--out'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_config_keys_match_dash_and_underscore(runner, tmp_path):

@@ -12,9 +12,9 @@ import wvsagnac.design as design
 import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
 from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, InterferometerConfig,
-                      NearOrthogonalSelection, SpectrumModel, feasible,
-                      fit_center, min_area, sagnac_phase)
-from wvsagnac.sweep import reference_center, spectrum_at
+                      NearOrthogonalSelection, SelectionConfig, SpectrumModel,
+                      default_grid, feasible, fit_center, min_area,
+                      output_spectrum, sagnac_phase, weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 
@@ -174,6 +174,16 @@ def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
     assert len(fits) == 11  # one reference, one fit per call
 
 
+def test_constraints_keep_the_source_probe_out_of_eq_hash_and_repr():
+    cons = _constraints(i0=2.0)
+    fresh = replace(cons)
+    feasible(-0.25, 4.0, cons)  # computes the probe at the source intensity
+    assert cons._probe_at_source == replace(PROBE, i0=2.0)
+    assert cons._probe_at_source is cons._probe_at_source  # kept, not rebuilt
+    assert cons == fresh and hash(cons) == hash(fresh)
+    assert repr(cons) == repr(fresh)
+
+
 # ── stacked candidates ────────────────────────────────────────────────────────
 
 # beta = -2 alpha and a phase of pi at the target rate: the selections of
@@ -182,13 +192,18 @@ ORTHOGONAL_AREA = 1550e-9 * SPEED_OF_LIGHT / (8 * 0.05)
 
 
 def _unstacked_report(beta, area_s, cons):
-    """feasible() as one spectrum at a time, from the public pieces."""
+    """feasible() as one spectrum at a time, from the public pieces: no
+    cached basis, no stack."""
     probe = replace(cons.probe, i0=cons.i0)
     cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
+
+    def readout(phi):
+        wv = weak_value(SelectionConfig(cons.alpha, beta, phi))
+        return wv, output_spectrum(probe, wv, probe.lambda0, default_grid(probe))
+
     try:
-        ref = reference_center(probe, cons.alpha, beta)
-        wv, spectrum = spectrum_at(probe, cons.alpha, beta,
-                                   sagnac_phase(cfg, cons.omega_target))
+        ref = fit_center(readout(0.0)[1]).center
+        wv, spectrum = readout(sagnac_phase(cfg, cons.omega_target))
     except NearOrthogonalSelection as exc:
         return design.FeasibilityReport(False, 0.0, -cons.i_min, 0.0,
                                         -cons.delta_lambda_res, math.nan,

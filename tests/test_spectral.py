@@ -366,8 +366,12 @@ def test_stack_with_a_bad_row_raises_the_spectrum_message(bad):
     message = "^intensities must be finite and nonnegative$"
     with pytest.raises(ValueError, match=message):
         SampledSpectrum(lam, stack[1], "exact")
+    rows = spectral._spectrum_rows(lam, stack, "exact")  # raises nothing
+    assert isinstance(rows[0], SampledSpectrum)
+    assert isinstance(rows[2], SampledSpectrum)
+    assert type(rows[1]()) is ValueError
     with pytest.raises(ValueError, match=message):
-        spectral._spectrum_rows(lam, stack, "exact")
+        raise rows[1]()
 
 
 def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):

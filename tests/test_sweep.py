@@ -15,7 +15,7 @@ from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig, ModelSp
                       benchmark_models, default_grid, default_window, fit_center,
                       output_spectrum, run_sweep, sagnac_phase, sensitivity,
                       weak_value)
-from wvsagnac.sweep import reference_center, spectrum_at
+from wvsagnac.sweep import reference_center
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 PHI_PER_OMEGA_S16 = 8.0 * math.pi * 16.0 / (1550e-9 * 299792458.0)
@@ -32,6 +32,14 @@ def closed_form_k(area_s, alpha, beta, lambda0, dlambda):
 def _model(area_s=16.0, alpha=0.1, beta=-0.3, omega_range=(-0.1, 0.1, 201)):
     return ModelSpec(name="test", area_s=area_s, alpha=alpha, beta=beta,
                      probe=PROBE, omega_range=omega_range)
+
+
+def _oracle_fit(probe, alpha, beta, phi, form="exact"):
+    """The fit of one spectrum from the public pieces: no cached basis, no
+    stack."""
+    wv = weak_value(SelectionConfig(alpha, beta, phi))
+    return fit_center(output_spectrum(probe, wv, probe.lambda0,
+                                      default_grid(probe), form))
 
 
 def _synthetic_result(omegas, shifts):
@@ -68,6 +76,10 @@ def test_model_spec_validation():
         _model(omega_range=(0.1, -0.1, 201))
     with pytest.raises(ValueError):
         _model(omega_range=(-0.1, 0.1, 2))
+    for steps in (math.inf, -math.inf, math.nan, 2.5):  # not OverflowError
+        with pytest.raises(ValueError, match="omega_range"):
+            _model(omega_range=(-0.1, 0.1, steps))
+    _model(omega_range=(-0.1, 0.1, 10 ** 400))  # an int: checked when swept
     # both ends finite, but the width overflows: rejected before linspace
     with pytest.raises(ValueError, match="width"):
         _model(omega_range=(-1e308, 1e308, 201))
@@ -98,7 +110,7 @@ def test_rows_do_not_depend_on_chunking(area_s, alpha, beta, half, probe, form):
     probe = SpectrumModel(i0=1.0, lambda0=probe[0], width_dlambda=probe[1])
     model = ModelSpec(name="m", area_s=area_s, alpha=alpha, beta=beta,
                       probe=probe, omega_range=(-half, half, 41))
-    ref = reference_center(probe, alpha, beta, form)
+    ref = _oracle_fit(probe, alpha, beta, 0.0, form).center
     cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
     seen = {}
     for chunk in (1, 3, sweep._CHUNK_ROWS):
@@ -113,7 +125,7 @@ def test_rows_do_not_depend_on_chunking(area_s, alpha, beta, half, probe, form):
     assert all(len(reprs) == 1 for reprs in seen.values())
     for omega, (row_repr,) in seen.items():
         phi = sagnac_phase(cfg, omega)
-        fitted = fit_center(spectrum_at(probe, alpha, beta, phi, form)[1]).center
+        fitted = _oracle_fit(probe, alpha, beta, phi, form).center
         assert f"dlambda_fitted={fitted - ref!r}" in row_repr
 
 
@@ -177,7 +189,7 @@ def test_fit_failure_row_stays_isolated(monkeypatch):
     assert row.failed and math.isnan(row.dlambda_fitted)
     monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", 1)
     with pytest.raises(FitFailure) as err:
-        fit_center(spectrum_at(PROBE, 0.1, -0.3, row.phi)[1])
+        _oracle_fit(PROBE, 0.1, -0.3, row.phi)
     assert row.note == str(err.value)
     assert replace(row, failed=False, note="", dlambda_fitted=0.0) == replace(
         clean.rows[5], dlambda_fitted=0.0)
@@ -209,26 +221,27 @@ def test_row_error_is_raised_at_its_rows_turn(monkeypatch, fit_failure_row,
         assert len(weak_values) == bad_row + 2
 
 
-def test_spectrum_at_is_output_spectrum_on_the_default_grid_bit_for_bit():
+def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit():
+    wvs = [weak_value(SelectionConfig(0.1, -0.3, phi))
+           for phi in (-0.02, 0.0, 0.013)]
     for probe in (PROBE, SpectrumModel(i0=3.7, lambda0=1310.0, width_dlambda=6.0)):
         grid = default_grid(probe)
-        for phi in (-0.02, 0.0, 0.013):
-            for form in ("exact", "paper"):
-                wv, spec = spectrum_at(probe, 0.1, -0.3, phi, form)
+        for form in ("exact", "paper"):
+            for wv, spec in zip(wvs, spectral._default_spectra(probe, wvs, form)):
                 want = output_spectrum(probe, wv, probe.lambda0, grid, form)
                 assert spec.intensities.tobytes() == want.intensities.tobytes()
                 assert spec.wavelengths.tobytes() == grid.tobytes()
                 assert spec.form_tag == form
     wide = SpectrumModel(i0=1.0, lambda0=100.0, width_dlambda=40.0)
-    wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
     with pytest.raises(ValueError, match="strictly positive"):
-        output_spectrum(wide, wv, wide.lambda0, default_grid(wide))
+        output_spectrum(wide, wvs[1], wide.lambda0, default_grid(wide))
     with pytest.raises(ValueError, match="strictly positive"):
-        spectrum_at(wide, 0.1, -0.3, 0.0)
+        reference_center(wide, 0.1, -0.3)
 
 
 def test_spectrum_basis_is_read_only_and_bounded():
-    spec = spectrum_at(PROBE, 0.1, -0.3, 0.0)[1]
+    wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
+    spec, = spectral._default_spectra(PROBE, [wv], "exact")
     basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
     assert len(basis) == 4
     assert not any(arr.flags.writeable for arr in basis)
@@ -238,7 +251,7 @@ def test_spectrum_basis_is_read_only_and_bounded():
     maxsize = spectral._default_basis.cache_info().maxsize
     assert maxsize <= 16
     for k in range(2 * maxsize):
-        spectrum_at(replace(PROBE, lambda0=1500.0 + k), 0.1, -0.3, 0.0)
+        spectral._default_spectra(replace(PROBE, lambda0=1500.0 + k), [wv], "exact")
     assert spectral._default_basis.cache_info().currsize == maxsize
 
 
