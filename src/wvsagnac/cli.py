@@ -8,8 +8,8 @@ are the flag names except config, out and format, with `-` and `_` alike.
 
 Exit codes: 0 success, 2 usage error (including a missing parameter, an
 unknown config key, an unreadable config file and an --out that cannot be
-opened), 3 domain error or out of memory, 4 fit failure, 5 infeasible design
-(JSON report still emitted).
+opened or written), 3 domain error or out of memory, 4 fit failure, 5
+infeasible design (JSON report still emitted).
 """
 
 from __future__ import annotations
@@ -133,12 +133,11 @@ def _command(fmt_default: str):
             # looked up at call time, so rebinding the module names takes effect
             text = (result_to_csv if fmt == "csv" else result_to_json)(result)
             try:
-                out = click.open_file(out_path, "w")  # '-' is stdout
-            except OSError as exc:
+                with click.open_file(out_path, "w") as out:  # '-' is stdout
+                    out.write(text)
+            except OSError as exc:  # opening, writing or closing
                 raise click.BadParameter(f"cannot write {out_path!r}: "
                                          f"{exc.strerror}", param_hint="'--out'")
-            with out:
-                out.write(text)
             if getattr(result, "feasible", True) is False:
                 sys.exit(EXIT_INFEASIBLE)
 

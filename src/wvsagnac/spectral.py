@@ -3,7 +3,8 @@
 Everything here works in nanometers. The output spectrum is the product of a
 post-selection modulation factor, evaluated at p = 2*pi/lambda, and the probe
 intensity envelope; the center wavelength is read back out with a windowed
-three-parameter Gaussian fit.
+three-parameter Gaussian fit, whose normal equations at each Gauss-Newton
+step are moments of the window from one matrix product.
 """
 
 from __future__ import annotations
@@ -340,40 +341,37 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
     return setups
 
 
-def _gaussian_model(lam: np.ndarray, peak: float, center: float, width: float,
-                    rows: tuple) -> np.ndarray:
-    """Model peak*exp(-z^2), z = (lam - center)/width; leaves exp(-z^2) and
-    z in the first and last of the Jacobian `rows` for _gaussian_jacobian."""
-    envelope, _, z = rows
+def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
+                    width: float, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """u = exp(-z^2), z = (lam - center)/width, and the residual peak*u - y;
+    leaves z and z^2 in the last two `buffers` for _normal_equations."""
+    z, z2 = buffers[-2:]
     np.subtract(lam, center, out=z)
     z /= width
-    np.multiply(z, z, out=envelope)
-    np.negative(envelope, out=envelope)
-    np.exp(envelope, out=envelope)                  # d/d peak
-    return envelope * peak
+    np.multiply(z, z, out=z2)
+    u = np.negative(z2)
+    np.exp(u, out=u)
+    residual = u * peak
+    residual -= y
+    return u, residual
 
 
-def _gaussian_jacobian(rows: tuple, width: float, model: np.ndarray):
-    """Complete the Jacobian `rows` that _gaussian_model left with `model`."""
-    _, d_center, d_width = rows                     # d_width holds z
-    np.multiply(d_width, 2.0, out=d_center)         # 2z
-    d_width *= d_center
-    d_width /= width
-    d_width *= model                                # model * 2z^2/width
-    d_center /= width
-    d_center *= model                               # model * 2z/width
-
-
-def _normal_equations(jac: np.ndarray, jac_nt: np.ndarray, rows: tuple,
-                      cols: tuple, residual: np.ndarray):
-    """J J^T and -J r for J = `jac` and its `rows`, through the (n, 3) copy
-    `jac_nt` of J, whose columns are `cols`."""
-    # A GEMM against the copy, as jac @ jac.T would take the slower SYRK
-    # path; the gradient too, as a matrix-vector product sums in layout order.
-    for col, row in zip(cols, rows):
-        col[...] = row
-    jtj = jac.dot(jac_nt).tolist()
-    gradient = [-g for g in jac_nt.T.dot(residual).tolist()]
+def _normal_equations(u: np.ndarray, residual: np.ndarray, peak: float,
+                      width: float, buffers: tuple):
+    """J J^T and -J r at (peak, width): powers of t = 2*peak/width times the
+    moments sum(u^2 z^k) and sum(r u z^k), from one GEMM of `weights` =
+    [u^2, u^2 z^2, r u] against `powers` = [1, z, z^2], whose z rows
+    _gaussian_model left. `buffers`: those (3, n) arrays, then their rows."""
+    weights, powers, u2, u2z2, ru, _, _, z2 = buffers
+    np.multiply(u, u, out=u2)
+    np.multiply(u2, z2, out=u2z2)
+    np.multiply(residual, u, out=ru)
+    (m0, m1, m2), (_, m3, m4), (n0, n1, n2) = weights.dot(powers.T).tolist()
+    t = 2.0 * peak / width
+    tt = t * t
+    jtj = [[m0, t * m1, t * m2], [t * m1, tt * m2, tt * m3],
+           [t * m2, tt * m3, tt * m4]]
+    gradient = [-n0, -t * n1, -t * n2]
     # the off-diagonal entries are bounded by the diagonal ones
     if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
         raise ValueError("normal equations of the fit to the spectrum "
@@ -416,13 +414,14 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     Damped Gauss-Newton with the analytic Jacobian of the Gaussian model:
     the damping factor multiplies the normal-equation diagonal, is raised
     10x whenever a trial step increases the residual (step rejected) and
-    lowered 10x when it decreases. The damped 3x3 normal equations are
-    solved in closed form by Cholesky; a pivot that is not positive (a
-    singular or indefinite matrix) raises the damping 10x and retries. The
-    Jacobian and the normal equations are formed only for a step that
-    continues the fit: a rejected step or a refused solve retries on the
-    same normal equations, and the step that ends the fit forms none. The
-    iteration is fully deterministic.
+    lowered 10x when it decreases. With u = exp(-z^2), z = (lambda -
+    center)/width and t = 2*peak/width, the Jacobian rows are (u, t*u*z,
+    t*u*z^2), so J J^T and J r are powers of t times the sums of u^2 z^k
+    and r u z^k, all from one GEMM, formed only for a step that continues
+    the fit: a rejected step or a refused solve retries on the same ones,
+    and the step that ends the fit forms none. The damped 3x3 system is
+    solved by Cholesky; a pivot that is not positive raises the damping
+    10x and retries. The iteration is fully deterministic.
 
     The stop rule looks at r, the largest relative parameter change of an
     accepted step, and at the contraction rate theta = r / r_prev over the
@@ -452,30 +451,27 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     if not isinstance(setup, _FitSetup):
         raise setup()
     lo, hi, scale, peak, center, sigma = setup
-    lam_w = spec.wavelengths[lo:hi]
-    y = spec.intensities[lo:hi]
+    lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
     if scale != 1.0:
         y = y * scale
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
     params = (peak * scale, center, math.sqrt(2.0) * sigma)
-    jac, jac_nt = np.empty((3, lam_w.size)), np.empty((lam_w.size, 3))
-    rows, cols = tuple(jac), tuple(jac_nt.T)  # views cost: make them once
-    model = _gaussian_model(lam_w, *params, rows)
-    residual = model - y
+    weights, powers = np.empty((2, 3, lam_w.size))
+    powers[0] = 1.0
+    buffers = (weights, powers, *weights, *powers)  # views cost: make them once
+    u, residual = _gaussian_model(lam_w, y, *params, buffers)
     cost = float(residual.dot(residual))
     if not math.isfinite(cost):
         raise ValueError("sum of squared fit residuals of the spectrum "
                          "overflows a float")
-    damping = 1e-3
-    last_change = math.nan
+    damping, last_change = 1e-3, math.nan
     jtj = None  # the normal equations at params, formed when a step needs them
-
     converged = False
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
         if jtj is None:
-            _gaussian_jacobian(rows, params[2], model)
-            jtj, gradient = _normal_equations(jac, jac_nt, rows, cols, residual)
+            jtj, gradient = _normal_equations(u, residual, params[0], params[2],
+                                              buffers)
         damped = [row[:] for row in jtj]
         for i, row in enumerate(damped):
             row[i] += damping * (1e-30 if row[i] <= 0 else row[i])
@@ -485,13 +481,12 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             continue
         trial = (params[0] + step[0], params[1] + step[1], params[2] + step[2])
         if trial[2] > 0:  # width must stay positive
-            model_t = _gaussian_model(lam_w, *trial, rows)
-            residual_t = model_t - y
+            u_t, residual_t = _gaussian_model(lam_w, y, *trial, buffers)
             cost_t = float(residual_t.dot(residual_t))
         if not (trial[2] > 0 and cost_t <= cost):  # the step is rejected
             damping *= 10.0
             continue
-        params, model, residual, cost = trial, model_t, residual_t, cost_t
+        params, u, residual, cost = trial, u_t, residual_t, cost_t
         jtj = None
         damping = max(damping * 0.1, 1e-15)
         rel_change = max(abs(step[0]) / max(abs(params[0]), 1e-300),
@@ -505,8 +500,7 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
             break
         last_change = rel_change
 
-    rms = math.sqrt(cost / lam_w.size)
-    residual_norm = rms / (abs(params[0]) if params[0] != 0 else 1.0)
+    residual_norm = math.sqrt(cost / lam_w.size) / (abs(params[0]) or 1.0)
     if not converged:
         raise FitFailure(
             f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "

@@ -9,6 +9,7 @@ the absolute least-squares slope of shift versus rate inside a window.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -55,8 +56,9 @@ class ModelSpec:
             raise ValueError(f"omega_range width max - min overflows a float, "
                              f"got {lo}, {hi}")
         # compared, not converted: int() overflows at inf, math.isfinite at 10**400
-        if not (3 <= steps < math.inf and int(steps) == steps):
-            raise ValueError(f"omega_range needs at least 3 steps, got {steps}")
+        if not (3 <= steps <= sys.maxsize and int(steps) == steps):
+            raise ValueError(f"omega_range needs from 3 to {sys.maxsize} steps, "
+                             f"got {steps}")
 
 
 @dataclass(frozen=True)

@@ -390,11 +390,15 @@ def test_config_undecodable_file_is_usage_error(runner, tmp_path):
     assert not isinstance(result.exception, UnicodeDecodeError)
 
 
-@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("where", ["missing directory", "directory", "full device"])
 def test_unwritable_out_is_usage_error(tmp_path, where):
-    """An --out that cannot be opened exits 2 with a message naming --out,
-    and no traceback, in a real `python -m wvsagnac.cli` child."""
-    out = tmp_path / "no" / "out.json" if where == "missing directory" else tmp_path
+    """An --out that cannot be opened, or that fails while it is written or
+    closed, exits 2 with a message naming --out, and no traceback, in a
+    real `python -m wvsagnac.cli` child."""
+    out = {"missing directory": tmp_path / "no" / "out.json",
+           "directory": tmp_path, "full device": Path("/dev/full")}[where]
+    if where == "full device" and not out.exists():
+        pytest.skip("no /dev/full on this system")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -474,6 +478,7 @@ def test_unknown_command_rejected(runner):
      + ["1e308"], "integrated intensity"),
     (DESIGN_ARGS[:7] + ["--i0", "1e200", "--i-min", "1e-300"] + DESIGN_ARGS[11:15]
      + ["--beta-grid=-0.5,-0.3"] + DESIGN_ARGS[16:], "squared fit residuals"),
+    (SWEEP_ARGS[:6] + ["100000000000000000000000"] + SWEEP_ARGS[7:], "omega_range"),
 ])
 def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
                                                                  quantity):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -588,9 +589,30 @@ def test_refused_solve_raises_damping_and_retries(monkeypatch):
 
 # ── the lean iteration against the loop that formed everything each time ─────
 
-def _rows_every_trial(lam, peak, center, width, jac):
-    """The model and its Jacobian rows in one pass, as the loop below forms
-    them for every trial step."""
+def _moment_point(lam, y, peak, center, width):
+    """The residual at (peak, center, width) and a function forming the
+    normal equations there from the moments of one GEMM, in fit_center's
+    arithmetic."""
+    z = (lam - center) / width
+    z2 = z * z
+    u = np.exp(-z2)
+    residual = u * peak - y
+
+    def normal_equations():
+        weights = np.array([u * u, u * u * z2, residual * u])
+        powers = np.array([np.ones_like(z), z, z2])
+        (m0, m1, m2), (_, m3, m4), (n0, n1, n2) = weights.dot(powers.T).tolist()
+        t = 2.0 * peak / width
+        tt = t * t
+        return ([[m0, t * m1, t * m2], [t * m1, tt * m2, tt * m3],
+                 [t * m2, tt * m3, tt * m4]], [-n0, -t * n1, -t * n2])
+    return residual, normal_equations
+
+
+def _explicit_point(lam, y, peak, center, width):
+    """The residual and the normal equations of an explicit (3, n) Jacobian,
+    as the fit formed them before it summed moments."""
+    jac = np.empty((3, lam.size))
     envelope, d_center, d_width = jac
     np.subtract(lam, center, out=d_width)
     d_width /= width
@@ -604,13 +626,19 @@ def _rows_every_trial(lam, peak, center, width, jac):
     d_width *= model
     d_center /= width
     d_center *= model
-    return model
+    residual = model - y
+
+    def normal_equations():
+        jac_nt = jac.T.copy()
+        return (jac @ jac_nt).tolist(), (-(jac_nt.T @ residual)).tolist()
+    return residual, normal_equations
 
 
-def _fit_forming_everything(spec):
-    """fit_center with a Jacobian for every trial step and the normal
-    equations formed afresh on every iteration, also after a rejected step
-    or a refused solve: the oracle the lean loop must match bit for bit."""
+def _fit_forming_everything(spec, point=_moment_point):
+    """fit_center with the normal equations formed afresh on every
+    iteration, also after a rejected step or a refused solve: the oracle
+    the lean loop must match bit for bit. With `point=_explicit_point` it
+    is the explicit-Jacobian fit the moments replaced."""
     stack = spec.intensities[None, :]
     setup, = spectral._fit_setups(spec.wavelengths, stack,
                                   *spectral._row_extremes(stack))
@@ -619,18 +647,15 @@ def _fit_forming_everything(spec):
     lo, hi, scale, peak, center, sigma = setup
     lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale
     params = (peak * scale, center, math.sqrt(2.0) * sigma)
-    jac, jac_t = np.empty((3, lam_w.size)), np.empty((3, lam_w.size))
     with np.errstate(**spectral._QUIET):
-        residual = _rows_every_trial(lam_w, *params, jac) - y
+        residual, normal_equations = point(lam_w, y, *params)
         cost = float(residual @ residual)
         if not math.isfinite(cost):
             raise ValueError("sum of squared fit residuals of the spectrum "
                              "overflows a float")
         damping, last_change = 1e-3, math.nan
         for iteration in range(1, spectral.FIT_MAX_ITERATIONS + 1):
-            jac_nt = jac.T.copy()
-            jtj = (jac @ jac_nt).tolist()
-            gradient = (-(jac_nt.T @ residual)).tolist()
+            jtj, gradient = normal_equations()
             if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
                 raise ValueError("normal equations of the fit to the spectrum "
                                  "overflow a float")
@@ -644,11 +669,11 @@ def _fit_forming_everything(spec):
             trial = tuple(p + s for p, s in zip(params, step))
             accepted = False
             if trial[2] > 0:
-                residual_t = _rows_every_trial(lam_w, *trial, jac_t) - y
+                residual_t, normal_t = point(lam_w, y, *trial)
                 cost_t = float(residual_t @ residual_t)
                 if cost_t <= cost:
                     params, residual, cost = trial, residual_t, cost_t
-                    jac, jac_t = jac_t, jac
+                    normal_equations = normal_t
                     damping = max(damping * 0.1, 1e-15)
                     accepted = True
             if not accepted:
@@ -756,9 +781,8 @@ def test_capped_fits_fail_like_the_oracle(monkeypatch, cap):
 
 
 def _count_evaluations(monkeypatch):
-    counts = dict.fromkeys(("model", "jacobian", "normal"), 0)
+    counts = dict.fromkeys(("model", "normal"), 0)
     for key, name in (("model", "_gaussian_model"),
-                      ("jacobian", "_gaussian_jacobian"),
                       ("normal", "_normal_equations")):
         def counted(*args, _key=key, _evaluate=getattr(spectral, name)):
             counts[_key] += 1
@@ -769,14 +793,14 @@ def _count_evaluations(monkeypatch):
 
 def test_a_fit_forms_the_jacobian_only_for_steps_that_continue(monkeypatch):
     """A 3-iteration fit evaluates 4 models (start and 3 trials) and forms 3
-    Jacobians and normal equations: none for the step that ends it. A
-    refused solve of that last step costs an iteration and no evaluation; a
-    rejected last step one model evaluation and nothing more."""
+    normal equations: none for the step that ends it. A refused solve of
+    that last step costs an iteration and no evaluation; a rejected last
+    step one model evaluation and nothing more."""
     spec = _model_spectrum("model2", "exact", 0.05)
     counts = _count_evaluations(monkeypatch)
     clean = fit_center(spec)
     assert clean.iterations == 3
-    assert counts == {"model": 4, "jacobian": 3, "normal": 3}
+    assert counts == {"model": 4, "normal": 3}
 
     solve = spectral._cholesky_solve
     for planted, models in ((None, 4), ((0.0, 5.0, 0.0), 5)):
@@ -787,8 +811,81 @@ def test_a_fit_forms_the_jacobian_only_for_steps_that_continue(monkeypatch):
             return planted if len(calls) == 3 else solve(a, b)
 
         monkeypatch.setattr(spectral, "_cholesky_solve", third_planted)
-        counts.update(model=0, jacobian=0, normal=0)
+        counts.update(model=0, normal=0)
         fit = fit_center(spec)
         assert fit.iterations == clean.iterations + 1
-        assert counts == {"model": models, "jacobian": 3, "normal": 3}
+        assert counts == {"model": models, "normal": 3}
         assert abs(fit.center - clean.center) <= 1e-10
+
+
+# ── the moment normal equations against an explicit Jacobian ─────────────────
+
+def _rounding_floor(spec, fit):
+    """How far (peak, center, width) can move at `fit` before the cost
+    changes by a rounding of itself: sqrt(eps * cost * diag((J J^T)^-1)),
+    the peak relative. A fit that ends at the rounding floor is determined
+    only to this; any change of summation order moves it by about as much."""
+    stack = spec.intensities[None, :]
+    setup, = spectral._fit_setups(spec.wavelengths, stack,
+                                  *spectral._row_extremes(stack))
+    y = spec.intensities[setup.lo:setup.hi] * setup.scale
+    residual, normal_equations = _explicit_point(
+        spec.wavelengths[setup.lo:setup.hi], y, fit.peak * setup.scale,
+        fit.center, fit.width)
+    inverse = np.linalg.inv(np.array(normal_equations()[0]))
+    floor = np.sqrt(np.finfo(float).eps * (residual @ residual) * np.diag(inverse))
+    return floor[0] / abs(fit.peak * setup.scale), floor[1], floor[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_SPECTRA)
+def test_fit_matches_the_explicit_jacobian_fit(spec):
+    """Centers and widths within 1e-10 nm and peaks within 1e-10 relative
+    of the fit that formed J J^T from an explicit (3, n) Jacobian, give or
+    take four times the fit's rounding floor; the same errors; and for a
+    benchmark-model row the same number of iterations. A fit that ends at
+    the rounding floor may take a different number, and within 200
+    iterations or not."""
+    outcomes = []
+    for fit in (partial(_fit_forming_everything, point=_explicit_point), fit_center):
+        try:
+            outcomes.append(fit(spec))
+        except (ValueError, FitFailure) as exc:
+            outcomes.append(exc)
+    want, got = outcomes
+    model_row = spec.wavelengths[0] != 1500.0  # the others start at 1500 nm
+    if isinstance(want, ValueError) or isinstance(got, ValueError):
+        assert repr(got) == repr(want)
+    elif isinstance(want, FitFailure) or isinstance(got, FitFailure):
+        assert not model_row
+    else:
+        peak, center, width = _rounding_floor(spec, want)
+        assert abs(got.center - want.center) <= 1e-10 + 4.0 * center
+        assert abs(got.width - want.width) <= 1e-10 + 4.0 * width
+        assert abs(got.peak / want.peak - 1.0) <= 1e-10 + 4.0 * peak
+        if model_row:
+            assert got.iterations == want.iterations
+
+
+@settings(max_examples=200, deadline=None)
+@given(peak=st.floats(1e-3, 1e3), center=st.floats(1500.0, 1600.0),
+       width=st.floats(1.0, 50.0), points=st.integers(16, 2048),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_normal_equations_match_an_explicit_jacobian(peak, center, width, points,
+                                                     seed):
+    """J J^T from the moments within 1e-12 of its largest entry, and -J r
+    within 1e-12 of the largest sum of |J| |r| it cancels, against the
+    products of the explicit (3, n) Jacobian."""
+    lam = np.linspace(1500.0, 1600.0, points)
+    y = peak * np.random.default_rng(seed).uniform(0.0, 1.0, points)
+    weights, powers = np.empty((2, 3, points))
+    powers[0] = 1.0
+    buffers = (weights, powers, *weights, *powers)
+    u, residual = spectral._gaussian_model(lam, y, peak, center, width, buffers)
+    jtj, gradient = spectral._normal_equations(u, residual, peak, width, buffers)
+    z = (lam - center) / width
+    jac = np.array([u, peak * u * 2.0 * z / width, peak * u * 2.0 * z * z / width])
+    want = jac @ jac.T
+    assert np.abs(np.array(jtj) - want).max() <= 1e-12 * np.abs(want).max()
+    scale = (np.abs(jac) @ np.abs(residual)).max()
+    assert np.abs(np.array(gradient) + jac @ residual).max() <= 1e-12 * scale

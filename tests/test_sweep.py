@@ -1,6 +1,7 @@
 """Rate sweeps: symmetry, sensitivity extraction, benchmark configurations."""
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -76,10 +77,12 @@ def test_model_spec_validation():
         _model(omega_range=(0.1, -0.1, 201))
     with pytest.raises(ValueError):
         _model(omega_range=(-0.1, 0.1, 2))
-    for steps in (math.inf, -math.inf, math.nan, 2.5):  # not OverflowError
+    # not OverflowError, nor numpy's message for an array too large to index
+    for steps in (math.inf, -math.inf, math.nan, 2.5, sys.maxsize + 1, 10 ** 23,
+                  10 ** 400, 1e19):
         with pytest.raises(ValueError, match="omega_range"):
             _model(omega_range=(-0.1, 0.1, steps))
-    _model(omega_range=(-0.1, 0.1, 10 ** 400))  # an int: checked when swept
+    assert _model(omega_range=(-0.1, 0.1, sys.maxsize)).omega_range[2] == sys.maxsize
     # both ends finite, but the width overflows: rejected before linspace
     with pytest.raises(ValueError, match="width"):
         _model(omega_range=(-1e308, 1e308, 201))
