@@ -10,13 +10,8 @@ Each angle's smallest area is found by Illinois regula falsi on the shift
 margin to BISECTION_REL_TOL (1e-4) relative, started from the bracketing
 pair of an 8-point regime probe.
 
-At one angle and the target rate the candidate areas differ only in the
-Sagnac phase, so the regime probe and the fallback scan are read out as
-sweeps are, in stacks of 8 (sweep._evaluated_rows): each stack's spectra and
-fit setups are built in one pass, and every candidate is still fit alone,
-bit for bit as feasible() would. The scan stops at its first feasible area;
-it has built the spectra of up to 7 areas past it, but fits none of them.
-Regula falsi steps and direct feasible() calls are stacks of one.
+Every candidate area, of the regime probe, the fallback scan or a regula
+falsi step, is fit bit for bit as feasible() would fit it.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ the single-pass square layout by a sizable factor.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -32,8 +33,8 @@ def _square(radius_rs: float) -> float:
     """R^2 of a positive radius whose square is a finite float."""
     if not (math.isfinite(radius_rs) and radius_rs > 0):
         raise ValueError(f"radius_rs must be positive, got {radius_rs}")
-    try:
-        return radius_rs ** 2
+    try:  # a float's ** raises on overflow, where numpy's warns and gives inf
+        return float(radius_rs) ** 2
     except OverflowError:
         raise ValueError(f"radius_rs = {radius_rs:g} m is too large: "
                          "its square overflows a float") from None
@@ -49,8 +50,10 @@ def _check_theta(theta_deg) -> int:
             raise ValueError(
                 f"theta_deg must be an integer number of degrees, got {theta_deg}")
         theta_deg = int(theta_deg)
-    if not isinstance(theta_deg, int):
-        raise ValueError(f"theta_deg must be an integer, got {theta_deg!r}")
+    try:  # any integer type, numpy's too; numpy's bool is refused here
+        theta_deg = operator.index(theta_deg)
+    except TypeError:
+        raise ValueError(f"theta_deg must be an integer, got {theta_deg!r}") from None
     if not 0 < theta_deg < 90:
         raise ValueError(f"theta_deg must lie in (0, 90), got {theta_deg}")
     return theta_deg

@@ -30,8 +30,8 @@ MIN_FIT_POINTS = 16
 FORM_PAPER = "paper"
 FORM_EXACT = "exact"
 
-# the error of negative, NaN or infinite intensities, in a spectrum or a row
-_BAD_INTENSITIES = "intensities must be finite and nonnegative"
+# the refusal of negative, NaN or infinite intensities, in a spectrum or a row
+_BAD_INTENSITIES = partial(ValueError, "intensities must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,11 @@ class SpectrumModel:
                 and 0 < self.width_dlambda < self.lambda0):
             raise ValueError(
                 f"width_dlambda must lie in (0, lambda0), got {self.width_dlambda}")
+        # the largest factor formed from the width alone: the analytic shift's
+        w = float(self.width_dlambda)
+        if not math.isfinite(4.0 * math.pi * (w * w)):
+            raise ValueError(f"width_dlambda = {w:g} nm is too large: "
+                             "4*pi*width_dlambda^2 overflows a float")
 
 
 @dataclass(frozen=True)
@@ -56,11 +61,8 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
-    # fit_center's window and start (or a factory of its error), set when
-    # the spectrum is a row of a stack built by _spectrum_rows; None makes
-    # fit_center work them out
-    _fit_setup: object = field(default=None, init=False, repr=False,
-                               compare=False)
+    # fit_center's window and start, or a factory of its error (_fit_setups)
+    _fit_setup: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = np.asarray(self.wavelengths, dtype=float)
@@ -70,11 +72,12 @@ class SampledSpectrum:
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        # the minimum is NaN at a NaN, and only the maximum can be +inf
-        if not (inten.min() >= 0 and inten.max() < math.inf):
-            raise ValueError(_BAD_INTENSITIES)
+        setup, = _fit_setups(lam, inten[None, :])
+        if setup is _BAD_INTENSITIES:
+            raise setup()
         if self.form_tag not in (FORM_PAPER, FORM_EXACT):
             raise ValueError(f"unknown form_tag {self.form_tag!r}")
+        object.__setattr__(self, "_fit_setup", setup)
 
 
 def _check_grid(lam: np.ndarray):
@@ -101,7 +104,9 @@ def default_grid(probe: SpectrumModel, points: int = GRID_POINTS,
         raise ValueError(f"need at least 2 grid points, got {points}")
     half = span * probe.width_dlambda
     lo, hi = probe.lambda0 - half, probe.lambda0 + half
-    if not math.isfinite(hi - lo):  # also when half, lo or hi is not finite
+    # hi - lo is also not finite when half, lo or hi is not; the envelope
+    # squares distances up to half
+    if not (math.isfinite(hi - lo) and math.isfinite(half * half)):
         raise ValueError(f"wavelength grid lambda0 +/- span*width_dlambda "
                          f"overflows a float for span = {span:g}")
     return np.linspace(lo, hi, points)
@@ -225,44 +230,34 @@ def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult], form: str
     return _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
 
 
-@np.errstate(**_QUIET)
 def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
                    ) -> list[SampledSpectrum | Callable[[], ValueError]]:
     """The rows of a (rows, n) stack of intensities on the checked grid
     `lam`, in the checked `form`, as spectra: read-only views sharing `lam`,
-    each carrying its fit setup.
-
-    A row that SampledSpectrum would refuse, which is told from the row
-    maxima and minima the fit setups start from, is the factory of that
-    error instead. The setups come from one _fit_setups pass over the stack.
+    each carrying its setup from one _fit_setups pass over the stack. A row
+    that SampledSpectrum would refuse is the factory of that error instead.
     """
-    peaks, floors = _row_extremes(stack)
     stack.flags.writeable = False
     rows = []
-    for inten, low, high, setup in zip(stack, floors, peaks,
-                                       _fit_setups(lam, stack, peaks, floors)):
-        if not (low >= 0 and high < math.inf):  # SampledSpectrum's check
-            rows.append(partial(ValueError, _BAD_INTENSITIES))
+    for inten, setup in zip(stack, _fit_setups(lam, stack)):
+        if setup is _BAD_INTENSITIES:
+            rows.append(setup)
             continue
-        spec = object.__new__(SampledSpectrum)  # its row is checked above
+        spec = object.__new__(SampledSpectrum)  # _fit_setups checked its row
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
                           _fit_setup=setup)
         rows.append(spec)
     return rows
 
 
-def _row_extremes(stack: np.ndarray) -> tuple[list[float], list[float]]:
-    """The maximum and the minimum of each row of a (rows, n) stack."""
-    # ufunc reductions: the same as .max() or .min(), with less per-call cost
-    return (np.maximum.reduce(stack, axis=1).tolist(),
-            np.minimum.reduce(stack, axis=1).tolist())
-
-
-def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
-                floors: list[float]) -> list[_FitSetup | Callable[[], Exception]]:
+@np.errstate(**_QUIET)
+def _fit_setups(lam: np.ndarray, stack: np.ndarray
+                ) -> list[_FitSetup | Callable[[], Exception]]:
     """fit_center's window and start for each row of a (rows, n) stack of
-    checked intensities on the grid `lam`, with the rows' _row_extremes, or
-    a factory of the error its fit raises.
+    intensities on the checked grid `lam`, or a factory of the error its fit
+    raises; for a row with a negative, NaN or infinite intensity, the
+    refusal _BAD_INTENSITIES instead. This is the only intensity check of
+    SampledSpectrum and of the rows of _spectrum_rows.
 
     The start is the peak sample and the intensity-weighted mean and
     standard deviation of the wavelength, from three trapezoids with
@@ -272,8 +267,11 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
     on a strictly increasing grid it is an interval. Each numpy call serves
     every row, and its reductions run along the last axis, so a row's
     numbers are bit for bit those of the row alone. Every row is computed,
-    also one whose error is reported: call under _QUIET.
+    also one whose error is reported, so numpy's warnings are silenced.
     """
+    # ufunc reductions: the same as .max() or .min(), with less per-call cost
+    peaks = np.maximum.reduce(stack, axis=1).tolist()
+    floors = np.minimum.reduce(stack, axis=1).tolist()
     scales = [2.0 ** min(-math.frexp(p)[1], 1023) if 0 < p < _TINY_PEAK else 1.0
               for p in peaks]
     raw = stack
@@ -309,7 +307,10 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray, peaks: list[float],
         # fresh exception; a row with no zero needs no nonzero count
         pos = floor > 0
         count = lam.size if pos else np.count_nonzero(stack[row])
-        if not peak > 0:  # intensities are nonnegative
+        # the minimum is NaN at a NaN, and only the maximum can be +inf
+        if not (floor >= 0 and peak < math.inf):
+            setup = _BAD_INTENSITIES
+        elif not peak > 0:  # intensities are nonnegative
             setup = partial(DegenerateInput, "cannot fit an all-zero spectrum")
         elif count < MIN_FIT_POINTS:
             setup = partial(ValueError,
@@ -438,16 +439,13 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     centered on the grid sample nearest the centroid and extends
     FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
     each side; the start is the peak sample, the centroid and the moment
-    width. A row of a stack carries them (_spectrum_rows); any other
-    spectrum gets them from the same _fit_setups, as a stack of one. A
+    width. Every spectrum carries them from the _fit_setups pass that
+    checked its intensities, alone or with the rest of its stack. A
     spectrum whose peak is below 2^-256 is fit multiplied by a power of two
     and its fitted peak divided by it, which is exact; one whose fit window
     holds a nonzero sample below the smallest normal float is refused.
     """
     setup = spec._fit_setup
-    if setup is None:
-        stack = spec.intensities[None, :]
-        setup, = _fit_setups(spec.wavelengths, stack, *_row_extremes(stack))
     if not isinstance(setup, _FitSetup):
         raise setup()
     lo, hi, scale, peak, center, sigma = setup

@@ -479,12 +479,22 @@ def test_unknown_command_rejected(runner):
     (DESIGN_ARGS[:7] + ["--i0", "1e200", "--i-min", "1e-300"] + DESIGN_ARGS[11:15]
      + ["--beta-grid=-0.5,-0.3"] + DESIGN_ARGS[16:], "squared fit residuals"),
     (SWEEP_ARGS[:6] + ["100000000000000000000000"] + SWEEP_ARGS[7:], "omega_range"),
+    (SIMULATE_ARGS[:7] + ["--omega", "0.05", "--lambda0", "1e300", "--dlambda",
+                          "1e299", "--grid-points", "16"], "width_dlambda"),
+    (SWEEP_ARGS[:13] + ["--lambda0", "1e160", "--dlambda", "1e154"],
+     "width_dlambda"),
+    (DESIGN_ARGS[:3] + ["--lambda0", "1e300", "--dlambda", "1e299"]
+     + DESIGN_ARGS[7:], "width_dlambda"),
+    # 4*pi*width^2 is finite, but the envelope squares 4*width
+    (SIMULATE_ARGS[:9] + ["--lambda0", "1e160", "--dlambda", "3.5e153"],
+     "span*width_dlambda"),
 ])
 def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
                                                                  quantity):
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert quantity in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, allocation", [

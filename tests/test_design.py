@@ -1,7 +1,9 @@
 """Inverse design solver: feasibility reports and minimum-area search."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
 from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, InterferometerConfig,
                       NearOrthogonalSelection, SelectionConfig, SpectrumModel,
-                      default_grid, feasible, fit_center, min_area,
-                      output_spectrum, sagnac_phase, weak_value)
+                      benchmark_models, default_grid, feasible, fit_center,
+                      min_area, output_spectrum, run_sweep, sagnac_phase,
+                      weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 
@@ -378,3 +381,27 @@ def test_illinois_needs_no_more_steps_than_bisection(monkeypatch, margin,
     area, rep = design._illinois(None, -0.3, lo, lo_rep, hi, hi_rep)
     assert rep.feasible and 7.3 <= area <= 7.3 * (1.0 + tol)
     assert len(steps) <= math.ceil(math.log2((hi - lo) / (tol * 7.3)))  # 14
+
+
+def test_concurrent_runs_give_the_serial_results():
+    """README: every function is safe for concurrent use. The eight
+    benchmark sweeps, two design solves (one of them falls back to the scan)
+    and feasible() calls sharing one DesignConstraints, run on 4 threads
+    from cold caches, give the serial results."""
+    def jobs(cons):
+        return ([partial(run_sweep, m, form) for m in benchmark_models(1550.0, 10.0)
+                 for form in ("exact", "paper")]
+                + [partial(min_area, cons, [-0.5, -0.3, -0.2], (1.0, 20.0)),
+                   partial(min_area, replace(cons, delta_lambda_res=0.02), [-0.15],
+                           (1.0, 60.0))]
+                + [partial(feasible, beta, area, cons)
+                   for beta in (-0.3, -0.2) for area in (4.0, 12.0)])
+
+    serial = [repr(job()) for job in jobs(_constraints(i_min=0.005, res=0.01))]
+    design._reference_center.cache_clear()
+    spectral._default_basis.cache_clear()
+    with ThreadPoolExecutor(4) as pool:
+        threaded = list(pool.map(lambda job: repr(job()),
+                                 jobs(_constraints(i_min=0.005, res=0.01))))
+    assert threaded == serial
+    assert "falling back" in serial[9]

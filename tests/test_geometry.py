@@ -119,3 +119,29 @@ def test_huge_radius_is_a_domain_error_not_an_overflow():
     with pytest.raises(ValueError, match="area_equiv"):
         MultipassDesign(theta_deg=25, radius_rs=1.0, n_turns=5,
                         area_equiv=math.inf)
+
+
+def test_numpy_integers_are_integer_degrees():
+    """Any integer type is accepted, numpy's included; bools never are."""
+    np = pytest.importorskip("numpy")
+    thetas = np.arange(5, 90, 5)
+    assert [multipass_design(t, 1.0) for t in thetas] == [
+        multipass_design(int(t), 1.0) for t in thetas]
+    assert turns(np.int64(25)) == turns(np.uint8(25)) == 5
+    assert equivalent_area(np.int32(25), 1.0) == equivalent_area(25, 1.0)
+    for bad in (np.bool_(True), True, np.float64(25.5)):
+        with pytest.raises(ValueError, match="theta_deg"):
+            turns(bad)
+
+
+def test_huge_numpy_radius_is_a_domain_error_naming_radius_rs():
+    """A numpy float's square overflows to inf with a warning, not an
+    OverflowError; the radius is refused by name all the same."""
+    np = pytest.importorskip("numpy")
+    with pytest.raises(ValueError, match="radius_rs"):
+        MultipassDesign(25, np.float64(1e200), 5, 1.0)
+    with pytest.raises(ValueError, match="radius_rs"):
+        multipass_design(25, np.float64(1e200))
+    with pytest.raises(ValueError, match="radius_rs"):
+        equivalent_area(np.int64(25), np.float64(1e200))
+    assert multipass_design(25, np.float64(2.0)) == multipass_design(25, 2.0)

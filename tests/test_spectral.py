@@ -1,5 +1,6 @@
 """Spectra and fitting: input model, output forms, center extraction."""
 
+import dataclasses
 import json
 import math
 from functools import partial
@@ -58,6 +59,12 @@ def test_probe_validation():
         SpectrumModel(i0=1.0, lambda0=-1.0, width_dlambda=10.0)
     with pytest.raises(ValueError):
         SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=2000.0)
+    # a width below lambda0 whose 4*pi*width^2 (the analytic shift's factor)
+    # overflows; from 1e307 on, the grid's lambda0 + span*width would as well
+    for lambda0, width in ((1e160, 3.8e153), (1.7e308, 1e307)):
+        with pytest.raises(ValueError, match="width_dlambda = .* too large"):
+            SpectrumModel(i0=1.0, lambda0=lambda0, width_dlambda=width)
+    SpectrumModel(i0=1.0, lambda0=1e160, width_dlambda=3.7e153)  # accepted
 
 
 # ── output spectrum ───────────────────────────────────────────────────────────
@@ -163,7 +170,7 @@ def test_sampled_spectrum_validation():
 @pytest.mark.parametrize("probe, span", [
     (PROBE, 1e308),                                 # span * width is inf
     (PROBE, 1e307),                                 # hi - lo is inf
-    (SpectrumModel(1.0, 1.7e308, 1e307), 4.0),      # lambda0 + half is inf
+    (SpectrumModel(1.0, 1e160, 3.5e153), 4.0),      # half * half is inf
 ])
 def test_default_grid_rejects_an_overflowing_span(probe, span):
     # warnings are errors in this suite, so a numpy RuntimeWarning fails it
@@ -311,8 +318,7 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
     base = fit_center(spec)
     stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack,
-                                  *spectral._row_extremes(stack))
+    setup, = spectral._fit_setups(spec.wavelengths, stack)
     low = math.frexp(spec.intensities[setup.lo:setup.hi].min())[1]
     normal, subnormal = -1021 - low, -1022 - low  # the window's least exponent
     assert subnormal < -1000
@@ -342,6 +348,18 @@ def _stack(probe, form, phis):
         probe, [_wv(0.1, -0.3, phi) for phi in phis], form)
 
 
+def _assert_same_setup(row, alone):
+    """The row's fit setup is that of the spectrum built alone: an equal
+    _FitSetup, or a factory raising the same type and message."""
+    got, want = row._fit_setup, alone._fit_setup
+    if isinstance(want, spectral._FitSetup):
+        assert got == want
+    else:
+        assert not isinstance(got, spectral._FitSetup)
+        got, want = got(), want()
+        assert (type(got), str(got)) == (type(want), str(want))
+
+
 @pytest.mark.parametrize("form", ["exact", "paper"])
 def test_stack_rows_fit_like_fresh_spectra(form):
     probe = SpectrumModel(i0=2.5, lambda0=1310.0, width_dlambda=6.0)
@@ -354,6 +372,7 @@ def test_stack_rows_fit_like_fresh_spectra(form):
             row.intensities[0] = 0.0
         fresh = SampledSpectrum(np.array(row.wavelengths),
                                 np.array(row.intensities), form)
+        _assert_same_setup(row, fresh)
         assert repr(fit_center(row)) == repr(fit_center(fresh))
         assert repr(row) == repr(fresh) and row == row
     assert [r.form_tag for r in rows] == [form] * 7
@@ -391,6 +410,8 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
         except (ValueError, FitFailure) as exc:
             return f"{type(exc).__name__}: {exc}"
 
+    for row, inten in zip(rows, stack):
+        _assert_same_setup(row, SampledSpectrum(lam, inten, "exact"))
     for cap in (1, spectral.FIT_MAX_ITERATIONS):
         monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
         got = [outcome(row) for row in rows]
@@ -415,6 +436,17 @@ def test_window_of_too_few_points_is_refused_when_every_sample_is_positive(scale
     row, = spectral._spectrum_rows(lam, inten[None, :].copy(), "exact")
     with pytest.raises(ValueError, match=message):
         fit_center(row)
+
+
+def test_a_replaced_spectrum_gets_its_own_setup():
+    """dataclasses.replace builds through __init__, so the copy's setup is
+    worked out from its own intensities, never kept from its parent."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    fit_center(spec)
+    zeroed = dataclasses.replace(spec, intensities=np.zeros_like(spec.intensities))
+    with pytest.raises(DegenerateInput, match="all-zero"):
+        fit_center(zeroed)
+    assert repr(fit_center(dataclasses.replace(spec))) == repr(fit_center(spec))
 
 
 def test_each_fit_of_a_refused_row_raises_a_fresh_exception():
@@ -640,8 +672,7 @@ def _fit_forming_everything(spec, point=_moment_point):
     the lean loop must match bit for bit. With `point=_explicit_point` it
     is the explicit-Jacobian fit the moments replaced."""
     stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack,
-                                  *spectral._row_extremes(stack))
+    setup, = spectral._fit_setups(spec.wavelengths, stack)
     if not isinstance(setup, spectral._FitSetup):
         raise setup()
     lo, hi, scale, peak, center, sigma = setup
@@ -826,8 +857,7 @@ def _rounding_floor(spec, fit):
     the peak relative. A fit that ends at the rounding floor is determined
     only to this; any change of summation order moves it by about as much."""
     stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack,
-                                  *spectral._row_extremes(stack))
+    setup, = spectral._fit_setups(spec.wavelengths, stack)
     y = spec.intensities[setup.lo:setup.hi] * setup.scale
     residual, normal_equations = _explicit_point(
         spec.wavelengths[setup.lo:setup.hi], y, fit.peak * setup.scale,
