@@ -1,6 +1,7 @@
 """Inverse design solver: feasibility reports and minimum-area search."""
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -385,12 +386,12 @@ def test_illinois_needs_no_more_steps_than_bisection(monkeypatch, margin,
 
 def test_concurrent_runs_give_the_serial_results():
     """README: every function is safe for concurrent use. The eight
-    benchmark sweeps, two design solves (one of them falls back to the scan)
-    and feasible() calls sharing one DesignConstraints, run on 4 threads
-    from cold caches, give the serial results."""
+    benchmark sweeps (at 51 rates), two design solves (one of them falls
+    back to the scan) and feasible() calls sharing one DesignConstraints,
+    run on 4 threads from cold caches, give the serial results."""
     def jobs(cons):
-        return ([partial(run_sweep, m, form) for m in benchmark_models(1550.0, 10.0)
-                 for form in ("exact", "paper")]
+        return ([partial(run_sweep, replace(m, omega_range=(-0.1, 0.1, 51)), form)
+                 for m in benchmark_models(1550.0, 10.0) for form in ("exact", "paper")]
                 + [partial(min_area, cons, [-0.5, -0.3, -0.2], (1.0, 20.0)),
                    partial(min_area, replace(cons, delta_lambda_res=0.02), [-0.15],
                            (1.0, 60.0))]
@@ -400,8 +401,14 @@ def test_concurrent_runs_give_the_serial_results():
     serial = [repr(job()) for job in jobs(_constraints(i_min=0.005, res=0.01))]
     design._reference_center.cache_clear()
     spectral._default_basis.cache_clear()
-    with ThreadPoolExecutor(4) as pool:
-        threaded = list(pool.map(lambda job: repr(job()),
-                                 jobs(_constraints(i_min=0.005, res=0.01))))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, to expose races
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda job: repr(job()),
+                                     jobs(_constraints(i_min=0.005, res=0.01)),
+                                     timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial
     assert "falling back" in serial[9]
