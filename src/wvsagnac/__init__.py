@@ -21,7 +21,7 @@ from .weak import (OVERLAP_FLOOR, SelectionConfig, WeakValueResult,
                    weak_value, weak_value_direct)
 
 # The numpy-backed modules and the package names each defines; __getattr__
-# serves both.
+# serves both, and __all__ lists the names.
 _LAZY_MODULES = {
     "spectral": ("FORM_EXACT", "FORM_PAPER", "FitResult", "SampledSpectrum",
                  "SpectrumModel", "default_grid", "fit_center",
@@ -51,16 +51,10 @@ def __dir__():
 
 
 __all__ = [
-    "NM", "SPEED_OF_LIGHT", "OVERLAP_FLOOR", "FORM_EXACT", "FORM_PAPER",
-    "InterferometerConfig", "SelectionConfig", "WeakValueResult",
-    "SpectrumModel", "SampledSpectrum", "FitResult", "ModelSpec", "SweepRow",
-    "SweepResult", "Sensitivity", "MultipassDesign", "DesignConstraints",
-    "FeasibilityReport", "DesignSolution",
-    "NearOrthogonalSelection", "DegenerateInput", "FitFailure",
-    "fringe_shift", "classical_intensity", "sagnac_phase", "amplitudes_mn",
-    "weak_value", "weak_value_direct", "analytic_wavelength_shift",
-    "intensity_envelope", "modulation_factor", "output_spectrum",
-    "fit_center", "default_grid", "run_sweep", "sensitivity", "default_window",
-    "benchmark_models", "turns", "equivalent_area", "multipass_design",
-    "feasible", "min_area",
+    "NM", "SPEED_OF_LIGHT", "InterferometerConfig", "classical_intensity",
+    "fringe_shift", "DegenerateInput", "FitFailure", "NearOrthogonalSelection",
+    "MultipassDesign", "equivalent_area", "multipass_design", "turns",
+    "OVERLAP_FLOOR", "SelectionConfig", "WeakValueResult", "amplitudes_mn",
+    "analytic_wavelength_shift", "sagnac_phase", "weak_value",
+    "weak_value_direct", *_LAZY,
 ]

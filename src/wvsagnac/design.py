@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,12 +62,6 @@ class DesignConstraints:
                 f"omega_target must be positive, got {self.omega_target}")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-
-    @cached_property
-    def _probe_at_source(self) -> SpectrumModel:
-        """The probe at the source intensity, kept: every feasible() needs it
-        and replace() costs five lookups. Not a field, so not in eq or repr."""
-        return replace(self.probe, i0=self.i0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def _feasible_rows(beta: float, areas, constraints: DesignConstraints):
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     c = constraints
-    probe = c._probe_at_source
+    probe = replace(c.probe, i0=c.i0)
     try:
         ref_center = _reference_center(probe, c.alpha, beta)
     except NearOrthogonalSelection as exc:
@@ -161,7 +155,7 @@ def _min_area_for_beta(constraints: DesignConstraints, beta: float,
     if all(r.reason for r in reports):
         return None
 
-    shifts = [r.shift_nm for r in reports if not r.reason]
+    shifts = [r.shift_nm for r in reports]
     flags = [r.feasible for r in reports]
     in_regime = (
         all(not r.reason for r in reports)

@@ -4,29 +4,29 @@ A beam injected at an integer angle theta (degrees) into the circular cell
 advances by 2*theta per chord and closes after lcm(2*theta, 360) degrees of
 travel. The closed path encloses a polygon-of-chords area that can exceed
 the single-pass square layout by a sizable factor.
+
+A MultipassDesign is built from (theta_deg, radius_rs) alone and derives its
+turn count and area from them, so no design holds values that disagree.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class MultipassDesign:
     theta_deg: int      # injection angle, integer degrees in (0, 90)
     radius_rs: float    # device radius, m
-    n_turns: int        # full turns before the path closes
-    area_equiv: float   # equivalent enclosed area, m^2
+    n_turns: int = field(init=False)       # full turns before the path closes
+    area_equiv: float = field(init=False)  # equivalent enclosed area, m^2
 
     def __post_init__(self):
-        if not 0 < self.theta_deg < 90:
-            raise ValueError(f"theta_deg must lie in (0, 90), got {self.theta_deg}")
-        _square(self.radius_rs)  # positive, with a finite square
-        if self.n_turns < 1:
-            raise ValueError("n_turns must be at least 1")
-        if not (math.isfinite(self.area_equiv) and self.area_equiv > 0):
-            raise ValueError(
-                f"area_equiv must be positive and finite, got {self.area_equiv}")
+        # derived here, also under dataclasses.replace
+        t = _check_theta(self.theta_deg)
+        object.__setattr__(self, "theta_deg", t)
+        object.__setattr__(self, "n_turns", turns(t))
+        object.__setattr__(self, "area_equiv", equivalent_area(t, self.radius_rs))
 
 
 def _square(radius_rs: float) -> float:
@@ -82,8 +82,5 @@ def equivalent_area(theta_deg, radius_rs: float) -> float:
 
 
 def multipass_design(theta_deg, radius_rs: float) -> MultipassDesign:
-    """Bundle turn count and equivalent area for one injection angle."""
-    t = _check_theta(theta_deg)
-    return MultipassDesign(theta_deg=t, radius_rs=radius_rs,
-                           n_turns=turns(t),
-                           area_equiv=equivalent_area(t, radius_rs))
+    """Turn count and equivalent area for one injection angle."""
+    return MultipassDesign(theta_deg, radius_rs)

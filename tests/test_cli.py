@@ -456,6 +456,13 @@ def test_unparseable_flag_rejected(runner):
     assert result.exit_code == 2
 
 
+def test_unparseable_beta_grid_rejected(runner):
+    args = [a for a in DESIGN_ARGS if not a.startswith("--beta-grid")]
+    result = runner.invoke(main, args + ["--beta-grid", ","])
+    assert result.exit_code == 2
+    assert "--beta-grid: cannot parse" in result.stderr
+
+
 def test_domain_error_exit_code(runner):
     result = runner.invoke(main, ["geometry", "--theta-deg", "90", "--rs", "1"])
     assert result.exit_code == 3

@@ -71,6 +71,15 @@ def test_orthogonal_angle_reports_infeasible_not_error():
     assert "orthogonal" in rep.reason
 
 
+def test_an_orthogonal_only_grid_is_infeasible():
+    # every area of beta = 0 is orthogonal at rest: no area, no fallback scan
+    assert design._min_area_for_beta(_constraints(), 0.0, 1.0, 20.0, []) is None
+    sol = min_area(_constraints(), [0.0], (1.0, 20.0))
+    assert not sol.feasible and sol.warnings == ()
+    assert all(math.isnan(x) for x in (sol.beta, sol.area_s_min,
+                                       sol.k_achieved, sol.peak_intensity))
+
+
 @settings(max_examples=15, deadline=None)
 @given(planted_beta=st.floats(-0.45, -0.18), planted_area=st.floats(2.0, 18.0),
        i_min=st.floats(0.0, 0.05), omega_target=st.floats(0.01, 0.1))
@@ -135,6 +144,8 @@ def test_constraint_validation():
         _constraints(res=-0.1)
     with pytest.raises(ValueError):
         _constraints(omega=0.0)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        _constraints(alpha=math.nan)
 
 
 def test_bracket_and_grid_validation():
@@ -146,6 +157,8 @@ def test_bracket_and_grid_validation():
         min_area(_constraints(), [], (1.0, 5.0))
     with pytest.raises(ValueError):
         feasible(-0.2, -1.0, _constraints())
+    with pytest.raises(ValueError, match="beta must be finite"):
+        feasible(math.nan, 4.0, _constraints())
 
 
 # ── memoized zero-rotation reference ──────────────────────────────────────────
@@ -181,9 +194,7 @@ def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
 def test_constraints_keep_the_source_probe_out_of_eq_hash_and_repr():
     cons = _constraints(i0=2.0)
     fresh = replace(cons)
-    feasible(-0.25, 4.0, cons)  # computes the probe at the source intensity
-    assert cons._probe_at_source == replace(PROBE, i0=2.0)
-    assert cons._probe_at_source is cons._probe_at_source  # kept, not rebuilt
+    feasible(-0.25, 4.0, cons)
     assert cons == fresh and hash(cons) == hash(fresh)
     assert repr(cons) == repr(fresh)
 

@@ -1,5 +1,6 @@
 """Multipass loop geometry: turn counts, equivalent area, amplification."""
 
+import dataclasses
 import math
 
 import pytest
@@ -95,15 +96,28 @@ def test_amplification_ratio_radius_invariant():
 
 def test_multipass_design_bundle():
     d = multipass_design(25, 2.0)
-    assert d == MultipassDesign(theta_deg=25, radius_rs=2.0, n_turns=5,
-                                area_equiv=equivalent_area(25, 2.0))
+    assert d == MultipassDesign(theta_deg=25, radius_rs=2.0)
+    assert (d.n_turns, d.area_equiv) == (5, equivalent_area(25, 2.0))
+
+
+def test_turns_and_area_are_derived_also_under_replace():
+    d = dataclasses.replace(multipass_design(25, 1.0), radius_rs=2.0)
+    assert d == multipass_design(25, 2.0)
+    assert dataclasses.replace(d, theta_deg=45) == multipass_design(45, 2.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(d, n_turns=1)  # derived, never given
 
 
 def test_multipass_design_validation():
     with pytest.raises(ValueError):
-        MultipassDesign(theta_deg=95, radius_rs=1.0, n_turns=1, area_equiv=1.0)
+        MultipassDesign(theta_deg=95, radius_rs=1.0)
     with pytest.raises(ValueError):
-        MultipassDesign(theta_deg=25, radius_rs=-1.0, n_turns=1, area_equiv=1.0)
+        MultipassDesign(theta_deg=25, radius_rs=-1.0)
+    # the checks of multipass_design, also on a design built directly
+    for bad in (25.5, True, "25"):
+        with pytest.raises(ValueError, match="theta_deg"):
+            MultipassDesign(bad, 1.0)
+    assert MultipassDesign(25.0, 1.0) == multipass_design(25, 1.0)
 
 
 def test_huge_radius_is_a_domain_error_not_an_overflow():
@@ -115,10 +129,9 @@ def test_huge_radius_is_a_domain_error_not_an_overflow():
         with pytest.raises(ValueError):
             multipass_design(theta, radius)
     with pytest.raises(ValueError, match="radius_rs"):
-        MultipassDesign(theta_deg=25, radius_rs=1e300, n_turns=5, area_equiv=1.0)
-    with pytest.raises(ValueError, match="area_equiv"):
-        MultipassDesign(theta_deg=25, radius_rs=1.0, n_turns=5,
-                        area_equiv=math.inf)
+        MultipassDesign(theta_deg=25, radius_rs=1e300)
+    with pytest.raises(ValueError, match="equivalent area"):
+        MultipassDesign(theta_deg=1, radius_rs=1.3e154)
 
 
 def test_numpy_integers_are_integer_degrees():
@@ -139,7 +152,7 @@ def test_huge_numpy_radius_is_a_domain_error_naming_radius_rs():
     OverflowError; the radius is refused by name all the same."""
     np = pytest.importorskip("numpy")
     with pytest.raises(ValueError, match="radius_rs"):
-        MultipassDesign(25, np.float64(1e200), 5, 1.0)
+        MultipassDesign(25, np.float64(1e200))
     with pytest.raises(ValueError, match="radius_rs"):
         multipass_design(25, np.float64(1e200))
     with pytest.raises(ValueError, match="radius_rs"):

@@ -150,6 +150,8 @@ def test_output_validation():
         output_spectrum(PROBE, res, 0.0, default_grid(PROBE))
     with pytest.raises(ValueError):
         output_spectrum(PROBE, res, G, default_grid(PROBE), form="bogus")
+    with pytest.raises(ValueError, match="at least 2 grid points"):
+        default_grid(PROBE, points=1)
 
 
 def test_sampled_spectrum_validation():
@@ -165,6 +167,8 @@ def test_sampled_spectrum_validation():
         SampledSpectrum(np.array([1.0, 2.0]), np.array([1.0]), "exact")
     with pytest.raises(ValueError):
         SampledSpectrum(np.array([1.0, 2.0]), np.array([1.0, 1.0]), "other")
+    with pytest.raises(ValueError, match="^spectrum grid is empty$"):
+        SampledSpectrum([], [], "exact")
 
 
 @pytest.mark.parametrize("probe, span", [

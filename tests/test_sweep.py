@@ -73,6 +73,8 @@ def test_benchmark_models_parameters():
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         _model(area_s=-1.0)
+    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+        _model(alpha=math.nan)
     with pytest.raises(ValueError):
         _model(omega_range=(0.1, -0.1, 201))
     with pytest.raises(ValueError):
@@ -334,6 +336,19 @@ def test_rows_sorted_validation():
     with pytest.raises(ValueError):
         SweepResult(rows=rows, k_analytic=0, k_fitted=0, k_window=(-1, 1),
                     form="exact")
+    with pytest.raises(ValueError, match="postselect_prob 1.5 outside"):
+        SweepResult(rows=(SweepRow(0.0, 0, 0, 0, 0, 1.5),), k_analytic=0,
+                    k_fitted=0, k_window=(-1, 1), form="exact")
+
+
+def test_zero_alpha_pins_the_weak_value_at_plus_one_and_warns():
+    res = run_sweep(_model(alpha=0.0, omega_range=(-0.1, 0.1, 11)))
+    assert any("alpha = 0 makes the n amplitude vanish" in w
+               for w in res.warnings)
+    for row in res.rows:
+        assert weak_value(SelectionConfig(0.0, -0.3, row.phi)).a_w == 1.0
+        assert row.im_aw == 0.0 and row.dlambda_analytic == 0.0
+        assert row.dlambda_fitted == 0.0
 
 
 # ── sensitivity ───────────────────────────────────────────────────────────────

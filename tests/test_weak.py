@@ -75,6 +75,12 @@ def test_weak_value_is_minus_one_when_m_vanishes():
         assert res.a_w == -1.0
 
 
+def test_weak_value_is_plus_one_when_n_vanishes():
+    for phi in (0.0, 1.0, -0.3):
+        res = weak_value(SelectionConfig(0.0, -0.3, phi))
+        assert res.n == 0 and res.a_w == 1.0
+
+
 def test_weak_value_closed_form_at_zero_phase():
     # simplifies to sin(2*alpha+beta)/sin(beta) when phi = 0
     res = weak_value(SelectionConfig(0.1, -0.5, 0.0))
@@ -193,6 +199,12 @@ def test_selection_requires_finite_angles():
 def test_wavelength_shift_zero_for_real_weak_value():
     probe = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
     assert analytic_wavelength_shift(probe, complex(3.0, 0.0)) == 0.0
+
+
+def test_wavelength_shift_requires_a_finite_weak_value():
+    probe = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
+    with pytest.raises(ValueError, match="a_w must be finite"):
+        analytic_wavelength_shift(probe, complex(math.nan, 0.0))
 
 
 def test_wavelength_shift_hand_evaluated():
