@@ -72,10 +72,10 @@ def test_orthogonal_angle_reports_infeasible_not_error():
 
 
 def test_an_orthogonal_only_grid_is_infeasible():
-    # every area of beta = 0 is orthogonal at rest: no area, no fallback scan
+    # every area of beta = 0 is orthogonal at rest: the regime probe ends it
     assert design._min_area_for_beta(_constraints(), 0.0, 1.0, 20.0, []) is None
     sol = min_area(_constraints(), [0.0], (1.0, 20.0))
-    assert not sol.feasible and sol.warnings == ()
+    assert not sol.feasible
     assert all(math.isnan(x) for x in (sol.beta, sol.area_s_min,
                                        sol.k_achieved, sol.peak_intensity))
 
