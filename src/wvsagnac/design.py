@@ -40,7 +40,7 @@ _TIE_REL = 1e-9            # areas this close count as tied between angles
 
 @dataclass(frozen=True)
 class DesignConstraints:
-    i0: float                # source peak intensity (overrides probe.i0)
+    i0: float                # source peak intensity (probe.i0 is set to it)
     i_min: float             # spectrometer detection floor, same units
     delta_lambda_res: float  # smallest resolvable center shift, nm
     omega_target: float      # rotation accuracy to resolve, rad/s
@@ -62,6 +62,7 @@ class DesignConstraints:
                 f"omega_target must be positive, got {self.omega_target}")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        object.__setattr__(self, "probe", replace(self.probe, i0=self.i0))
 
 
 @dataclass(frozen=True)
@@ -124,16 +125,15 @@ def _feasible_rows(beta: float, areas, constraints: DesignConstraints):
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
     c = constraints
-    probe = replace(c.probe, i0=c.i0)
     try:
-        ref_center = _reference_center(probe, c.alpha, beta)
+        ref_center = _reference_center(c.probe, c.alpha, beta)
     except NearOrthogonalSelection as exc:
         for _ in areas:
             yield _orthogonal_report(c, exc)
         return
-    phases = (sagnac_phase(InterferometerConfig.from_nm(s, probe.lambda0),
+    phases = (sagnac_phase(InterferometerConfig.from_nm(s, c.probe.lambda0),
                            c.omega_target) for s in areas)
-    for _, wv, spectrum in _evaluated_rows(probe, c.alpha, beta, phases,
+    for _, wv, spectrum in _evaluated_rows(c.probe, c.alpha, beta, phases,
                                            FORM_EXACT):
         if spectrum is None:
             yield _orthogonal_report(c, wv)
@@ -153,6 +153,8 @@ def _min_area_for_beta(constraints: DesignConstraints, beta: float,
     probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS).tolist()
     reports = list(_feasible_rows(beta, probes, constraints))
     if all(r.reason for r in reports):
+        warnings.append(f"beta = {beta:g}: every probed area is infeasible: "
+                        f"{reports[0].reason}")
         return None
 
     shifts = [r.shift_nm for r in reports]
@@ -231,10 +233,10 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
     the smallest feasible area is located by Illinois regula falsi between
     the last infeasible and the first feasible probe, to BISECTION_REL_TOL
     relative. Outside that regime the solver degrades to an exhaustive scan
-    and says so; the scan fits no area past its answer, so its answer, its
-    errors and its fits are those of a scan one area at a time. The
-    returned solution is the globally smallest area; ties go to the smaller
-    |beta|, then the smaller beta.
+    and says so, and names any angle whose every probed area is orthogonal;
+    the scan fits no area past its answer, so its answer, its errors and its
+    fits are those of a scan one area at a time. The returned area is the
+    least of all angles; ties go to the smaller |beta|, then the smaller beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):
@@ -249,11 +251,10 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
         if found is None:
             continue
         area, rep = found
-        if best is None or area < best[0] * (1.0 - _TIE_REL):
+        if (best is None or area < best[0] * (1.0 - _TIE_REL)
+                or (area <= best[0] * (1.0 + _TIE_REL)
+                    and (abs(beta), beta) < (abs(best[1]), best[1]))):
             best = (area, float(beta), rep)
-        elif area <= best[0] * (1.0 + _TIE_REL):
-            if (abs(beta), beta) < (abs(best[1]), best[1]):
-                best = (area, float(beta), rep)
 
     if best is None:
         return DesignSolution(beta=math.nan, area_s_min=math.nan,

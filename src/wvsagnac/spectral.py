@@ -65,10 +65,10 @@ class SampledSpectrum:
     _fit_setup: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.wavelengths, dtype=float)
-        inten = np.asarray(self.intensities, dtype=float)
-        object.__setattr__(self, "wavelengths", lam)
-        object.__setattr__(self, "intensities", inten)
+        # read-only copies, so that the setup stays that of the spectrum's data
+        lam = np.array(self.wavelengths, dtype=float)
+        inten = np.array(self.intensities, dtype=float)
+        lam.flags.writeable = inten.flags.writeable = False
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
@@ -77,7 +77,7 @@ class SampledSpectrum:
             raise setup()
         if self.form_tag not in (FORM_PAPER, FORM_EXACT):
             raise ValueError(f"unknown form_tag {self.form_tag!r}")
-        object.__setattr__(self, "_fit_setup", setup)
+        vars(self).update(wavelengths=lam, intensities=inten, _fit_setup=setup)
 
 
 def _check_grid(lam: np.ndarray):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -69,8 +69,11 @@ class SweepRow:
     dlambda_analytic: float   # nm
     dlambda_fitted: float     # nm
     postselect_prob: float
-    failed: bool = False
-    note: str = ""
+    failed: bool = field(init=False)  # bool(note)
+    note: str = field(default="", kw_only=True)  # refuses a bool by position
+
+    def __post_init__(self):
+        object.__setattr__(self, "failed", bool(self.note))
 
 
 @dataclass(frozen=True)
@@ -117,18 +120,14 @@ def benchmark_models(lambda0: float, dlambda: float) -> list[ModelSpec]:
 
 
 def _degeneracy_warnings(model: ModelSpec) -> tuple[str, ...]:
-    notes = []
-    if abs(math.sin(model.alpha + model.beta)) < DEGENERACY_TOL:
-        notes.append(
-            f"{model.name}: alpha+beta = {model.alpha + model.beta:g} makes the "
-            "m amplitude vanish identically; the weak value is pinned at -1, "
-            "Im(A_w) = 0, and the first-order center shift is identically zero")
-    if abs(math.sin(model.alpha)) < DEGENERACY_TOL:
-        notes.append(
-            f"{model.name}: alpha = {model.alpha:g} makes the n amplitude vanish "
-            "identically; the weak value is pinned at +1, Im(A_w) = 0, and the "
-            "first-order center shift is identically zero")
-    return tuple(notes)
+    pinned = [("alpha+beta", model.alpha + model.beta, "m", -1),
+              ("alpha", model.alpha, "n", +1)]
+    return tuple(
+        f"{model.name}: {name} = {angle:g} makes the {amplitude} amplitude "
+        f"vanish identically; the weak value is pinned at {a_w:+d}, Im(A_w) = 0, "
+        "and the first-order center shift is identically zero"
+        for name, angle, amplitude, a_w in pinned
+        if abs(math.sin(angle)) < DEGENERACY_TOL)
 
 
 def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]:
@@ -236,7 +235,7 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
                 note = str(exc)
         rows.append(SweepRow(omega=omega, phi=phi, im_aw=im_aw,
                              dlambda_analytic=analytic, dlambda_fitted=fitted,
-                             postselect_prob=prob, failed=bool(note), note=note))
+                             postselect_prob=prob, note=note))
 
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,

@@ -317,6 +317,15 @@ def test_design_infeasible_still_emits_report(runner):
     assert payload["area_s_min_m2"] is None
 
 
+def test_design_names_a_beta_whose_every_area_is_orthogonal(runner):
+    args = [a for a in DESIGN_ARGS if not a.startswith("--beta-grid")]
+    result = runner.invoke(main, args + ["--beta-grid", "0"])
+    assert result.exit_code == 5
+    warning, = json.loads(result.output)["warnings"]
+    assert warning.startswith("beta = 0: every probed area is infeasible: ")
+    assert warning.endswith("the selections are effectively orthogonal")
+
+
 # ── classical ─────────────────────────────────────────────────────────────────
 
 def test_classical_matches_library(runner):
@@ -458,9 +467,10 @@ def test_unparseable_flag_rejected(runner):
 
 def test_unparseable_beta_grid_rejected(runner):
     args = [a for a in DESIGN_ARGS if not a.startswith("--beta-grid")]
-    result = runner.invoke(main, args + ["--beta-grid", ","])
-    assert result.exit_code == 2
-    assert "--beta-grid: cannot parse" in result.stderr
+    for grid in (",", "-0.3,abc"):  # no angle; a token that is not a float
+        result = runner.invoke(main, args + ["--beta-grid", grid])
+        assert result.exit_code == 2
+        assert f"--beta-grid: cannot parse {grid!r}" in result.stderr
 
 
 def test_domain_error_exit_code(runner):

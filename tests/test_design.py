@@ -73,11 +73,20 @@ def test_orthogonal_angle_reports_infeasible_not_error():
 
 def test_an_orthogonal_only_grid_is_infeasible():
     # every area of beta = 0 is orthogonal at rest: the regime probe ends it
-    assert design._min_area_for_beta(_constraints(), 0.0, 1.0, 20.0, []) is None
+    warnings = []
+    assert design._min_area_for_beta(_constraints(), 0.0, 1.0, 20.0,
+                                     warnings) is None
+    reason = feasible(0.0, 1.0, _constraints()).reason
+    assert "effectively orthogonal" in reason
+    assert warnings == [f"beta = 0: every probed area is infeasible: {reason}"]
     sol = min_area(_constraints(), [0.0], (1.0, 20.0))
     assert not sol.feasible
     assert all(math.isnan(x) for x in (sol.beta, sol.area_s_min,
                                        sol.k_achieved, sol.peak_intensity))
+    assert sol.warnings == tuple(warnings)
+    # beside a beta with feasible areas, only beta = 0 is named
+    assert min_area(_constraints(), [0.0, -0.3], (1.0, 20.0)).warnings == (
+        warnings[0],)
 
 
 @settings(max_examples=15, deadline=None)
@@ -189,6 +198,16 @@ def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
     for i in range(10):
         feasible(-0.25, 4.0 + i, _constraints())
     assert len(fits) == 11  # one reference, one fit per call
+
+
+def test_constraints_probe_carries_the_source_i0():
+    cons = DesignConstraints(i0=2.0, i_min=0.0, delta_lambda_res=0.01,
+                             omega_target=0.05, alpha=0.1,
+                             probe=SpectrumModel(1.0, 1550.0, 10.0))
+    assert cons.probe == SpectrumModel(2.0, 1550.0, 10.0)
+    assert replace(cons, i0=3.0).probe.i0 == 3.0
+    assert replace(cons, probe=PROBE).probe.i0 == 2.0
+    assert cons == replace(cons, probe=SpectrumModel(5.0, 1550.0, 10.0))
 
 
 def test_constraints_keep_the_source_probe_out_of_eq_hash_and_repr():

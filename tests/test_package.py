@@ -112,13 +112,17 @@ SIMULATE = ["simulate", "--alpha", "0.1", "--beta", "-0.3", "--area", "16",
             "--grid-points", "64"]
 
 
-def _imported_modules(args, cwd):
-    """Exit code and the modules a `python -m wvsagnac.cli` child imported."""
+def _child(args, cwd):
+    """A finished `python ARGS` child that imports this source tree."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
-                           "wvsagnac.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _imported_modules(args, cwd):
+    """Exit code and the modules a `python -m wvsagnac.cli` child imported."""
+    proc = _child(["-X", "importtime", "-m", "wvsagnac.cli", *args], cwd)
     modules = {line.rsplit("|", 1)[1].strip()
                for line in proc.stderr.splitlines()
                if line.startswith("import time:") and "|" in line}
@@ -149,3 +153,13 @@ def test_simulate_imports_numpy(tmp_path):
     code, modules = _imported_modules(SIMULATE, tmp_path)
     assert code == 0
     assert "numpy" in modules
+
+
+def test_a_lazy_module_is_served_by_the_package(tmp_path):
+    """In a fresh interpreter `wvsagnac.design` is not yet bound, so the
+    package __getattr__ imports the submodule and returns it."""
+    proc = _child(["-c", "import sys, wvsagnac\n"
+                   "assert 'design' not in vars(wvsagnac)\n"
+                   "assert wvsagnac.design is sys.modules['wvsagnac.design']"],
+                  tmp_path)
+    assert proc.returncode == 0, proc.stderr

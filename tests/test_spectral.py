@@ -259,6 +259,13 @@ def test_fit_rejects_degenerate_input():
     sparse[10:20] = 1.0  # only 10 nonzero samples
     with pytest.raises(ValueError):
         fit_center(SampledSpectrum(lam, sparse, "exact"))
+    # on a grid spaced by the smallest subnormal, each trapezoid of 0.4 rounds
+    # to zero, and 0.75 has a positive total but its variance rounds to zero
+    tiny = np.arange(1, 65) * 5e-324
+    for level, message in ((0.4, "^spectrum has zero total intensity$"),
+                           (0.75, "^spectrum is too narrow or too weak")):
+        with pytest.raises(DegenerateInput, match=message):
+            fit_center(SampledSpectrum(tiny, np.full(tiny.size, level), "exact"))
 
 
 @pytest.mark.parametrize("scale, quantity", [
@@ -451,6 +458,36 @@ def test_a_replaced_spectrum_gets_its_own_setup():
     with pytest.raises(DegenerateInput, match="all-zero"):
         fit_center(zeroed)
     assert repr(fit_center(dataclasses.replace(spec))) == repr(fit_center(spec))
+
+
+def test_a_spectrum_keeps_its_data_when_the_caller_rewrites_the_buffer():
+    """A spectrum holds its own copies, so its setup stays that of its data:
+    refilling the caller's arrays, even with negative values, changes
+    nothing it reports."""
+    lam = np.linspace(1510.0, 1590.0, 512)
+    inten = np.exp(-((lam - 1550.0) / 9.0) ** 2)
+    spec = SampledSpectrum(lam, inten, "exact")
+    want = repr(fit_center(spec))
+    inten[:] = np.exp(-((lam - 1580.0) / 9.0) ** 2)  # moved 30 nm
+    assert repr(fit_center(spec)) == want
+    inten[:] = -1.0
+    lam[:] = 0.0
+    assert repr(fit_center(spec)) == want
+    assert spec.intensities.min() > 0 and spec.wavelengths[0] == 1510.0
+
+
+def test_every_spectrum_is_read_only():
+    lam = np.linspace(1510.0, 1590.0, 512)
+    alone = SampledSpectrum(lam, np.exp(-((lam - 1550.0) / 9.0) ** 2), "exact")
+    built = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    row, = _stack(PROBE, "exact", [0.05])
+    for spec in (alone, built, row):
+        for arr in (spec.wavelengths, spec.intensities):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = -1.0
+        copy = dataclasses.replace(spec)
+        assert repr(fit_center(copy)) == repr(fit_center(spec))
 
 
 def test_each_fit_of_a_refused_row_raises_a_fresh_exception():

@@ -196,7 +196,7 @@ def test_fit_failure_row_stays_isolated(monkeypatch):
     with pytest.raises(FitFailure) as err:
         _oracle_fit(PROBE, 0.1, -0.3, row.phi)
     assert row.note == str(err.value)
-    assert replace(row, failed=False, note="", dlambda_fitted=0.0) == replace(
+    assert replace(row, note="", dlambda_fitted=0.0) == replace(
         clean.rows[5], dlambda_fitted=0.0)
     assert [repr(r) for i, r in enumerate(result.rows) if i != 5] == [
         repr(r) for i, r in enumerate(clean.rows) if i != 5]
@@ -329,6 +329,20 @@ def test_result_is_frozen():
     assert not hasattr(swept.rows, "append")
     assert hash(swept) == hash(run_sweep(_model(beta=-0.1,
                                                 omega_range=(-0.02, 0.02, 5))))
+
+
+def test_failed_is_worked_out_from_the_note():
+    row = SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
+    assert row.failed is False
+    bad = replace(row, note="planted")
+    assert bad.failed is True and replace(bad, note="").failed is False
+    assert repr(bad) == ("SweepRow(omega=0.0, phi=0.0, im_aw=0.0, "
+                         "dlambda_analytic=0.0, dlambda_fitted=0.0, "
+                         "postselect_prob=0.5, failed=True, note='planted')")
+    with pytest.raises(TypeError, match="failed"):
+        SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.5, failed=True)
+    with pytest.raises(TypeError):  # a bool by position, where `failed` stood
+        SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 0.5, True)
 
 
 def test_rows_sorted_validation():
