@@ -8,25 +8,25 @@ the detection floor.
 
 Each angle's smallest area is found by Illinois regula falsi on the shift
 margin to BISECTION_REL_TOL (1e-4) relative, started from the bracketing
-pair of an 8-point regime probe.
-
-Every candidate area, of the regime probe, the fallback scan or a regula
-falsi step, is fit bit for bit as feasible() would fit it.
+pair of an 8-point probe whose regime the first-order shift and the peaks
+decide with no fit. Every candidate area that is fit, in the probe, the
+scan or a regula falsi step, is fit bit for bit as feasible() would fit it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import FORM_EXACT, SpectrumModel, fit_center
+from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, fit_center
 from .sweep import _evaluated_rows, reference_center
-from .weak import sagnac_phase
+from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
+                   weak_value)
 
 # Relative width of the final area bracket: the returned area is feasible and
 # lies within this of an infeasible one. Named for the whole-bracket bisection
@@ -107,82 +107,113 @@ def feasible(beta: float, area_s: float,
     return report
 
 
-def _orthogonal_report(c: DesignConstraints,
-                       exc: NearOrthogonalSelection) -> FeasibilityReport:
-    return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
-                             math.nan, reason=str(exc))
-
-
-def _feasible_rows(beta: float, areas, constraints: DesignConstraints):
-    """Yield feasible(beta, s, constraints) for each positive area s of
-    `areas`, in order, bit for bit, reading the spectra at the target rate
-    out as stacks (sweep._evaluated_rows).
-
-    Each candidate is fit only when its report is asked for, so a caller
-    that stops early fits nothing past its answer; the stack it stopped in
-    has its spectra built, and any error of a row is raised at its turn.
-    """
+def _rows(beta: float, areas, c: DesignConstraints):
+    """Yield (weak value, spectrum at the target rate) for each positive area
+    of `areas`, in order, from stacks (sweep._evaluated_rows), unfit; a row or
+    reference that is effectively orthogonal yields its error and None."""
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    c = constraints
     try:
-        ref_center = _reference_center(c.probe, c.alpha, beta)
+        _reference_center(c.probe, c.alpha, beta)  # fit once, read by _report
     except NearOrthogonalSelection as exc:
-        for _ in areas:
-            yield _orthogonal_report(c, exc)
+        yield from ((exc, None) for _ in areas)
         return
     phases = (sagnac_phase(InterferometerConfig.from_nm(s, c.probe.lambda0),
                            c.omega_target) for s in areas)
     for _, wv, spectrum in _evaluated_rows(c.probe, c.alpha, beta, phases,
                                            FORM_EXACT):
-        if spectrum is None:
-            yield _orthogonal_report(c, wv)
-            continue
-        shift = abs(fit_center(spectrum).center - ref_center)
-        peak = spectrum._fit_setup.peak  # the stack's row maximum
-        yield FeasibilityReport(
-            feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
-            peak_intensity=peak, intensity_margin=peak - c.i_min,
-            shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
-            im_aw=wv.a_w.imag)
+        yield wv, spectrum
 
 
-def _min_area_for_beta(constraints: DesignConstraints, beta: float,
+def _peak(spectrum) -> float:  # the row maximum; raises the error its fit would
+    setup = spectrum._fit_setup
+    if callable(setup):
+        raise setup()
+    return setup.peak
+
+
+def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityReport:
+    """feasible()'s report of a row of _rows, fit here."""
+    if spectrum is None:
+        return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
+                                 math.nan, reason=str(wv))
+    shift = abs(fit_center(spectrum).center
+                - _reference_center(c.probe, c.alpha, beta))
+    peak = _peak(spectrum)
+    return FeasibilityReport(
+        feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
+        peak_intensity=peak, intensity_margin=peak - c.i_min,
+        shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
+        im_aw=wv.a_w.imag)
+
+
+def _feasible_rows(beta: float, areas, c: DesignConstraints):
+    """Yield feasible(beta, s, c) for each positive area s of `areas`, in
+    order, bit for bit, from the stacks of _rows.
+
+    Each candidate is fit only when its report is asked for, so a caller
+    that stops early fits nothing past its answer; the stack it stopped in
+    has its spectra built, and any error of a row is raised at its turn.
+    """
+    return (_report(c, beta, *row) for row in _rows(beta, areas, c))
+
+
+def _ruled_out(c: DesignConstraints, beta: float, area_s: float) -> bool:
+    """Whether the first-order shift alone shows an area infeasible: inside
+    the monotone bound on |Im A_w|, the fitted shift stays below twice the
+    first-order one plus, for each of its two centers, five times the fits'
+    stop tolerance and three times a fit's rounding floor, sqrt(eps) * W."""
+    phi = sagnac_phase(InterferometerConfig.from_nm(area_s, c.probe.lambda0),
+                       c.omega_target)
+    try:
+        a_w = weak_value(SelectionConfig(c.alpha, beta, phi)).a_w
+    except NearOrthogonalSelection:
+        return False
+    return (abs(a_w.imag) <= MONOTONE_IM_AW_MAX
+            and 2.0 * abs(analytic_wavelength_shift(c.probe, a_w))
+            + 1e-7 * c.probe.width_dlambda + 10 * FIT_RELATIVE_TOL * c.probe.lambda0
+            < c.delta_lambda_res)
+
+
+def _min_area_for_beta(c: DesignConstraints, beta: float,
                        s_lo: float, s_hi: float, warnings: list[str]
                        ) -> tuple[float, FeasibilityReport] | None:
     probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS).tolist()
-    reports = list(_feasible_rows(beta, probes, constraints))
-    if all(r.reason for r in reports):
+    rows = list(_rows(beta, probes, c))  # one stack, nothing fit yet
+    if all(spectrum is None for _, spectrum in rows):
         warnings.append(f"beta = {beta:g}: every probed area is infeasible: "
-                        f"{reports[0].reason}")
+                        f"{rows[0][0]}")
         return None
 
-    shifts = [r.shift_nm for r in reports]
-    flags = [r.feasible for r in reports]
-    in_regime = (
-        all(not r.reason for r in reports)
-        and all(abs(r.im_aw) <= MONOTONE_IM_AW_MAX for r in reports)
-        and all(b - a >= -1e-12 for a, b in zip(shifts, shifts[1:]))
-        and flags == sorted(flags)  # infeasible areas strictly before feasible ones
-    )
-
-    if in_regime:
-        if reports[0].feasible:
-            return probes[0], reports[0]
-        if not reports[-1].feasible:
-            return None
-        k = flags.index(True)
-        return _illinois(constraints, beta, probes[k - 1], reports[k - 1],
-                         probes[k], reports[k])
+    # the regime, with no fit: first-order shifts that never fall, and no peak
+    # that falls through the detection floor (it can hide a feasible interval)
+    if all(sp is not None and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
+           for wv, sp in rows):
+        shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for wv, _ in rows]
+        detected = [_peak(spectrum) >= c.i_min for _, spectrum in rows]
+        if (all(b >= a for a, b in zip(shifts, shifts[1:]))
+                and detected == sorted(detected)):
+            # fit from the first probe predicted feasible (else the last) to
+            # the adjacent fitted (infeasible, feasible) pair, hi - 1 and hi
+            report = cache(lambda k: _report(c, beta, *rows[k]))
+            hi = next((k for k, (shift, ok) in enumerate(zip(shifts, detected))
+                       if ok and shift >= c.delta_lambda_res), len(rows) - 1)
+            while hi > 0 and report(hi).feasible and report(hi - 1).feasible:
+                hi -= 1
+            while hi < len(rows) and not report(hi).feasible:
+                hi += 1
+            if hi in (0, len(rows)):
+                return (probes[0], report(0)) if hi == 0 else None
+            return _illinois(c, beta, probes[hi - 1], report(hi - 1),
+                             probes[hi], report(hi))
 
     warnings.append(
         f"beta = {beta:g}: response is outside the verified-monotone regime; "
         f"falling back to an exhaustive {FALLBACK_SCAN_POINTS}-point area scan")
-    scan = np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
-    for s, rep in zip(scan, _feasible_rows(beta, scan, constraints)):
-        if rep.feasible:
-            return s, rep
-    return None
+    scan = [s for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
+            if not _ruled_out(c, beta, s)]
+    return next(((s, rep) for s, rep in zip(scan, _feasible_rows(beta, scan, c))
+                 if rep.feasible), None)
 
 
 def _illinois(constraints: DesignConstraints, beta: float,
@@ -228,15 +259,17 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
              area_bracket: tuple[float, float]) -> DesignSolution:
     """Smallest feasible loop area over the post-selection angle grid.
 
-    For each angle an 8-point probe first confirms the regime where the
-    shift magnitude grows monotonically with area (|Im A_w| small); there
-    the smallest feasible area is located by Illinois regula falsi between
-    the last infeasible and the first feasible probe, to BISECTION_REL_TOL
-    relative. Outside that regime the solver degrades to an exhaustive scan
-    and says so, and names any angle whose every probed area is orthogonal;
-    the scan fits no area past its answer, so its answer, its errors and its
-    fits are those of a scan one area at a time. The returned area is the
-    least of all angles; ties go to the smaller |beta|, then the smaller beta.
+    For each angle an 8-point probe first confirms, with no fit, the regime
+    where the shift grows monotonically with area: |Im A_w| at most
+    MONOTONE_IM_AW_MAX, first-order shifts that never fall and no detected
+    peak before an undetected one. There Illinois regula falsi locates the
+    smallest feasible area, to BISECTION_REL_TOL relative, between adjacent
+    infeasible and feasible probes. Outside it the solver says so and scans,
+    skipping unfit the areas the first-order shift rules out, and names any
+    angle whose every probed area is orthogonal. The scan answers as a scan
+    one area at a time, fits no area past its answer and raises no error of
+    an area it skips. The returned area is the least of all angles; ties go
+    to the smaller |beta|, then the smaller beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):

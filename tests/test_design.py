@@ -1,10 +1,13 @@
 """Inverse design solver: feasibility reports and minimum-area search."""
 
+import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -279,8 +282,9 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     """At beta = -0.15 over (1, 60) |Im A_w| leaves the monotone regime, so
     the solver scans; the shift grows along the scan, so a resolution floor
     at the shift of one scan area makes that area the first feasible one.
-    The stacked scan returns the same area, report and warning, and fits
-    no area past its answer."""
+    The stacked scan returns the same area, report and warning. It fits no
+    probe area and no area past its answer, and the first-order screen
+    spares it the fits of the areas below the floor."""
     beta, s_lo, s_hi = -0.15, 1.0, 60.0
     scan = np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS).tolist()
     shifts = [r.shift_nm for r in design._feasible_rows(beta, scan, _constraints())]
@@ -289,12 +293,22 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     cons = _constraints(res=res)
     expected = _sequential_scan(cons, beta, s_lo, s_hi)
 
-    fits = []
+    built = []  # (spectrum, its area, which stack call built it)
+    rows = design._rows
+
+    def recorded(beta, areas, constraints):
+        areas, call = list(areas), len({c for _, _, c in built})
+        for s, row in zip(areas, rows(beta, areas, constraints)):
+            built.append((row[1], s, call))
+            yield row
+
+    fitted = []
 
     def counted(spec):
-        fits.append(1)
+        fitted.append(next((s, c) for b, s, c in built if b is spec))
         return spectral.fit_center(spec)
 
+    monkeypatch.setattr(design, "_rows", recorded)
     monkeypatch.setattr(design, "fit_center", counted)
     warnings = []
     found = design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings)
@@ -306,8 +320,10 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
         assert found is None
     else:
         assert found[0] == scan[first]
+        assert all(s <= found[0] for s, _ in fitted)
+    assert all(call > 0 for _, call in fitted)  # the probe stack is call 0
     scanned = design.FALLBACK_SCAN_POINTS if first is None else first + 1
-    assert len(fits) == design.MONOTONE_PROBE_POINTS + scanned
+    assert len(fitted) <= scanned
 
 
 # ── root-finding against a plain bisection ────────────────────────────────────
@@ -361,28 +377,166 @@ def test_min_area_matches_a_plain_bisection(betas, planted_area, i_min,
 
 
 def test_root_finding_needs_few_feasibility_evaluations(monkeypatch):
-    """Counts every candidate area evaluated: the rows of the stacked probe
-    and scan, and the feasible() calls, each of which is a stack of one."""
-    calls = []
-    stacked = design._feasible_rows
+    """Counts every fit_center call, the zero-rotation references' included:
+    the probe stack is fit only at the bracketing pair its first-order
+    shifts point to, and regula falsi closes the bracket in a few steps."""
+    fits = []
 
-    def counted(beta, areas, constraints):
-        for rep in stacked(beta, areas, constraints):
-            calls.append(rep)
-            yield rep
+    def counted(spec):
+        fits.append(spec)
+        return spectral.fit_center(spec)
 
-    monkeypatch.setattr(design, "_feasible_rows", counted)
+    monkeypatch.setattr(design, "fit_center", counted)
+    monkeypatch.setattr(sweep, "fit_center", counted)  # the references
+    design._reference_center.cache_clear()
     cons = _constraints(i_min=0.005, res=0.01)
     betas = [-0.5, -0.3, -0.2]  # the README design
     sol = min_area(cons, betas, (1.0, 20.0))
     assert sol.feasible and not sol.warnings
-    assert len(calls) <= 35  # bisecting the whole bracket took 68
+    # 3 references and 4 fits per beta; fitting every probe took 33
+    assert len(fits) <= 15
     for beta in betas:
-        calls.clear()
+        fits.clear()
         warnings = []
         area, _ = design._min_area_for_beta(cons, beta, 1.0, 20.0, warnings)
         assert not warnings and area > 1.0
-        assert design.MONOTONE_PROBE_POINTS < len(calls) <= 12
+        assert len(fits) <= 4  # the reference is cached
+
+
+# ── the fit-free regime against fitting every probe ───────────────────────────
+
+def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
+    """The solver that took its regime from the fits of all 8 probe areas,
+    inside that regime; `regimes` records whether the regime held, and an
+    angle outside it is None here. Where the probe peaks fall through the
+    detection floor that regime is not recorded as holding: there it could
+    miss a feasible interval between two probes (see
+    test_a_feasible_interval_between_two_probes_is_found)."""
+    probes = np.linspace(s_lo, s_hi, design.MONOTONE_PROBE_POINTS).tolist()
+    reports = list(design._feasible_rows(beta, probes, cons))
+    shifts = [r.shift_nm for r in reports]
+    flags = [r.feasible for r in reports]
+    detected = [r.peak_intensity >= cons.i_min for r in reports]
+    regimes.append(
+        all(not r.reason for r in reports)
+        and all(abs(r.im_aw) <= design.MONOTONE_IM_AW_MAX for r in reports)
+        and all(b - a >= -1e-12 for a, b in zip(shifts, shifts[1:]))
+        and flags == sorted(flags) and detected == sorted(detected))
+    if not (regimes[-1] and flags[-1]):
+        return None
+    if flags[0]:
+        return probes[0], reports[0]
+    k = flags.index(True)
+    return design._illinois(cons, beta, probes[k - 1], reports[k - 1],
+                            probes[k], reports[k])
+
+
+@settings(max_examples=30, deadline=None)
+@given(betas=st.lists(st.floats(-0.55, -0.15), min_size=1, max_size=3),
+       s_lo=st.floats(1.0, 79.0), span=st.floats(0.01, 1.0),
+       planted=st.floats(0.0, 1.0), res_scale=st.floats(0.0, 1.5),
+       i_scale=st.floats(0.0, 1.02), omega=st.floats(0.01, 0.1),
+       width_ratio=st.floats(1e-4, 0.06))
+@example(betas=[-0.5, -0.3, -0.2], s_lo=1.0, span=19 / 79, planted=0.43,
+         res_scale=1.0, i_scale=0.1, omega=0.05, width_ratio=10 / 1550)
+@example(betas=[-0.2], s_lo=2.0, span=0.2, planted=0.0, res_scale=0.9,
+         i_scale=0.5, omega=0.1, width_ratio=1e-4)
+@example(betas=[-0.25, -0.35], s_lo=1.0, span=0.3, planted=1.0, res_scale=1.2,
+         i_scale=0.0, omega=0.05, width_ratio=0.06)
+def test_fit_free_regime_matches_fitting_every_probe(
+        betas, s_lo, span, planted, res_scale, i_scale, omega, width_ratio):
+    """Wherever the regime taken from all 8 probe fits holds, with no peak
+    falling through the detection floor, the solver that decides it from
+    first-order shifts and peaks, and fits only the bracketing probes, gives
+    the same solution, bit for bit."""
+    probe = SpectrumModel(i0=1.0, lambda0=1550.0,
+                          width_dlambda=width_ratio * 1550.0)
+    base = DesignConstraints(i0=1.0, i_min=0.0, delta_lambda_res=0.0,
+                             omega_target=omega, alpha=0.1, probe=probe)
+    bracket = (s_lo, s_lo + span * (80.0 - s_lo))
+    rep = feasible(betas[0], bracket[0] + planted * (bracket[1] - bracket[0]),
+                   base)
+    cons = replace(base, i_min=i_scale * rep.peak_intensity,
+                   delta_lambda_res=res_scale * rep.shift_nm)
+    solution = min_area(cons, betas, bracket)
+    regimes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(design, "_min_area_for_beta",
+                   partial(_fit_every_probe, regimes=regimes))
+        reference = min_area(cons, betas, bracket)
+    if all(regimes):
+        assert repr(solution) == repr(reference)
+
+
+RECORDED = json.loads((Path(__file__).parent / "recorded_designs.json").read_text())
+
+
+@pytest.mark.parametrize("record", RECORDED["designs"],
+                         ids=[re.sub(r"\W+", "_", r["case"]).strip("_")
+                              for r in RECORDED["designs"]])
+def test_design_matches_recorded_parent_design(record):
+    """min_area as recorded by the solver that fit every probe: the same
+    angle, area, k, peak, verdict and warnings, bit for bit."""
+    cons = DesignConstraints(probe=SpectrumModel(**record["probe"]),
+                             **record["constraints"])
+    sol = min_area(cons, record["beta_grid"], tuple(record["area_bracket"]))
+    expected = record["solution"]
+    assert sol.feasible is expected["feasible"]
+    assert list(sol.warnings) == expected["warnings"]
+    for name in ("beta", "area_s_min", "k_achieved", "peak_intensity"):
+        assert getattr(sol, name).hex() == expected[name], name
+
+
+def test_a_feasible_interval_between_two_probes_is_found():
+    """Peaks fall with area at beta = -0.15. With the detection floor
+    between the 5th and 6th probe peaks and the resolution floor just above
+    the 5th probe's shift, no probe is feasible, yet the areas from about
+    23.5 to 27 are. Peaks that fall through the floor leave the regime, so
+    the scan finds the interval, where fitting every probe read the all-
+    infeasible flags as sorted and returned no area."""
+    cons = _constraints(i_min=0.022305, res=0.0228)
+    probes = np.linspace(1.0, 40.0, design.MONOTONE_PROBE_POINTS).tolist()
+    reports = list(design._feasible_rows(-0.15, probes, cons))
+    assert reports[4].peak_intensity > cons.i_min > reports[5].peak_intensity
+    assert not any(r.feasible for r in reports)
+    assert feasible(-0.15, 25.0, cons).feasible
+    warnings = []
+    found = design._min_area_for_beta(cons, -0.15, 1.0, 40.0, warnings)
+    assert repr(found) == repr(_sequential_scan(cons, -0.15, 1.0, 40.0))
+    assert 23.3 < found[0] < 23.8
+    assert warnings == [
+        "beta = -0.15: response is outside the verified-monotone regime; "
+        "falling back to an exhaustive 256-point area scan"]
+
+
+# ── the first-order screen of the fallback scan ───────────────────────────────
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.one_of(st.floats(-0.55, -0.15), st.floats(-0.11, -0.09)),
+       area_s=st.floats(1.0, 80.0), omega=st.floats(1e-9, 0.1),
+       width_ratio=st.floats(1e-4, 0.06), lambda0=st.sampled_from([800.0, 1550.0]))
+@example(beta=-0.105, area_s=40.0, omega=0.05, width_ratio=10 / 1550, lambda0=1550.0)
+@example(beta=-0.0905, area_s=80.0, omega=0.1, width_ratio=0.06, lambda0=1550.0)
+@example(beta=-0.3, area_s=1.0, omega=1e-9, width_ratio=1e-4, lambda0=1550.0)  # ~1e-13 nm
+@example(beta=-0.15, area_s=60.0, omega=0.05, width_ratio=10 / 1550, lambda0=1550.0)
+@example(beta=-0.55, area_s=1.0, omega=1e-9, width_ratio=0.0587, lambda0=800.0)  # wide
+def test_the_screen_skips_only_infeasible_areas(beta, area_s, omega,
+                                                width_ratio, lambda0):
+    """The fallback scan skips an area, unfitted, when |Im A_w| is inside the
+    monotone bound and twice its first-order shift, plus the allowance for
+    the fitted centers' rounding and stop tolerance, is below the resolution
+    floor. Every floor at which the area is feasible lies at or above its
+    fitted shift, so the screen must keep the area at that floor. Near
+    beta = -alpha the Re(A_w)^2 term brings the fitted shift closest to the
+    first-order one, near 1e-13 nm fit noise is of the shift's size, and for
+    a wide probe the noise of the fitted centers is above 1e-9 nm."""
+    probe = SpectrumModel(i0=1.0, lambda0=lambda0,
+                          width_dlambda=width_ratio * lambda0)
+    cons = DesignConstraints(i0=1.0, i_min=0.0, delta_lambda_res=0.0,
+                             omega_target=omega, alpha=0.1, probe=probe)
+    shift = feasible(beta, area_s, cons).shift_nm
+    assert not design._ruled_out(replace(cons, delta_lambda_res=shift),
+                                 beta, area_s)
 
 
 @pytest.mark.parametrize("margin, feasible_at", [

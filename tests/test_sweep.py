@@ -444,3 +444,27 @@ def test_amplification_grows_as_selection_closes():
     k_03 = run_sweep(_model(beta=-0.3)).k_analytic
     k_05 = run_sweep(_model(beta=-0.5)).k_analytic
     assert k_03 > k_05
+
+
+@pytest.mark.parametrize("width, exact_band, paper_band", [
+    (10.0, (0.99755, 0.99802), (0.99752, 0.99763)),
+    (40.0, (0.9616, 0.9686), (0.9611, 0.9624)),
+    (100.0, (0.787, 0.824), (0.784, 0.790)),
+])
+def test_fitted_shift_falls_short_of_first_order_by_the_squared_width(
+        width, exact_band, paper_band):
+    """analytic_wavelength_shift's docstring: at lambda0 = 1550 nm, with
+    |Im A_w| <= 0.05 over the design's selections (alpha = 0.1, beta in
+    [-0.55, -0.15], 16 m^2, +/-0.1 rad/s), the fitted shift is this fraction
+    of the first-order one. The paper form, without the Re(A_w)^2 term,
+    falls short by about 58 (W/lambda0)^2 at any selection; the Re(A_w)^2
+    term adds a selection-dependent part of the same order."""
+    probe = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=width)
+    for form, (lo, hi) in (("exact", exact_band), ("paper", paper_band)):
+        ratios = [row.dlambda_fitted / row.dlambda_analytic
+                  for beta in np.linspace(-0.55, -0.15, 5)
+                  for row in run_sweep(ModelSpec("m", 16.0, 0.1, float(beta), probe,
+                                                 (-0.1, 0.1, 9)), form).rows
+                  if abs(row.im_aw) <= 0.05 and row.dlambda_analytic != 0.0]
+        assert len(ratios) == 40
+        assert lo <= min(ratios) and max(ratios) <= hi, form
