@@ -9,8 +9,9 @@ the detection floor.
 Each angle's smallest area is found by Illinois regula falsi on the shift
 margin to BISECTION_REL_TOL (1e-4) relative, started from the bracketing
 pair of an 8-point probe whose regime the first-order shift and the peaks
-decide with no fit. Every candidate area that is fit, in the probe, the
-scan or a regula falsi step, is fit bit for bit as feasible() would fit it.
+decide with no fit. Each angle is read in one pass, which screens and fits
+an area, and fits the zero-rotation reference, only when it reaches them;
+every area it fits is fit bit for bit as feasible() would fit it.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
+from itertools import tee
 
 import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, fit_center
+from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, _setup, fit_center
 from .sweep import _evaluated_rows, reference_center
 from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
                    weak_value)
@@ -48,8 +50,7 @@ class DesignConstraints:
     probe: SpectrumModel
 
     def __post_init__(self):
-        if not (math.isfinite(self.i0) and self.i0 > 0):
-            raise ValueError(f"i0 must be positive, got {self.i0}")
+        object.__setattr__(self, "probe", replace(self.probe, i0=self.i0))  # checks i0
         # zero floors are allowed: they make the corresponding constraint vacuous
         if not (math.isfinite(self.i_min) and 0 <= self.i_min < self.i0):
             raise ValueError(
@@ -62,7 +63,6 @@ class DesignConstraints:
                 f"omega_target must be positive, got {self.omega_target}")
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        object.__setattr__(self, "probe", replace(self.probe, i0=self.i0))
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,16 @@ def feasible(beta: float, area_s: float,
     """
     if not (math.isfinite(area_s) and area_s > 0):
         raise ValueError(f"area_s must be positive, got {area_s}")
-    report, = _feasible_rows(beta, [area_s], constraints)
-    return report
+    row, = _rows(beta, [area_s], constraints)
+    return _report(constraints, beta, *row)
 
 
 def _rows(beta: float, areas, c: DesignConstraints):
     """Yield (weak value, spectrum at the target rate) for each positive area
     of `areas`, in order, from stacks (sweep._evaluated_rows), unfit; a row or
-    reference that is effectively orthogonal yields its error and None."""
-    if not math.isfinite(beta):
-        raise ValueError("beta must be finite")
+    reference selection that is effectively orthogonal yields its error and None."""
     try:
-        _reference_center(c.probe, c.alpha, beta)  # fit once, read by _report
+        weak_value(SelectionConfig(c.alpha, beta, 0.0))  # is the reference orthogonal?
     except NearOrthogonalSelection as exc:
         yield from ((exc, None) for _ in areas)
         return
@@ -125,37 +123,19 @@ def _rows(beta: float, areas, c: DesignConstraints):
         yield wv, spectrum
 
 
-def _peak(spectrum) -> float:  # the row maximum; raises the error its fit would
-    setup = spectrum._fit_setup
-    if callable(setup):
-        raise setup()
-    return setup.peak
-
-
 def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityReport:
-    """feasible()'s report of a row of _rows, fit here."""
+    """feasible()'s report of a row of _rows, fit here with its reference."""
     if spectrum is None:
         return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
                                  math.nan, reason=str(wv))
-    shift = abs(fit_center(spectrum).center
-                - _reference_center(c.probe, c.alpha, beta))
-    peak = _peak(spectrum)
+    reference = _reference_center(c.probe, c.alpha, beta)
+    shift = abs(fit_center(spectrum).center - reference)
+    peak = _setup(spectrum).peak
     return FeasibilityReport(
         feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
         peak_intensity=peak, intensity_margin=peak - c.i_min,
         shift_nm=shift, shift_margin_nm=shift - c.delta_lambda_res,
         im_aw=wv.a_w.imag)
-
-
-def _feasible_rows(beta: float, areas, c: DesignConstraints):
-    """Yield feasible(beta, s, c) for each positive area s of `areas`, in
-    order, bit for bit, from the stacks of _rows.
-
-    Each candidate is fit only when its report is asked for, so a caller
-    that stops early fits nothing past its answer; the stack it stopped in
-    has its spectra built, and any error of a row is raised at its turn.
-    """
-    return (_report(c, beta, *row) for row in _rows(beta, areas, c))
 
 
 def _ruled_out(c: DesignConstraints, beta: float, area_s: float) -> bool:
@@ -190,9 +170,12 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
     if all(sp is not None and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
            for wv, sp in rows):
         shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for wv, _ in rows]
-        detected = [_peak(spectrum) >= c.i_min for _, spectrum in rows]
+        detected = [_setup(spectrum).peak >= c.i_min for _, spectrum in rows]
         if (all(b >= a for a, b in zip(shifts, shifts[1:]))
                 and detected == sorted(detected)):
+            # an undetected or screened-out largest area leaves none feasible
+            if not detected[-1] or _ruled_out(c, beta, probes[-1]):
+                return None
             # fit from the first probe predicted feasible (else the last) to
             # the adjacent fitted (infeasible, feasible) pair, hi - 1 and hi
             report = cache(lambda k: _report(c, beta, *rows[k]))
@@ -210,10 +193,10 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
     warnings.append(
         f"beta = {beta:g}: response is outside the verified-monotone regime; "
         f"falling back to an exhaustive {FALLBACK_SCAN_POINTS}-point area scan")
-    scan = [s for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
-            if not _ruled_out(c, beta, s)]
-    return next(((s, rep) for s, rep in zip(scan, _feasible_rows(beta, scan, c))
-                 if rep.feasible), None)
+    areas, scan = tee(s for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
+                      if not _ruled_out(c, beta, s))
+    return next(((s, rep) for s, row in zip(scan, _rows(beta, areas, c))
+                 if (rep := _report(c, beta, *row)).feasible), None)
 
 
 def _illinois(constraints: DesignConstraints, beta: float,
@@ -262,14 +245,17 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
     For each angle an 8-point probe first confirms, with no fit, the regime
     where the shift grows monotonically with area: |Im A_w| at most
     MONOTONE_IM_AW_MAX, first-order shifts that never fall and no detected
-    peak before an undetected one. There Illinois regula falsi locates the
-    smallest feasible area, to BISECTION_REL_TOL relative, between adjacent
-    infeasible and feasible probes. Outside it the solver says so and scans,
-    skipping unfit the areas the first-order shift rules out, and names any
-    angle whose every probed area is orthogonal. The scan answers as a scan
-    one area at a time, fits no area past its answer and raises no error of
-    an area it skips. The returned area is the least of all angles; ties go
-    to the smaller |beta|, then the smaller beta.
+    peak before an undetected one. There an angle fits nothing if its largest
+    probe is undetected or screened out (below), and Illinois regula falsi
+    locates the smallest feasible area, to BISECTION_REL_TOL relative,
+    between adjacent infeasible and feasible probes. Outside it the solver
+    says so and scans, screening each area as it reaches it and skipping,
+    unfit, those the first-order shift rules out; it names any angle whose
+    every probed area is orthogonal. The scan answers as a scan one area at
+    a time, fits no area past its answer and raises no error of an area it
+    skips. An angle's reference is fit with its first candidate. The least
+    area of all angles is returned; ties go to the smaller |beta|, then the
+    smaller beta.
     """
     s_lo, s_hi = area_bracket
     if not (math.isfinite(s_lo) and math.isfinite(s_hi) and 0 < s_lo < s_hi):

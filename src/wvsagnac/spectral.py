@@ -342,6 +342,14 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray
     return setups
 
 
+def _setup(spec: SampledSpectrum) -> _FitSetup:
+    """`spec`'s fit window and start, or raise the error its fit raises."""
+    setup = spec._fit_setup
+    if not isinstance(setup, _FitSetup):
+        raise setup()
+    return setup
+
+
 def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
                     width: float, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
     """u = exp(-z^2), z = (lam - center)/width, and the residual peak*u - y;
@@ -445,10 +453,7 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     and its fitted peak divided by it, which is exact; one whose fit window
     holds a nonzero sample below the smallest normal float is refused.
     """
-    setup = spec._fit_setup
-    if not isinstance(setup, _FitSetup):
-        raise setup()
-    lo, hi, scale, peak, center, sigma = setup
+    lo, hi, scale, peak, center, sigma = _setup(spec)
     lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
     if scale != 1.0:
         y = y * scale

@@ -7,6 +7,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
+from itertools import tee
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,22 @@ PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 def _constraints(i_min=0.0, res=0.0, omega=0.05, alpha=0.1, i0=1.0):
     return DesignConstraints(i0=i0, i_min=i_min, delta_lambda_res=res,
                              omega_target=omega, alpha=alpha, probe=PROBE)
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Every fit_center call from here on, the zero-rotation references'
+    included, from a cold reference cache."""
+    fitted = []
+
+    def counted(spec):
+        fitted.append(spec)
+        return spectral.fit_center(spec)
+
+    monkeypatch.setattr(design, "fit_center", counted)
+    monkeypatch.setattr(sweep, "fit_center", counted)  # the references
+    design._reference_center.cache_clear()
+    return fitted
 
 
 def test_vacuous_constraints_return_bracket_low():
@@ -188,16 +205,7 @@ def test_memoized_reference_gives_bit_identical_reports(beta, area_s):
     assert repr(cold) == repr(warm) == repr(again)
 
 
-def test_repeated_feasible_calls_fit_the_reference_once(monkeypatch):
-    fits = []
-
-    def counted(*args, **kwargs):
-        fits.append(1)
-        return spectral.fit_center(*args, **kwargs)
-
-    monkeypatch.setattr(sweep, "fit_center", counted)
-    monkeypatch.setattr(design, "fit_center", counted)
-    design._reference_center.cache_clear()
+def test_repeated_feasible_calls_fit_the_reference_once(fits):
     for i in range(10):
         feasible(-0.25, 4.0 + i, _constraints())
     assert len(fits) == 11  # one reference, one fit per call
@@ -226,6 +234,12 @@ def test_constraints_keep_the_source_probe_out_of_eq_hash_and_repr():
 # beta = -2 alpha and a phase of pi at the target rate: the selections of
 # that one area are orthogonal, those of its neighbours are not
 ORTHOGONAL_AREA = 1550e-9 * SPEED_OF_LIGHT / (8 * 0.05)
+
+
+def _reports(beta, areas, cons):
+    """feasible(beta, s, cons) for each area s, from the stacks of _rows."""
+    return [design._report(cons, beta, *row)
+            for row in design._rows(beta, areas, cons)]
 
 
 def _unstacked_report(beta, area_s, cons):
@@ -263,7 +277,7 @@ def _unstacked_report(beta, area_s, cons):
 @example(beta=-0.3, areas=[2.0, 9.0], i_min=0.004, res=0.01, i0=1e-200)
 def test_stacked_rows_equal_one_candidate_at_a_time(beta, areas, i_min, res, i0):
     cons = _constraints(i_min=i_min * i0, res=res, i0=i0)
-    stacked = [repr(r) for r in design._feasible_rows(beta, areas, cons)]
+    stacked = [repr(r) for r in _reports(beta, areas, cons)]
     assert stacked == [repr(feasible(beta, s, cons)) for s in areas]
     assert stacked == [repr(_unstacked_report(beta, s, cons)) for s in areas]
 
@@ -284,21 +298,24 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     at the shift of one scan area makes that area the first feasible one.
     The stacked scan returns the same area, report and warning. It fits no
     probe area and no area past its answer, and the first-order screen
-    spares it the fits of the areas below the floor."""
+    spares it the fits of the areas below the floor. It screens each area
+    as it reaches it: none past the stack that holds its answer."""
     beta, s_lo, s_hi = -0.15, 1.0, 60.0
     scan = np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS).tolist()
-    shifts = [r.shift_nm for r in design._feasible_rows(beta, scan, _constraints())]
+    shifts = [r.shift_nm for r in _reports(beta, scan, _constraints())]
     assert all(b > a for a, b in zip(shifts, shifts[1:]))
     res = 1.01 * shifts[-1] if first is None else shifts[first]
     cons = _constraints(res=res)
     expected = _sequential_scan(cons, beta, s_lo, s_hi)
+    kept = [k for k, s in enumerate(scan) if not design._ruled_out(cons, beta, s)]
 
     built = []  # (spectrum, its area, which stack call built it)
     rows = design._rows
 
-    def recorded(beta, areas, constraints):
-        areas, call = list(areas), len({c for _, _, c in built})
-        for s, row in zip(areas, rows(beta, areas, constraints)):
+    def recorded(beta, areas, constraints):  # reads `areas` no further than _rows
+        areas, read = tee(areas)
+        call = len({c for _, _, c in built})
+        for s, row in zip(read, rows(beta, areas, constraints)):
             built.append((row[1], s, call))
             yield row
 
@@ -308,8 +325,16 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
         fitted.append(next((s, c) for b, s, c in built if b is spec))
         return spectral.fit_center(spec)
 
+    screened = []
+    ruled_out = design._ruled_out
+
+    def screen(c, beta, s):
+        screened.append(s)
+        return ruled_out(c, beta, s)
+
     monkeypatch.setattr(design, "_rows", recorded)
     monkeypatch.setattr(design, "fit_center", counted)
+    monkeypatch.setattr(design, "_ruled_out", screen)
     warnings = []
     found = design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings)
     assert repr(found) == repr(expected)
@@ -324,6 +349,11 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     assert all(call > 0 for _, call in fitted)  # the probe stack is call 0
     scanned = design.FALLBACK_SCAN_POINTS if first is None else first + 1
     assert len(fitted) <= scanned
+    # no area past the stack of unscreened areas that holds the answer
+    chunk = sweep._CHUNK_ROWS
+    end = len(kept) if first is None else (kept.index(first) // chunk + 1) * chunk
+    assert screened == scan[:len(screened)]  # in order, each once
+    assert len(screened) <= kept[min(end, len(kept)) - 1] + 1
 
 
 # ── root-finding against a plain bisection ────────────────────────────────────
@@ -376,19 +406,10 @@ def test_min_area_matches_a_plain_bisection(betas, planted_area, i_min,
             assert not feasible(beta, area * (1.0 - tol), cons).feasible
 
 
-def test_root_finding_needs_few_feasibility_evaluations(monkeypatch):
+def test_root_finding_needs_few_feasibility_evaluations(fits):
     """Counts every fit_center call, the zero-rotation references' included:
     the probe stack is fit only at the bracketing pair its first-order
     shifts point to, and regula falsi closes the bracket in a few steps."""
-    fits = []
-
-    def counted(spec):
-        fits.append(spec)
-        return spectral.fit_center(spec)
-
-    monkeypatch.setattr(design, "fit_center", counted)
-    monkeypatch.setattr(sweep, "fit_center", counted)  # the references
-    design._reference_center.cache_clear()
     cons = _constraints(i_min=0.005, res=0.01)
     betas = [-0.5, -0.3, -0.2]  # the README design
     sol = min_area(cons, betas, (1.0, 20.0))
@@ -403,6 +424,22 @@ def test_root_finding_needs_few_feasibility_evaluations(monkeypatch):
         assert len(fits) <= 4  # the reference is cached
 
 
+@pytest.mark.parametrize("cons, betas", [
+    (_constraints(i_min=0.5), [-0.5, -0.3]),
+    (_constraints(res=0.2), [-0.5, -0.3, -0.2]),
+], ids=["largest_probe_undetected", "largest_probe_screened_out"])
+def test_an_angle_no_fit_can_make_feasible_fits_nothing(fits, cons, betas):
+    """Inside the regime feasibility grows with area, so an angle whose
+    largest probe area is undetected, or ruled out by the first-order
+    screen, has no feasible area: it ends with no fit, not even of its
+    zero-rotation reference."""
+    sol = min_area(cons, betas, (1.0, 20.0))
+    assert not sol.feasible and not sol.warnings
+    assert fits == []
+    areas = np.linspace(1.0, 20.0, 20).tolist()
+    assert not any(r.feasible for beta in betas for r in _reports(beta, areas, cons))
+
+
 # ── the fit-free regime against fitting every probe ───────────────────────────
 
 def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
@@ -413,7 +450,7 @@ def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
     miss a feasible interval between two probes (see
     test_a_feasible_interval_between_two_probes_is_found)."""
     probes = np.linspace(s_lo, s_hi, design.MONOTONE_PROBE_POINTS).tolist()
-    reports = list(design._feasible_rows(beta, probes, cons))
+    reports = _reports(beta, probes, cons)
     shifts = [r.shift_nm for r in reports]
     flags = [r.feasible for r in reports]
     detected = [r.peak_intensity >= cons.i_min for r in reports]
@@ -443,6 +480,10 @@ def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
          i_scale=0.5, omega=0.1, width_ratio=1e-4)
 @example(betas=[-0.25, -0.35], s_lo=1.0, span=0.3, planted=1.0, res_scale=1.2,
          i_scale=0.0, omega=0.05, width_ratio=0.06)
+@example(betas=[-0.3], s_lo=1.0, span=19 / 79, planted=0.0, res_scale=0.0,
+         i_scale=1.02, omega=0.05, width_ratio=10 / 1550)  # largest probe undetected
+@example(betas=[-0.2, -0.55], s_lo=1.0, span=19 / 79, planted=1.0, res_scale=1.5,
+         i_scale=0.0, omega=0.05, width_ratio=10 / 1550)  # -0.55's screened out
 def test_fit_free_regime_matches_fitting_every_probe(
         betas, s_lo, span, planted, res_scale, i_scale, omega, width_ratio):
     """Wherever the regime taken from all 8 probe fits holds, with no peak
@@ -496,7 +537,7 @@ def test_a_feasible_interval_between_two_probes_is_found():
     infeasible flags as sorted and returned no area."""
     cons = _constraints(i_min=0.022305, res=0.0228)
     probes = np.linspace(1.0, 40.0, design.MONOTONE_PROBE_POINTS).tolist()
-    reports = list(design._feasible_rows(-0.15, probes, cons))
+    reports = _reports(-0.15, probes, cons)
     assert reports[4].peak_intensity > cons.i_min > reports[5].peak_intensity
     assert not any(r.feasible for r in reports)
     assert feasible(-0.15, 25.0, cons).feasible
