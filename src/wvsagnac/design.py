@@ -26,9 +26,8 @@ import numpy as np
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
 from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, _setup, fit_center
-from .sweep import _evaluated_rows, reference_center
-from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
-                   weak_value)
+from .sweep import _evaluated_rows, _weak
+from .weak import analytic_wavelength_shift, sagnac_phase
 
 # Relative width of the final area bracket: the returned area is feasible and
 # lies within this of an infeasible one. Named for the whole-bracket bisection
@@ -86,9 +85,12 @@ class DesignSolution:
     warnings: tuple[str, ...] = ()
 
 
-# Zero-rotation reference center per (probe, alpha, beta), shared by every
-# area and every call at one selection. Exceptions are not cached.
-_reference_center = lru_cache(maxsize=256)(reference_center)
+@lru_cache(maxsize=256)
+def _reference_center(probe: SpectrumModel, alpha: float, beta: float) -> float:
+    """Fitted zero-rotation center (nm), shared by every area and call at one
+    selection, which _rows checks is not orthogonal. Exceptions are not cached."""
+    (_, _, spectrum), = _evaluated_rows(probe, alpha, beta, [0.0], FORM_EXACT)
+    return fit_center(spectrum).center
 
 
 def feasible(beta: float, area_s: float,
@@ -111,10 +113,9 @@ def _rows(beta: float, areas, c: DesignConstraints):
     """Yield (weak value, spectrum at the target rate) for each positive area
     of `areas`, in order, from stacks (sweep._evaluated_rows), unfit; a row or
     reference selection that is effectively orthogonal yields its error and None."""
-    try:
-        weak_value(SelectionConfig(c.alpha, beta, 0.0))  # is the reference orthogonal?
-    except NearOrthogonalSelection as exc:
-        yield from ((exc, None) for _ in areas)
+    reference = _weak(c.alpha, beta, 0.0)
+    if isinstance(reference, NearOrthogonalSelection):
+        yield from ((reference, None) for _ in areas)
         return
     phases = (sagnac_phase(InterferometerConfig.from_nm(s, c.probe.lambda0),
                            c.omega_target) for s in areas)
@@ -145,12 +146,10 @@ def _ruled_out(c: DesignConstraints, beta: float, area_s: float) -> bool:
     stop tolerance and three times a fit's rounding floor, sqrt(eps) * W."""
     phi = sagnac_phase(InterferometerConfig.from_nm(area_s, c.probe.lambda0),
                        c.omega_target)
-    try:
-        a_w = weak_value(SelectionConfig(c.alpha, beta, phi)).a_w
-    except NearOrthogonalSelection:
-        return False
-    return (abs(a_w.imag) <= MONOTONE_IM_AW_MAX
-            and 2.0 * abs(analytic_wavelength_shift(c.probe, a_w))
+    wv = _weak(c.alpha, beta, phi)
+    return (not isinstance(wv, NearOrthogonalSelection)
+            and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
+            and 2.0 * abs(analytic_wavelength_shift(c.probe, wv.a_w))
             + 1e-7 * c.probe.width_dlambda + 10 * FIT_RELATIVE_TOL * c.probe.lambda0
             < c.delta_lambda_res)
 

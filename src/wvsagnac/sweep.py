@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -139,18 +139,12 @@ def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]
     return (center - half, center + half)
 
 
-def reference_center(probe: SpectrumModel, alpha: float, beta: float,
-                     form: str = FORM_EXACT) -> float:
-    """Fitted center (nm) of the zero-rotation spectrum on `default_grid(probe)`.
-
-    Every fitted shift is measured from it. The differential phase vanishes
-    at rest, so it does not depend on the loop area. An effectively
-    orthogonal selection raises NearOrthogonalSelection.
-    """
-    (_, wv, spectrum), = _evaluated_rows(probe, alpha, beta, [0.0], form)
-    if spectrum is None:
-        raise wv
-    return fit_center(spectrum).center
+def _weak(alpha: float, beta: float, phi: float):
+    """The weak value at phase `phi`, or the NearOrthogonalSelection it raises."""
+    try:
+        return weak_value(SelectionConfig(alpha, beta, phi))
+    except NearOrthogonalSelection as exc:  # only weak_value raises it
+        return exc
 
 
 def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
@@ -173,11 +167,7 @@ def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
         chunk, error = [], None
         try:
             for phi in islice(phases, _CHUNK_ROWS):
-                try:
-                    wv = weak_value(SelectionConfig(alpha, beta, phi))
-                except NearOrthogonalSelection as exc:  # only weak_value raises it
-                    wv = exc
-                chunk.append((phi, wv))
+                chunk.append((phi, _weak(alpha, beta, phi)))
         except Exception as exc:
             error = exc
         wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
@@ -202,8 +192,9 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
 
     The fitted shift of every row is reported relative to the fitted center
     of the zero-rotation spectrum, which removes any constant bias the
-    modulation leaves in the fit. Rows whose selection is effectively
-    orthogonal are flagged and carry NaNs instead of aborting the sweep.
+    modulation leaves in the fit. That reference is fit first, as row 0 of
+    the first stack, and its failure aborts the sweep; rows whose selection
+    is effectively orthogonal are flagged and carry NaNs instead.
     The sensitivity is taken inside `window`; without one, inside
     `default_window`, and a default window with too few usable rows leaves
     k NaN with a warning, where a given one raises ValueError.
@@ -212,16 +203,17 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     minus the reference, whichever rows share its stack.
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
-    # A failure of the reference is not row-isolated because every fitted
-    # shift is measured against it.
-    ref_center = reference_center(model.probe, model.alpha, model.beta, form)
-
     lo, hi, steps = model.omega_range
     omegas = np.linspace(lo, hi, int(steps)).tolist()
     phases = (sagnac_phase(cfg, omega) for omega in omegas)
+    evaluated = _evaluated_rows(model.probe, model.alpha, model.beta,
+                                chain([0.0], phases), form)
+    _, wv, spectrum = next(evaluated)
+    if spectrum is None:
+        raise wv
+    ref_center = fit_center(spectrum).center
     rows: list[SweepRow] = []
-    for omega, (phi, wv, spectrum) in zip(omegas, _evaluated_rows(
-            model.probe, model.alpha, model.beta, phases, form)):
+    for omega, (phi, wv, spectrum) in zip(omegas, evaluated):
         im_aw = analytic = fitted = math.nan
         prob, note = 0.0, ""  # a failed row's note is its error, never empty
         if spectrum is None:

@@ -265,6 +265,17 @@ def test_a_subnormal_probe_is_a_domain_error_naming_i0(runner, args):
     assert "probe intensity i0" in result.stderr
 
 
+def test_sweep_with_an_orthogonal_zero_rotation_selection_is_a_domain_error(runner):
+    """beta = 0 makes the reference selection orthogonal: no shift can be
+    measured from it, so the sweep fails as a whole, in one line."""
+    result = runner.invoke(main, SWEEP_ARGS[:6] + ["5", "--alpha", "0.1",
+                                                   "--beta", "0"] + SWEEP_ARGS[11:])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "orthogonal" in result.stderr
+    assert result.stdout == ""
+
+
 def test_sweep_window_override(runner):
     result = runner.invoke(main, SWEEP_ARGS + ["--window-lo", "-0.05",
                                                "--window-hi", "0.05",

@@ -42,8 +42,7 @@ def fits(monkeypatch):
         fitted.append(spec)
         return spectral.fit_center(spec)
 
-    monkeypatch.setattr(design, "fit_center", counted)
-    monkeypatch.setattr(sweep, "fit_center", counted)  # the references
+    monkeypatch.setattr(design, "fit_center", counted)  # references included
     design._reference_center.cache_clear()
     return fitted
 
@@ -356,6 +355,34 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     assert len(screened) <= kept[min(end, len(kept)) - 1] + 1
 
 
+@pytest.mark.parametrize("res", [0.0, 0.01])
+def test_an_orthogonal_scan_area_is_kept_by_the_screen_and_scanned(monkeypatch, res):
+    """The bracket starts at ORTHOGONAL_AREA: that probe has no weak value,
+    so the solver scans. The screen reads no first-order shift there and
+    keeps the area, which the scan reports infeasible with its reason; it
+    answers with the sequential scan's area and report."""
+    beta, bracket = -0.2, (ORTHOGONAL_AREA, 1.2 * ORTHOGONAL_AREA)
+    cons = _constraints(res=res)
+    screened = []
+    ruled_out = design._ruled_out
+
+    def screen(c, beta, s):
+        screened.append((s, ruled_out(c, beta, s)))
+        return screened[-1][1]
+
+    monkeypatch.setattr(design, "_ruled_out", screen)
+    sol = min_area(cons, [beta], bracket)
+    assert screened[0] == (ORTHOGONAL_AREA, False)
+    assert "orthogonal" in feasible(beta, ORTHOGONAL_AREA, cons).reason
+    area, rep = _sequential_scan(cons, beta, *bracket)
+    assert area > ORTHOGONAL_AREA
+    assert sol.warnings == (
+        "beta = -0.2: response is outside the verified-monotone regime; "
+        "falling back to an exhaustive 256-point area scan",)
+    assert (sol.beta, sol.area_s_min, sol.peak_intensity, sol.k_achieved) == (
+        beta, area, rep.peak_intensity, rep.shift_nm / cons.omega_target)
+
+
 # ── root-finding against a plain bisection ────────────────────────────────────
 
 def _bisection_reference(cons, beta, s_lo, s_hi):
@@ -484,6 +511,10 @@ def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
          i_scale=1.02, omega=0.05, width_ratio=10 / 1550)  # largest probe undetected
 @example(betas=[-0.2, -0.55], s_lo=1.0, span=19 / 79, planted=1.0, res_scale=1.5,
          i_scale=0.0, omega=0.05, width_ratio=10 / 1550)  # -0.55's screened out
+# near beta = -alpha the fitted shift exceeds the first-order one: the first
+# probe predicted feasible is one too high, and the walk steps down from it
+@example(betas=[-0.051], s_lo=9.8, span=0.08, planted=0.81, res_scale=1.018,
+         i_scale=0.0, omega=0.014, width_ratio=0.03)
 def test_fit_free_regime_matches_fitting_every_probe(
         betas, s_lo, span, planted, res_scale, i_scale, omega, width_ratio):
     """Wherever the regime taken from all 8 probe fits holds, with no peak

@@ -52,6 +52,14 @@ def test_every_public_name_is_its_defining_modules_object():
             assert getattr(wvsagnac, name) is getattr(module, name), name
 
 
+def test_every_public_function_and_class_of_a_library_module_is_exported():
+    for module in DEFINED_IN:
+        defined = {name for name, obj in vars(module).items()
+                   if not name.startswith("_") and callable(obj)
+                   and getattr(obj, "__module__", None) == module.__name__}
+        assert sorted(defined - set(wvsagnac.__all__)) == [], module.__name__
+
+
 def test_star_import_and_dir_cover_all():
     namespace = {}
     exec("from wvsagnac import *", namespace)

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
 from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig, ModelSpec,
-                      SelectionConfig, SpectrumModel, SweepResult, SweepRow,
-                      benchmark_models, default_grid, default_window, fit_center,
-                      output_spectrum, run_sweep, sagnac_phase, sensitivity,
-                      weak_value)
-from wvsagnac.sweep import reference_center
+                      NearOrthogonalSelection, SelectionConfig, SpectrumModel,
+                      SweepResult, SweepRow, benchmark_models, default_grid,
+                      default_window, fit_center, output_spectrum, run_sweep,
+                      sagnac_phase, sensitivity, weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 PHI_PER_OMEGA_S16 = 8.0 * math.pi * 16.0 / (1550e-9 * 299792458.0)
@@ -241,7 +240,7 @@ def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit():
     with pytest.raises(ValueError, match="strictly positive"):
         output_spectrum(wide, wvs[1], wide.lambda0, default_grid(wide))
     with pytest.raises(ValueError, match="strictly positive"):
-        reference_center(wide, 0.1, -0.3)
+        run_sweep(ModelSpec("w", 16.0, 0.1, -0.3, wide, (-0.1, 0.1, 5)))
 
 
 def test_spectrum_basis_is_read_only_and_bounded():
@@ -307,6 +306,14 @@ def test_near_orthogonal_row_is_isolated():
     assert res.rows[1].failed and "orthogonal" in res.rows[1].note
     assert math.isnan(res.rows[1].dlambda_fitted)
     assert not res.rows[0].failed and not res.rows[2].failed
+
+
+def test_orthogonal_zero_rotation_selection_aborts_the_sweep():
+    """At beta = 0 the selection is orthogonal at rest: the reference every
+    shift is measured from cannot be built, so no row is flagged; the sweep
+    raises."""
+    with pytest.raises(NearOrthogonalSelection, match="orthogonal"):
+        run_sweep(ModelSpec("o", 16.0, 0.1, 0.0, PROBE, (-0.1, 0.1, 5)))
 
 
 def test_postselect_probability_column():
