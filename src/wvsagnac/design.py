@@ -25,7 +25,7 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, _setup, fit_center
+from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, fit_center
 from .sweep import _evaluated_rows, _weak
 from .weak import analytic_wavelength_shift, sagnac_phase
 
@@ -131,7 +131,7 @@ def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityRepor
                                  math.nan, reason=str(wv))
     reference = _reference_center(c.probe, c.alpha, beta)
     shift = abs(fit_center(spectrum).center - reference)
-    peak = _setup(spectrum).peak
+    peak = spectrum._fit_setup.peak
     return FeasibilityReport(
         feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
         peak_intensity=peak, intensity_margin=peak - c.i_min,
@@ -169,7 +169,7 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
     if all(sp is not None and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
            for wv, sp in rows):
         shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for wv, _ in rows]
-        detected = [_setup(spectrum).peak >= c.i_min for _, spectrum in rows]
+        detected = [spectrum._fit_setup.peak >= c.i_min for _, spectrum in rows]
         if (all(b >= a for a, b in zip(shifts, shifts[1:]))
                 and detected == sorted(detected)):
             # an undetected or screened-out largest area leaves none feasible

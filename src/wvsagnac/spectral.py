@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,9 +29,6 @@ MIN_FIT_POINTS = 16
 
 FORM_PAPER = "paper"
 FORM_EXACT = "exact"
-
-# the refusal of negative, NaN or infinite intensities, in a spectrum or a row
-_BAD_INTENSITIES = partial(ValueError, "intensities must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -61,8 +58,8 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
-    # fit_center's window and start, or a factory of its error (_fit_setups)
-    _fit_setup: object = field(init=False, repr=False, compare=False)
+    # the row's peak and fit_center's window, start and error (_fit_setups)
+    _fit_setup: _FitSetup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # read-only copies, so that the setup stays that of the spectrum's data
@@ -72,9 +69,7 @@ class SampledSpectrum:
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        setup, = _fit_setups(lam, inten[None, :])
-        if setup is _BAD_INTENSITIES:
-            raise setup()
+        setup = next(_spectrum_rows(lam, inten[None, :], self.form_tag))._fit_setup
         if self.form_tag not in (FORM_PAPER, FORM_EXACT):
             raise ValueError(f"unknown form_tag {self.form_tag!r}")
         vars(self).update(wavelengths=lam, intensities=inten, _fit_setup=setup)
@@ -201,6 +196,7 @@ class _FitSetup(NamedTuple):
     peak: float     # the row's maximum sample, unscaled
     center: float   # start values, from the scaled intensities
     sigma: float
+    error: Callable[[], Exception] | None  # factory of the fit's error, or None
 
 
 # Huge finite intensities can overflow the moments, the cost or the normal
@@ -219,10 +215,10 @@ _TINY_PEAK = 2.0 ** -256
 
 
 def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult], form: str
-                     ) -> list[SampledSpectrum | Callable[[], ValueError]]:
+                     ) -> Iterator[SampledSpectrum]:
     """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form)
-    for each weak value, bit for bit, or the factory of its ValueError: the
-    rows of one stack broadcast from the cached basis (see _spectrum_rows)."""
+    for each weak value, bit for bit, or its ValueError at that row's turn:
+    the rows of one stack broadcast from the cached basis (_spectrum_rows)."""
     grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
     ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
     a_w = np.array([wv.a_w for wv in wvs])[:, None]
@@ -231,33 +227,29 @@ def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult], form: str
 
 
 def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
-                   ) -> list[SampledSpectrum | Callable[[], ValueError]]:
-    """The rows of a (rows, n) stack of intensities on the checked grid
+                   ) -> Iterator[SampledSpectrum]:
+    """Yield the rows of a (rows, n) stack of intensities on the checked grid
     `lam`, in the checked `form`, as spectra: read-only views sharing `lam`,
     each carrying its setup from one _fit_setups pass over the stack. A row
-    that SampledSpectrum would refuse is the factory of that error instead.
+    with a negative, NaN or infinite sample raises SampledSpectrum's
+    ValueError when it is reached, and ends the rows.
     """
     stack.flags.writeable = False
-    rows = []
     for inten, setup in zip(stack, _fit_setups(lam, stack)):
-        if setup is _BAD_INTENSITIES:
-            rows.append(setup)
-            continue
+        if setup is None:
+            raise ValueError("intensities must be finite and nonnegative")
         spec = object.__new__(SampledSpectrum)  # _fit_setups checked its row
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
                           _fit_setup=setup)
-        rows.append(spec)
-    return rows
+        yield spec
 
 
 @np.errstate(**_QUIET)
-def _fit_setups(lam: np.ndarray, stack: np.ndarray
-                ) -> list[_FitSetup | Callable[[], Exception]]:
-    """fit_center's window and start for each row of a (rows, n) stack of
-    intensities on the checked grid `lam`, or a factory of the error its fit
-    raises; for a row with a negative, NaN or infinite intensity, the
-    refusal _BAD_INTENSITIES instead. This is the only intensity check of
-    SampledSpectrum and of the rows of _spectrum_rows.
+def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | None]:
+    """The peak and fit_center's window, start and error of each row of a
+    (rows, n) stack of intensities on the checked grid `lam`, or None for a
+    row with a negative, NaN or infinite intensity. This is the only
+    intensity check of SampledSpectrum and of the rows of _spectrum_rows.
 
     The start is the peak sample and the intensity-weighted mean and
     standard deviation of the wavelength, from three trapezoids with
@@ -267,7 +259,8 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray
     on a strictly increasing grid it is an interval. Each numpy call serves
     every row, and its reductions run along the last axis, so a row's
     numbers are bit for bit those of the row alone. Every row is computed,
-    also one whose error is reported, so numpy's warnings are silenced.
+    also one whose fit cannot start, so numpy's warnings are silenced; its
+    error is a factory, so every fit of the row raises a fresh exception.
     """
     # ufunc reductions: the same as .max() or .min(), with less per-call cost
     peaks = np.maximum.reduce(stack, axis=1).tolist()
@@ -303,51 +296,41 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray
     for row, (peak, floor, t, c, v, s, a, b, scale) in enumerate(zip(
             peaks, floors, total.tolist(), center.tolist(), var, sigma,
             lo, hi, scales)):
-        # an error is kept as a factory, so every fit of the row raises a
-        # fresh exception; a row with no zero needs no nonzero count
-        pos = floor > 0
-        count = lam.size if pos else np.count_nonzero(stack[row])
         # the minimum is NaN at a NaN, and only the maximum can be +inf
         if not (floor >= 0 and peak < math.inf):
-            setup = _BAD_INTENSITIES
-        elif not peak > 0:  # intensities are nonnegative
-            setup = partial(DegenerateInput, "cannot fit an all-zero spectrum")
+            setups.append(None)
+            continue
+        pos = floor > 0  # a row with no zero needs no nonzero count
+        count = lam.size if pos else np.count_nonzero(stack[row])
+        error = None
+        if not peak > 0:  # intensities are nonnegative
+            error = partial(DegenerateInput, "cannot fit an all-zero spectrum")
         elif count < MIN_FIT_POINTS:
-            setup = partial(ValueError,
+            error = partial(ValueError,
                             f"need at least {MIN_FIT_POINTS} grid points with "
                             f"nonzero intensity, got {count}")
         elif not math.isfinite(t):
-            setup = partial(ValueError, "integrated intensity of the spectrum "
+            error = partial(ValueError, "integrated intensity of the spectrum "
                                         "overflows a float")
         elif t <= 0:
-            setup = partial(DegenerateInput, "spectrum has zero total intensity")
+            error = partial(DegenerateInput, "spectrum has zero total intensity")
         elif not (math.isfinite(c) and math.isfinite(v)):
-            setup = partial(ValueError, "intensity-weighted wavelength moments "
+            error = partial(ValueError, "intensity-weighted wavelength moments "
                                         "of the spectrum overflow a float")
         elif not s > 0:
-            setup = partial(DegenerateInput,
+            error = partial(DegenerateInput,
                             "spectrum is too narrow or too weak to seed a fit")
         elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < MIN_FIT_POINTS:
-            setup = partial(ValueError, f"fit window holds fewer than "
+            error = partial(ValueError, f"fit window holds fewer than "
                                         f"{MIN_FIT_POINTS} nonzero points")
         elif scale != 1.0 and ((raw[row, a:b] > 0)
                                & (raw[row, a:b] < sys.float_info.min)).any():
-            setup = partial(ValueError, "fit window of the spectrum holds "
+            error = partial(ValueError, "fit window of the spectrum holds "
                                         "intensities below the smallest normal "
                                         "float, which have lost precision; the "
                                         "probe intensity i0 is too small")
-        else:
-            setup = _FitSetup(a, b, scale, peak, c, s)
-        setups.append(setup)
+        setups.append(_FitSetup(a, b, scale, peak, c, s, error))
     return setups
-
-
-def _setup(spec: SampledSpectrum) -> _FitSetup:
-    """`spec`'s fit window and start, or raise the error its fit raises."""
-    setup = spec._fit_setup
-    if not isinstance(setup, _FitSetup):
-        raise setup()
-    return setup
 
 
 def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
@@ -447,13 +430,16 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     centered on the grid sample nearest the centroid and extends
     FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
     each side; the start is the peak sample, the centroid and the moment
-    width. Every spectrum carries them from the _fit_setups pass that
-    checked its intensities, alone or with the rest of its stack. A
-    spectrum whose peak is below 2^-256 is fit multiplied by a power of two
-    and its fitted peak divided by it, which is exact; one whose fit window
-    holds a nonzero sample below the smallest normal float is refused.
+    width. Every spectrum carries them, and the error its fit raises, in
+    the record of the _fit_setups pass that checked its intensities, alone
+    or with the rest of its stack. A spectrum whose peak is below 2^-256 is
+    fit multiplied by a power of two and its fitted peak divided by it,
+    which is exact; one whose fit window holds a nonzero sample below the
+    smallest normal float is refused.
     """
-    lo, hi, scale, peak, center, sigma = _setup(spec)
+    lo, hi, scale, peak, center, sigma, error = spec._fit_setup
+    if error is not None:
+        raise error()
     lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
     if scale != 1.0:
         y = y * scale

@@ -55,10 +55,11 @@ class ModelSpec:
         if not math.isfinite(hi - lo):
             raise ValueError(f"omega_range width max - min overflows a float, "
                              f"got {lo}, {hi}")
-        # compared, not converted: int() overflows at inf, math.isfinite at 10**400
-        if not (3 <= steps <= sys.maxsize and int(steps) == steps):
-            raise ValueError(f"omega_range needs from 3 to {sys.maxsize} steps, "
-                             f"got {steps}")
+        # compared, not converted: int() overflows at inf, math.isfinite at 10**400;
+        # the bound is the most float64 values an array can hold
+        if not (3 <= steps <= sys.maxsize // 8 and int(steps) == steps):
+            raise ValueError(f"omega_range needs from 3 to {sys.maxsize // 8} "
+                             f"steps, got {steps}")
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,10 @@ def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
     A row whose selection is effectively orthogonal yields the
     NearOrthogonalSelection in place of the weak value and None for the
     spectrum. Phases are read and weak values evaluated row by row, and
-    spectra built _CHUNK_ROWS rows at a time, each carrying its fit setup
-    or the factory of the error its fit raises; any other error of a row,
-    its phase's and its spectrum's included, is raised at that row's turn,
-    after every row before it was yielded.
+    spectra built _CHUNK_ROWS rows at a time, each carrying its fit record
+    (spectral._fit_setups), which holds the error its fit raises; any other
+    error of a row, its phase's and its spectrum's included, is raised at
+    that row's turn, after every row before it was yielded.
     """
     phases = iter(phases)
     while True:
@@ -176,10 +177,7 @@ def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
             if isinstance(wv, NearOrthogonalSelection):
                 yield phi, wv, None
                 continue
-            spectrum = next(spectra)
-            if callable(spectrum):  # the factory of the row's error
-                raise spectrum()
-            yield phi, wv, spectrum
+            yield phi, wv, next(spectra)  # raises a refused row's error
         if error is not None:
             raise error
         if len(chunk) < _CHUNK_ROWS:

@@ -410,6 +410,15 @@ def test_config_undecodable_file_is_usage_error(runner, tmp_path):
     assert not isinstance(result.exception, UnicodeDecodeError)
 
 
+def _cli_child(args):
+    """A finished `python -m wvsagnac.cli ARGS` child on this source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-m", "wvsagnac.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory", "full device"])
 def test_unwritable_out_is_usage_error(tmp_path, where):
     """An --out that cannot be opened, or that fails while it is written or
@@ -419,12 +428,8 @@ def test_unwritable_out_is_usage_error(tmp_path, where):
            "directory": tmp_path, "full device": Path("/dev/full")}[where]
     if where == "full device" and not out.exists():
         pytest.skip("no /dev/full on this system")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    proc = subprocess.run([sys.executable, "-m", "wvsagnac.cli", "geometry",
-                           "--theta-deg", "10", "--rs", "1", "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _cli_child(["geometry", "--theta-deg", "10", "--rs", "1",
+                       "--out", str(out)])
     assert proc.returncode == 2
     assert "Invalid value for '--out'" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -523,6 +528,16 @@ def test_huge_finite_input_is_a_domain_error_naming_the_quantity(runner, args,
     assert result.exit_code == 3, result.output
     assert quantity in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_a_step_count_past_the_largest_float_array_exits_3_in_a_child():
+    """--steps sys.maxsize, for which numpy 2.4's linspace raises an
+    IndexError, is refused by name before any array is made."""
+    proc = _cli_child(SWEEP_ARGS[:6] + [str(sys.maxsize)] + SWEEP_ARGS[7:])
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"error: omega_range needs from 3 to {sys.maxsize // 8}"
+                           f" steps, got {sys.maxsize}\n")
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("command, allocation", [

@@ -467,6 +467,39 @@ def test_an_angle_no_fit_can_make_feasible_fits_nothing(fits, cons, betas):
     assert not any(r.feasible for beta in betas for r in _reports(beta, areas, cons))
 
 
+def test_a_probe_the_walk_does_not_reach_raises_nothing(monkeypatch, fits):
+    """The regime reads every probe's peak from its fit record, which never
+    raises: an error planted in the record of a probe the walk does not fit
+    leaves the solution as it was, and one planted in a fitted probe's
+    record is raised."""
+    cons = _constraints(i_min=0.005, res=0.01)
+    original, plant = spectral._fit_setups, []
+
+    def planted(lam, stack):  # the records of the 8-row probe stack
+        setups = original(lam, stack)
+        if len(setups) == design.MONOTONE_PROBE_POINTS:
+            probes.append(setups)
+            for k in plant:
+                setups[k] = setups[k]._replace(
+                    error=partial(RuntimeError, "planted"))
+        return setups
+
+    monkeypatch.setattr(spectral, "_fit_setups", planted)
+    probes = []
+    clean = min_area(cons, [-0.3], (1.0, 20.0))
+    assert clean.feasible and not clean.warnings
+    fitted = [any(spec._fit_setup is setup for spec in fits)
+              for setup in probes[0]]
+    assert 0 < sum(fitted) < len(fitted)
+    for k, was_fit in enumerate(fitted):
+        plant[:] = [k]
+        if was_fit:
+            with pytest.raises(RuntimeError, match="planted"):
+                min_area(cons, [-0.3], (1.0, 20.0))
+        else:
+            assert repr(min_area(cons, [-0.3], (1.0, 20.0))) == repr(clean)
+
+
 # ── the fit-free regime against fitting every probe ───────────────────────────
 
 def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):

@@ -171,3 +171,22 @@ def test_a_lazy_module_is_served_by_the_package(tmp_path):
                    "assert wvsagnac.design is sys.modules['wvsagnac.design']"],
                   tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_failing_property_test_fails_and_the_run_goes_on(tmp_path):
+    """Under this project's pytest settings a failing @given test is
+    reported as failed and the tests after it still run, also where
+    hypothesis imports libcst to print the failing example's patch."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (tmp_path / "pyproject.toml").write_text(pyproject.read_text())
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    proc = _child(["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                   "test_property.py"], tmp_path)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -79,11 +79,14 @@ def test_model_spec_validation():
     with pytest.raises(ValueError):
         _model(omega_range=(-0.1, 0.1, 2))
     # not OverflowError, nor numpy's message for an array too large to index
-    for steps in (math.inf, -math.inf, math.nan, 2.5, sys.maxsize + 1, 10 ** 23,
-                  10 ** 400, 1e19):
+    # nor numpy 2.4's IndexError for sys.maxsize - 2 and up: past
+    # sys.maxsize // 8 float64 values an array's byte size overflows
+    for steps in (math.inf, -math.inf, math.nan, 2.5, sys.maxsize // 8 + 1,
+                  sys.maxsize, sys.maxsize + 1, 10 ** 23, 10 ** 400, 1e19):
         with pytest.raises(ValueError, match="omega_range"):
             _model(omega_range=(-0.1, 0.1, steps))
-    assert _model(omega_range=(-0.1, 0.1, sys.maxsize)).omega_range[2] == sys.maxsize
+    most = sys.maxsize // 8  # accepted: a ModelSpec allocates nothing
+    assert _model(omega_range=(-0.1, 0.1, most)).omega_range[2] == most
     # both ends finite, but the width overflows: rejected before linspace
     with pytest.raises(ValueError, match="width"):
         _model(omega_range=(-1e308, 1e308, 201))
