@@ -9,9 +9,10 @@ the detection floor.
 Each angle's smallest area is found by Illinois regula falsi on the shift
 margin to BISECTION_REL_TOL (1e-4) relative, started from the bracketing
 pair of an 8-point probe whose regime the first-order shift and the peaks
-decide with no fit. Each angle is read in one pass, which screens and fits
-an area, and fits the zero-rotation reference, only when it reaches them;
-every area it fits is fit bit for bit as feasible() would fit it.
+decide with no fit. Each angle is read in one pass, which evaluates each
+area's weak value once, and screens and fits an area, and fits the
+zero-rotation reference, only when it reaches them; every area it fits is
+fit bit for bit as feasible() would fit it.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
-from itertools import tee
 
 import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
-from .spectral import FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, fit_center
-from .sweep import _evaluated_rows, _weak
+from .spectral import (FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, _default_rows,
+                       fit_center)
+from .sweep import _weak
 from .weak import analytic_wavelength_shift, sagnac_phase
 
 # Relative width of the final area bracket: the returned area is feasible and
@@ -88,8 +89,9 @@ class DesignSolution:
 @lru_cache(maxsize=256)
 def _reference_center(probe: SpectrumModel, alpha: float, beta: float) -> float:
     """Fitted zero-rotation center (nm), shared by every area and call at one
-    selection, which _rows checks is not orthogonal. Exceptions are not cached."""
-    (_, _, spectrum), = _evaluated_rows(probe, alpha, beta, [0.0], FORM_EXACT)
+    selection, which _candidates checks is not orthogonal. Exceptions are not cached."""
+    (_, _, spectrum), = _default_rows(probe, [(0.0, _weak(alpha, beta, 0.0))],
+                                      FORM_EXACT)
     return fit_center(spectrum).center
 
 
@@ -105,27 +107,28 @@ def feasible(beta: float, area_s: float,
     """
     if not (math.isfinite(area_s) and area_s > 0):
         raise ValueError(f"area_s must be positive, got {area_s}")
-    row, = _rows(beta, [area_s], constraints)
-    return _report(constraints, beta, *row)
+    (_, wv, spectrum), = _default_rows(
+        constraints.probe, _candidates(beta, [area_s], constraints), FORM_EXACT)
+    return _report(constraints, beta, wv, spectrum)
 
 
-def _rows(beta: float, areas, c: DesignConstraints):
-    """Yield (weak value, spectrum at the target rate) for each positive area
-    of `areas`, in order, from stacks (sweep._evaluated_rows), unfit; a row or
-    reference selection that is effectively orthogonal yields its error and None."""
+def _candidates(beta: float, areas, c: DesignConstraints):
+    """Yield (area, weak value at the target rate) for each positive area of
+    `areas`, in order, the pairs _default_rows reads; the weak value is the
+    NearOrthogonalSelection of a selection that is effectively orthogonal,
+    and that of the zero-rotation selection for every area when it is."""
     reference = _weak(c.alpha, beta, 0.0)
     if isinstance(reference, NearOrthogonalSelection):
-        yield from ((reference, None) for _ in areas)
+        yield from ((s, reference) for s in areas)
         return
-    phases = (sagnac_phase(InterferometerConfig.from_nm(s, c.probe.lambda0),
-                           c.omega_target) for s in areas)
-    for _, wv, spectrum in _evaluated_rows(c.probe, c.alpha, beta, phases,
-                                           FORM_EXACT):
-        yield wv, spectrum
+    for s in areas:
+        cfg = InterferometerConfig.from_nm(s, c.probe.lambda0)
+        yield s, _weak(c.alpha, beta, sagnac_phase(cfg, c.omega_target))
 
 
 def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityReport:
-    """feasible()'s report of a row of _rows, fit here with its reference."""
+    """feasible()'s report of a weak value and spectrum of _default_rows,
+    fit here with its reference."""
     if spectrum is None:
         return FeasibilityReport(False, 0.0, -c.i_min, 0.0, -c.delta_lambda_res,
                                  math.nan, reason=str(wv))
@@ -139,14 +142,12 @@ def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityRepor
         im_aw=wv.a_w.imag)
 
 
-def _ruled_out(c: DesignConstraints, beta: float, area_s: float) -> bool:
-    """Whether the first-order shift alone shows an area infeasible: inside
-    the monotone bound on |Im A_w|, the fitted shift stays below twice the
+def _ruled_out(c: DesignConstraints, wv) -> bool:
+    """Whether the first-order shift alone shows infeasible an area whose
+    _candidates weak value is `wv` (never an orthogonal one): inside the
+    monotone bound on |Im A_w|, the fitted shift stays below twice the
     first-order one plus, for each of its two centers, five times the fits'
     stop tolerance and three times a fit's rounding floor, sqrt(eps) * W."""
-    phi = sagnac_phase(InterferometerConfig.from_nm(area_s, c.probe.lambda0),
-                       c.omega_target)
-    wv = _weak(c.alpha, beta, phi)
     return (not isinstance(wv, NearOrthogonalSelection)
             and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
             and 2.0 * abs(analytic_wavelength_shift(c.probe, wv.a_w))
@@ -158,26 +159,27 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
                        s_lo: float, s_hi: float, warnings: list[str]
                        ) -> tuple[float, FeasibilityReport] | None:
     probes = np.linspace(s_lo, s_hi, MONOTONE_PROBE_POINTS).tolist()
-    rows = list(_rows(beta, probes, c))  # one stack, nothing fit yet
-    if all(spectrum is None for _, spectrum in rows):
+    rows = list(_default_rows(c.probe, _candidates(beta, probes, c),
+                              FORM_EXACT))  # one stack, nothing fit yet
+    if all(spectrum is None for _, _, spectrum in rows):
         warnings.append(f"beta = {beta:g}: every probed area is infeasible: "
-                        f"{rows[0][0]}")
+                        f"{rows[0][1]}")
         return None
 
     # the regime, with no fit: first-order shifts that never fall, and no peak
     # that falls through the detection floor (it can hide a feasible interval)
     if all(sp is not None and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
-           for wv, sp in rows):
-        shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for wv, _ in rows]
-        detected = [spectrum._fit_setup.peak >= c.i_min for _, spectrum in rows]
+           for _, wv, sp in rows):
+        shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for _, wv, _ in rows]
+        detected = [spectrum._fit_setup.peak >= c.i_min for _, _, spectrum in rows]
         if (all(b >= a for a, b in zip(shifts, shifts[1:]))
                 and detected == sorted(detected)):
             # an undetected or screened-out largest area leaves none feasible
-            if not detected[-1] or _ruled_out(c, beta, probes[-1]):
+            if not detected[-1] or _ruled_out(c, rows[-1][1]):
                 return None
             # fit from the first probe predicted feasible (else the last) to
             # the adjacent fitted (infeasible, feasible) pair, hi - 1 and hi
-            report = cache(lambda k: _report(c, beta, *rows[k]))
+            report = cache(lambda k: _report(c, beta, *rows[k][1:]))
             hi = next((k for k, (shift, ok) in enumerate(zip(shifts, detected))
                        if ok and shift >= c.delta_lambda_res), len(rows) - 1)
             while hi > 0 and report(hi).feasible and report(hi - 1).feasible:
@@ -192,10 +194,10 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
     warnings.append(
         f"beta = {beta:g}: response is outside the verified-monotone regime; "
         f"falling back to an exhaustive {FALLBACK_SCAN_POINTS}-point area scan")
-    areas, scan = tee(s for s in np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
-                      if not _ruled_out(c, beta, s))
-    return next(((s, rep) for s, row in zip(scan, _rows(beta, areas, c))
-                 if (rep := _report(c, beta, *row)).feasible), None)
+    areas = np.linspace(s_lo, s_hi, FALLBACK_SCAN_POINTS).tolist()
+    kept = ((s, wv) for s, wv in _candidates(beta, areas, c) if not _ruled_out(c, wv))
+    return next(((s, rep) for s, wv, sp in _default_rows(c.probe, kept, FORM_EXACT)
+                 if (rep := _report(c, beta, wv, sp)).feasible), None)
 
 
 def _illinois(constraints: DesignConstraints, beta: float,

@@ -13,11 +13,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateInput, FitFailure
+from .errors import DegenerateInput, FitFailure, NearOrthogonalSelection
 from .weak import WeakValueResult
 
 GRID_POINTS = 2048   # default resolution of the wavelength grid
@@ -53,13 +54,13 @@ class SpectrumModel:
                              "4*pi*width_dlambda^2 overflows a float")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
     # the row's peak and fit_center's window, start and error (_fit_setups)
-    _fit_setup: _FitSetup = field(init=False, repr=False, compare=False)
+    _fit_setup: _FitSetup = field(init=False, repr=False)
 
     def __post_init__(self):
         # read-only copies, so that the setup stays that of the spectrum's data
@@ -214,16 +215,40 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 _TINY_PEAK = 2.0 ** -256
 
 
-def _default_spectra(probe: SpectrumModel, wvs: list[WeakValueResult], form: str
-                     ) -> Iterator[SampledSpectrum]:
-    """output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form)
-    for each weak value, bit for bit, or its ValueError at that row's turn:
-    the rows of one stack broadcast from the cached basis (_spectrum_rows)."""
-    grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0, probe.width_dlambda)
-    ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
-    a_w = np.array([wv.a_w for wv in wvs])[:, None]
-    stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
-    return _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
+def _default_rows(probe: SpectrumModel, rows, form: str):
+    """Yield (key, weak value, spectrum) for each (key, weak value) pair of
+    the iterable `rows`, in order, the spectrum bit for bit
+    output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form), or
+    None for a NearOrthogonalSelection in place of the weak value: the one
+    readout of the default-grid spectra that sweeps and designs fit. Pairs
+    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack
+    from the cached basis (_spectrum_rows). Any error of a row, reading its
+    pair and building its spectrum included, is raised at that row's turn,
+    after every row before it was yielded; its fit's error, at its fit.
+    """
+    rows = iter(rows)
+    while True:
+        chunk, error = [], None
+        try:
+            chunk.extend(islice(rows, _CHUNK_ROWS))
+        except Exception as exc:
+            error = exc
+        wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
+        if wvs:  # else every row yields None, and `spectra` is not read
+            grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0,
+                                                        probe.width_dlambda)
+            ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
+            a_w = np.array([wv.a_w for wv in wvs])[:, None]
+            stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
+            spectra = _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
+        for key, wv in chunk:
+            # next() raises a refused row's error
+            yield key, wv, (None if isinstance(wv, NearOrthogonalSelection)
+                            else next(spectra))
+        if error is not None:
+            raise error
+        if len(chunk) < _CHUNK_ROWS:
+            return
 
 
 def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
@@ -242,6 +267,13 @@ def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
                           _fit_setup=setup)
         yield spec
+
+
+# Rows that _default_rows builds and sets up for fitting as one stack: enough
+# to spread numpy's per-call cost over the rows, few enough that the stack
+# and each temporary of _fit_setups stay near 128 KB on the 2048-point grid,
+# whatever the number of rows (4 to 32 rows timed about the same).
+_CHUNK_ROWS = 8
 
 
 @np.errstate(**_QUIET)

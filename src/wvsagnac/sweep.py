@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
-from .spectral import FORM_EXACT, SpectrumModel, _default_spectra, fit_center
+from .spectral import FORM_EXACT, SpectrumModel, _default_rows, fit_center
 from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
                    weak_value)
 
@@ -27,12 +27,6 @@ DEGENERACY_TOL = 1e-9
 
 # Fraction of the sweep range used for the default sensitivity window.
 DEFAULT_WINDOW_FRACTION = 0.2
-
-# Rows whose spectra a sweep builds and sets up for fitting as one stack:
-# enough to spread numpy's per-call cost over the rows, few enough that the
-# stack and each temporary of its setup stay near 128 KB on the 2048-point
-# grid, whatever the number of steps (4 to 32 rows timed about the same).
-_CHUNK_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -148,42 +142,6 @@ def _weak(alpha: float, beta: float, phi: float):
         return exc
 
 
-def _evaluated_rows(probe: SpectrumModel, alpha: float, beta: float, phases,
-                    form: str):
-    """Yield (phi, weak value, spectrum) for each phase of the iterable
-    `phases`, in order, the spectrum bit for bit output_spectrum(probe, wv,
-    probe.lambda0, default_grid(probe), form): the one readout of the
-    default-grid spectra that sweeps, references and design candidates fit.
-
-    A row whose selection is effectively orthogonal yields the
-    NearOrthogonalSelection in place of the weak value and None for the
-    spectrum. Phases are read and weak values evaluated row by row, and
-    spectra built _CHUNK_ROWS rows at a time, each carrying its fit record
-    (spectral._fit_setups), which holds the error its fit raises; any other
-    error of a row, its phase's and its spectrum's included, is raised at
-    that row's turn, after every row before it was yielded.
-    """
-    phases = iter(phases)
-    while True:
-        chunk, error = [], None
-        try:
-            for phi in islice(phases, _CHUNK_ROWS):
-                chunk.append((phi, _weak(alpha, beta, phi)))
-        except Exception as exc:
-            error = exc
-        wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
-        spectra = iter(_default_spectra(probe, wvs, form) if wvs else ())
-        for phi, wv in chunk:
-            if isinstance(wv, NearOrthogonalSelection):
-                yield phi, wv, None
-                continue
-            yield phi, wv, next(spectra)  # raises a refused row's error
-        if error is not None:
-            raise error
-        if len(chunk) < _CHUNK_ROWS:
-            return
-
-
 def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
               window: tuple[float, float] | None = None) -> SweepResult:
     """Evaluate the shift curve over the model's rate range.
@@ -203,9 +161,10 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     lo, hi, steps = model.omega_range
     omegas = np.linspace(lo, hi, int(steps)).tolist()
-    phases = (sagnac_phase(cfg, omega) for omega in omegas)
-    evaluated = _evaluated_rows(model.probe, model.alpha, model.beta,
-                                chain([0.0], phases), form)
+    phases = chain([0.0], (sagnac_phase(cfg, omega) for omega in omegas))
+    evaluated = _default_rows(
+        model.probe, ((phi, _weak(model.alpha, model.beta, phi)) for phi in phases),
+        form)
     _, wv, spectrum = next(evaluated)
     if spectrum is None:
         raise wv
@@ -229,7 +188,8 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
 
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,
-        k_window=default_window(model.omega_range) if window is None else window,
+        k_window=(default_window(model.omega_range) if window is None
+                  else tuple(map(float, window))),
         form=form, warnings=_degeneracy_warnings(model))
     try:
         k = sensitivity(result, result.k_window)
@@ -245,9 +205,12 @@ def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> Sensitivity:
     """Absolute least-squares slope of shift vs rate inside the window.
 
     Computed independently for the analytic and the fitted columns; failed
-    rows are excluded. Requires at least 3 usable rows in the window.
+    rows are excluded. Requires finite bounds and at least 3 usable rows in
+    the window.
     """
     lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window bounds must be finite, got {window}")
     if not lo < hi:
         raise ValueError(f"window must satisfy lo < hi, got {window}")
     rows = [r for r in sweep.rows if lo <= r.omega <= hi and not r.failed]

@@ -302,6 +302,18 @@ def test_sweep_window_override_drops_the_default_window_warning(runner):
     assert "at least 3 usable rows" in unusable.stderr
 
 
+def test_a_window_bound_that_is_not_finite_is_a_domain_error(runner):
+    """An infinite bound would be written as -Infinity or Infinity, which is
+    not JSON: the sweep refuses it, in one line, and writes no artifact."""
+    result = runner.invoke(main, SWEEP_ARGS[:6] + ["5"] + SWEEP_ARGS[7:]
+                           + ["--window-lo", "-inf", "--window-hi", "inf",
+                              "--format", "json"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "window" in result.stderr
+    assert result.stdout == ""
+
+
 # ── design ────────────────────────────────────────────────────────────────────
 
 def test_design_vacuous_constraints(runner):

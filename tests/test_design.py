@@ -4,10 +4,10 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
-from itertools import tee
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +236,10 @@ ORTHOGONAL_AREA = 1550e-9 * SPEED_OF_LIGHT / (8 * 0.05)
 
 
 def _reports(beta, areas, cons):
-    """feasible(beta, s, cons) for each area s, from the stacks of _rows."""
-    return [design._report(cons, beta, *row)
-            for row in design._rows(beta, areas, cons)]
+    """feasible(beta, s, cons) for each area s, from the stacks of _default_rows."""
+    rows = spectral._default_rows(cons.probe, design._candidates(beta, areas, cons),
+                                  "exact")
+    return [design._report(cons, beta, wv, spectrum) for _, wv, spectrum in rows]
 
 
 def _unstacked_report(beta, area_s, cons):
@@ -306,17 +307,17 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     res = 1.01 * shifts[-1] if first is None else shifts[first]
     cons = _constraints(res=res)
     expected = _sequential_scan(cons, beta, s_lo, s_hi)
-    kept = [k for k, s in enumerate(scan) if not design._ruled_out(cons, beta, s)]
+    wvs = [wv for _, wv in design._candidates(beta, scan, cons)]
+    kept = [k for k, wv in enumerate(wvs) if not design._ruled_out(cons, wv)]
 
     built = []  # (spectrum, its area, which stack call built it)
-    rows = design._rows
+    default_rows = design._default_rows
 
-    def recorded(beta, areas, constraints):  # reads `areas` no further than _rows
-        areas, read = tee(areas)
+    def recorded(probe, rows, form):
         call = len({c for _, _, c in built})
-        for s, row in zip(read, rows(beta, areas, constraints)):
-            built.append((row[1], s, call))
-            yield row
+        for s, wv, spectrum in default_rows(probe, rows, form):
+            built.append((spectrum, s, call))
+            yield s, wv, spectrum
 
     fitted = []
 
@@ -327,11 +328,11 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     screened = []
     ruled_out = design._ruled_out
 
-    def screen(c, beta, s):
-        screened.append(s)
-        return ruled_out(c, beta, s)
+    def screen(c, wv):
+        screened.append(wv)
+        return ruled_out(c, wv)
 
-    monkeypatch.setattr(design, "_rows", recorded)
+    monkeypatch.setattr(design, "_default_rows", recorded)
     monkeypatch.setattr(design, "fit_center", counted)
     monkeypatch.setattr(design, "_ruled_out", screen)
     warnings = []
@@ -349,10 +350,37 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     scanned = design.FALLBACK_SCAN_POINTS if first is None else first + 1
     assert len(fitted) <= scanned
     # no area past the stack of unscreened areas that holds the answer
-    chunk = sweep._CHUNK_ROWS
+    chunk = spectral._CHUNK_ROWS
     end = len(kept) if first is None else (kept.index(first) // chunk + 1) * chunk
-    assert screened == scan[:len(screened)]  # in order, each once
+    assert screened == wvs[:len(screened)]  # in order, each once
     assert len(screened) <= kept[min(end, len(kept)) - 1] + 1
+
+
+def test_a_fallback_scan_evaluates_each_weak_value_once(monkeypatch):
+    """The scan of test_fallback_scan_matches_a_sequential_scan with no area
+    feasible, so that it screens all 256 areas and fits the kept ones: the
+    screen and the stack read one weak value per area. Only the bracket's
+    ends, which are also probe areas, are evaluated twice, and the phase 0
+    of the zero-rotation selection is not counted."""
+    beta, s_lo, s_hi = -0.15, 1.0, 60.0
+    scan = np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS).tolist()
+    probes = np.linspace(s_lo, s_hi, design.MONOTONE_PROBE_POINTS).tolist()
+    cons = _constraints(res=1.01 * feasible(beta, s_hi, _constraints()).shift_nm)
+    phases = []
+    original = sweep.weak_value
+
+    def counted(sel):
+        phases.append(sel.phi)
+        return original(sel)
+
+    monkeypatch.setattr(sweep, "weak_value", counted)
+    warnings = []
+    assert design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings) is None
+    assert len(warnings) == 1 and "falling back" in warnings[0]
+    expected = Counter(
+        sagnac_phase(InterferometerConfig.from_nm(s, PROBE.lambda0), cons.omega_target)
+        for s in probes + scan)
+    assert Counter(phi for phi in phases if phi != 0.0) == expected
 
 
 @pytest.mark.parametrize("res", [0.0, 0.01])
@@ -366,13 +394,14 @@ def test_an_orthogonal_scan_area_is_kept_by_the_screen_and_scanned(monkeypatch, 
     screened = []
     ruled_out = design._ruled_out
 
-    def screen(c, beta, s):
-        screened.append((s, ruled_out(c, beta, s)))
+    def screen(c, wv):
+        screened.append((wv, ruled_out(c, wv)))
         return screened[-1][1]
 
     monkeypatch.setattr(design, "_ruled_out", screen)
     sol = min_area(cons, [beta], bracket)
-    assert screened[0] == (ORTHOGONAL_AREA, False)
+    assert isinstance(screened[0][0], NearOrthogonalSelection)  # ORTHOGONAL_AREA
+    assert screened[0][1] is False
     assert "orthogonal" in feasible(beta, ORTHOGONAL_AREA, cons).reason
     area, rep = _sequential_scan(cons, beta, *bracket)
     assert area > ORTHOGONAL_AREA
@@ -640,8 +669,8 @@ def test_the_screen_skips_only_infeasible_areas(beta, area_s, omega,
     cons = DesignConstraints(i0=1.0, i_min=0.0, delta_lambda_res=0.0,
                              omega_target=omega, alpha=0.1, probe=probe)
     shift = feasible(beta, area_s, cons).shift_nm
-    assert not design._ruled_out(replace(cons, delta_lambda_res=shift),
-                                 beta, area_s)
+    (_, wv), = design._candidates(beta, [area_s], cons)
+    assert not design._ruled_out(replace(cons, delta_lambda_res=shift), wv)
 
 
 @pytest.mark.parametrize("margin, feasible_at", [

@@ -355,8 +355,8 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
 
 
 def _stack(probe, form, phis):
-    return list(spectral._default_spectra(
-        probe, [_wv(0.1, -0.3, phi) for phi in phis], form))
+    rows = [(phi, _wv(0.1, -0.3, phi)) for phi in phis]
+    return [spec for _, _, spec in spectral._default_rows(probe, rows, form)]
 
 
 def _assert_same_setup(row, alone):
@@ -474,6 +474,17 @@ def test_a_spectrum_keeps_its_data_when_the_caller_rewrites_the_buffer():
     lam[:] = 0.0
     assert repr(fit_center(spec)) == want
     assert spec.intensities.min() > 0 and spec.wavelengths[0] == 1510.0
+
+
+def test_spectra_compare_and_hash_by_identity():
+    """Comparing or hashing a spectrum raises nothing: it is equal to itself
+    alone, so a copy is a different spectrum, and it can key a set."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    row, = _stack(PROBE, "exact", [0.05])
+    copy = dataclasses.replace(spec)
+    assert spec == spec and row == row
+    assert spec != copy and spec != row
+    assert {spec, copy, row} == {row, copy, spec} and len({spec, spec}) == 1
 
 
 def test_every_spectrum_is_read_only():

@@ -120,9 +120,9 @@ def test_rows_do_not_depend_on_chunking(area_s, alpha, beta, half, probe, form):
     ref = _oracle_fit(probe, alpha, beta, 0.0, form).center
     cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
     seen = {}
-    for chunk in (1, 3, sweep._CHUNK_ROWS):
+    for chunk in (1, 3, spectral._CHUNK_ROWS):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweep, "_CHUNK_ROWS", chunk)
+            mp.setattr(spectral, "_CHUNK_ROWS", chunk)
             for steps in (5, 17, 41):
                 result = run_sweep(replace(model, omega_range=(-half, half, steps)),
                                    form=form)
@@ -234,7 +234,7 @@ def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit():
     for probe in (PROBE, SpectrumModel(i0=3.7, lambda0=1310.0, width_dlambda=6.0)):
         grid = default_grid(probe)
         for form in ("exact", "paper"):
-            for wv, spec in zip(wvs, spectral._default_spectra(probe, wvs, form)):
+            for _, wv, spec in spectral._default_rows(probe, enumerate(wvs), form):
                 want = output_spectrum(probe, wv, probe.lambda0, grid, form)
                 assert spec.intensities.tobytes() == want.intensities.tobytes()
                 assert spec.wavelengths.tobytes() == grid.tobytes()
@@ -248,7 +248,7 @@ def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit():
 
 def test_spectrum_basis_is_read_only_and_bounded():
     wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
-    spec, = spectral._default_spectra(PROBE, [wv], "exact")
+    (_, _, spec), = spectral._default_rows(PROBE, [(0.0, wv)], "exact")
     basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
     assert len(basis) == 4
     assert not any(arr.flags.writeable for arr in basis)
@@ -258,7 +258,8 @@ def test_spectrum_basis_is_read_only_and_bounded():
     maxsize = spectral._default_basis.cache_info().maxsize
     assert maxsize <= 16
     for k in range(2 * maxsize):
-        spectral._default_spectra(replace(PROBE, lambda0=1500.0 + k), [wv], "exact")
+        next(spectral._default_rows(replace(PROBE, lambda0=1500.0 + k), [(0.0, wv)],
+                                    "exact"))
     assert spectral._default_basis.cache_info().currsize == maxsize
 
 
@@ -397,6 +398,9 @@ def test_sensitivity_window_preconditions():
         sensitivity(res, (0.0, 0.05))  # only one row inside
     with pytest.raises(ValueError):
         sensitivity(res, (1.0, -1.0))
+    for window in [(-math.inf, math.inf), (-1.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            sensitivity(res, window)
 
 
 def test_default_window_is_central_fifth():
@@ -413,12 +417,18 @@ def test_explicit_window_is_used_and_an_unusable_one_raises():
                                 "usable rows inside the window, got 1",)
     res = run_sweep(model, window=(-0.1, 0.1))
     assert res.k_window == (-0.1, 0.1) and res.warnings == ()
+    for window in ([-0.1, 0.1], np.array([-0.1, 0.1])):  # stored as floats
+        given = run_sweep(model, window=window)
+        assert type(given.k_window) is tuple and hash(given) == hash(res)
+        assert [type(bound) for bound in given.k_window] == [float, float]
     k = sensitivity(res, (-0.1, 0.1))
     assert (res.k_analytic, res.k_fitted) == (k.k_analytic, k.k_fitted)
     with pytest.raises(ValueError, match="at least 3 usable rows"):
         run_sweep(model, window=(0.0, 0.01))
     with pytest.raises(ValueError, match="lo < hi"):
         run_sweep(model, window=(0.05, -0.05))
+    with pytest.raises(ValueError, match="window bounds must be finite"):
+        run_sweep(model, window=(-math.inf, math.inf))
 
 
 def test_windowed_slope_matches_closed_form_chain():
