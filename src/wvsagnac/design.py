@@ -13,6 +13,13 @@ decide with no fit. Each angle is read in one pass, which evaluates each
 area's weak value once, and screens and fits an area, and fits the
 zero-rotation reference, only when it reaches them; every area it fits is
 fit bit for bit as feasible() would fit it.
+
+The screen skips, unfit, an area whose fitted shift the closed form bounds
+below the resolution floor (_ruled_out): 1.01 times the first-order shift
+where |Re A_w| <= 1, where the fitted shift was measured at most 0.99979
+times it, and 2 times above 1, where it reached 1.028 (|Re A_w| 1-3), 1.056
+(3-10) and 1.060 (above 10); plus the fits' rounding and the grid step by
+which one fit window can sit off the other.
 """
 
 from __future__ import annotations
@@ -87,10 +94,17 @@ class DesignSolution:
 
 
 @lru_cache(maxsize=256)
+def _reference_weak(alpha: float, beta: float):
+    """The zero-rotation weak value of a selection, or its NearOrthogonalSelection,
+    shared by every area and call at that selection."""
+    return _weak(alpha, beta, 0.0)
+
+
+@lru_cache(maxsize=256)
 def _reference_center(probe: SpectrumModel, alpha: float, beta: float) -> float:
     """Fitted zero-rotation center (nm), shared by every area and call at one
     selection, which _candidates checks is not orthogonal. Exceptions are not cached."""
-    (_, _, spectrum), = _default_rows(probe, [(0.0, _weak(alpha, beta, 0.0))],
+    (_, _, spectrum), = _default_rows(probe, [(0.0, _reference_weak(alpha, beta))],
                                       FORM_EXACT)
     return fit_center(spectrum).center
 
@@ -117,7 +131,7 @@ def _candidates(beta: float, areas, c: DesignConstraints):
     `areas`, in order, the pairs _default_rows reads; the weak value is the
     NearOrthogonalSelection of a selection that is effectively orthogonal,
     and that of the zero-rotation selection for every area when it is."""
-    reference = _weak(c.alpha, beta, 0.0)
+    reference = _reference_weak(c.alpha, beta)
     if isinstance(reference, NearOrthogonalSelection):
         yield from ((s, reference) for s in areas)
         return
@@ -144,14 +158,35 @@ def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityRepor
 
 def _ruled_out(c: DesignConstraints, wv) -> bool:
     """Whether the first-order shift alone shows infeasible an area whose
-    _candidates weak value is `wv` (never an orthogonal one): inside the
-    monotone bound on |Im A_w|, the fitted shift stays below twice the
-    first-order one plus, for each of its two centers, five times the fits'
-    stop tolerance and three times a fit's rounding floor, sqrt(eps) * W."""
-    return (not isinstance(wv, NearOrthogonalSelection)
-            and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
-            and 2.0 * abs(analytic_wavelength_shift(c.probe, wv.a_w))
-            + 1e-7 * c.probe.width_dlambda + 10 * FIT_RELATIVE_TOL * c.probe.lambda0
+    _candidates weak value is `wv` (never an orthogonal one). Inside the
+    monotone bound on |Im A_w| the fitted shift stays below
+
+        f |first-order shift| + (1e-7 + 1e-3 D) W + 10 FIT_RELATIVE_TOL lambda0
+
+    with f = 1.01 where |Re A_w| <= 1 and 2 above it. Less the other terms,
+    the fitted shift was at most 0.99979 times the first-order one where
+    |Re A_w| <= 1; above it the exact form's Re(A_w)^2 term took it to 1.028
+    (|Re A_w| 1-3), 1.056 (3-10) and 1.060 (above 10, peaking near
+    |Re A_w| W / lambda0 = 0.08). For each of the two fitted centers, 1e-7 W
+    and the tolerance term are three times a fit's rounding floor,
+    sqrt(eps) W, and five times the fits' stop tolerance. D =
+    (||A_w|^2 - 1| + |Im A_w|) (2 pi W / lambda0)^2 is how far the spectrum
+    departs from the probe's Gaussian, its modulation being
+    |m+n|^2 (1 + Im(A_w) sin 2pg + (|A_w|^2 - 1) sin^2 pg). A fit window
+    edge can sit up to two grid steps off where the other spectrum's puts
+    it, and each step moved a fitted center by up to 1.6e-4 D W, whatever
+    the first-order shift: 1e-3 D W covers both edges. All of this was
+    measured on exact-form selections with alpha in +-1.5, beta near
+    -alpha, |Re A_w| up to 30, W / lambda0 from 3e-4 to 0.1 and lambda0
+    from 400 to 2000 nm."""
+    if isinstance(wv, NearOrthogonalSelection) or abs(wv.a_w.imag) > MONOTONE_IM_AW_MAX:
+        return False
+    a_w, width, lambda0 = wv.a_w, c.probe.width_dlambda, c.probe.lambda0
+    factor = 1.01 if abs(a_w.real) <= 1.0 else 2.0
+    distortion = ((abs(abs(a_w) ** 2 - 1.0) + abs(a_w.imag))
+                  * (2.0 * math.pi * width / lambda0) ** 2)
+    return (factor * abs(analytic_wavelength_shift(c.probe, a_w))
+            + (1e-7 + 1e-3 * distortion) * width + 10 * FIT_RELATIVE_TOL * lambda0
             < c.delta_lambda_res)
 
 
