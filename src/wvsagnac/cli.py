@@ -7,9 +7,9 @@ over a flat `key = value` config file (--config) over default. Config keys
 are the flag names except config, out and format, with `-` and `_` alike.
 
 Exit codes: 0 success, 2 usage error (including a missing parameter, an
-unknown config key, an unreadable config file and an --out that cannot be
-opened or written), 3 domain error or out of memory, 4 fit failure, 5
-infeasible design (JSON report still emitted).
+unknown or repeated config key, an unreadable config file and an --out
+that cannot be opened or written), 3 domain error or out of memory, 4 fit
+failure, 5 infeasible design (JSON report still emitted).
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _load_config(path: str, names) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeError) as exc:
         raise click.UsageError(f"{path}: cannot read config file: {exc}")
-    values = {}
+    values, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,6 +100,10 @@ def _load_config(path: str, names) -> dict:
         if name not in names:
             raise click.UsageError(
                 f"{path}:{lineno}: unknown key {key!r} for this subcommand")
+        if name in lines:
+            raise click.UsageError(f"{path}:{lineno}: key {key!r} is given twice, "
+                                   f"on lines {lines[name]} and {lineno}")
+        lines[name] = lineno
         try:
             values[name] = PARAMS[name][0].convert(value, None, None)
         except click.BadParameter:

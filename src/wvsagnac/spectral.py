@@ -173,18 +173,18 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
     return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
 
 
-# Bounded: one basis is 4 x GRID_POINTS doubles (64 KB), and a run uses one
+# Bounded: one basis is 6 x GRID_POINTS doubles (96 KB), and a run uses one
 # per probe center and width.
 @lru_cache(maxsize=8)
-def _default_basis(lambda0: float, width_dlambda: float
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only default grid, cos pg, sin pg (g = lambda0) and the envelope
-    of a unit-peak probe; i0 times that envelope is intensity_envelope's.
+def _default_basis(lambda0: float, width_dlambda: float) -> tuple[np.ndarray, ...]:
+    """Read-only default grid, its _trapezoid_weights, cos pg, sin pg (g =
+    lambda0) and unit-peak envelope (i0 times it is intensity_envelope's).
     The grid is checked here, once, for every spectrum built on it."""
     unit = SpectrumModel(1.0, lambda0, width_dlambda)
     grid, pg = _modulation_argument(default_grid(unit), lambda0)
     _check_grid(grid)
-    basis = (grid, np.cos(pg), np.sin(pg), intensity_envelope(unit, grid))
+    basis = (grid, _trapezoid_weights(grid), np.cos(pg), np.sin(pg),
+             intensity_envelope(unit, grid))
     for arr in basis:
         arr.flags.writeable = False
     return basis
@@ -235,12 +235,13 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
             error = exc
         wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
         if wvs:  # else every row yields None, and `spectra` is not read
-            grid, cos_pg, sin_pg, unit = _default_basis(probe.lambda0,
-                                                        probe.width_dlambda)
+            grid, weights, cos_pg, sin_pg, unit = _default_basis(
+                probe.lambda0, probe.width_dlambda)
             ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
             a_w = np.array([wv.a_w for wv in wvs])[:, None]
             stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
-            spectra = _spectrum_rows(grid, stack.reshape(len(wvs), grid.size), form)
+            spectra = _spectrum_rows(grid, stack.reshape(len(wvs), grid.size),
+                                     form, weights)
         for key, wv in chunk:
             # next() raises a refused row's error
             yield key, wv, (None if isinstance(wv, NearOrthogonalSelection)
@@ -251,16 +252,17 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
             return
 
 
-def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
-                   ) -> Iterator[SampledSpectrum]:
+def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str,
+                   weights: np.ndarray | None = None) -> Iterator[SampledSpectrum]:
     """Yield the rows of a (rows, n) stack of intensities on the checked grid
     `lam`, in the checked `form`, as spectra: read-only views sharing `lam`,
-    each carrying its setup from one _fit_setups pass over the stack. A row
-    with a negative, NaN or infinite sample raises SampledSpectrum's
-    ValueError when it is reached, and ends the rows.
+    each carrying its setup from one _fit_setups pass over the stack, with
+    the grid's `weights` if given. A row with a negative, NaN or infinite
+    sample raises SampledSpectrum's ValueError when it is reached, and ends
+    the rows.
     """
     stack.flags.writeable = False
-    for inten, setup in zip(stack, _fit_setups(lam, stack)):
+    for inten, setup in zip(stack, _fit_setups(lam, stack, weights)):
         if setup is None:
             raise ValueError("intensities must be finite and nonnegative")
         spec = object.__new__(SampledSpectrum)  # _fit_setups checked its row
@@ -271,24 +273,66 @@ def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str
 
 # Rows that _default_rows builds and sets up for fitting as one stack: enough
 # to spread numpy's per-call cost over the rows, few enough that the stack
-# and each temporary of _fit_setups stay near 128 KB on the 2048-point grid,
+# and _fit_setups' temporaries stay near 128-256 KB on the 2048-point grid,
 # whatever the number of rows (4 to 32 rows timed about the same).
 _CHUNK_ROWS = 8
 
 
+def _trapezoid_weights(lam: np.ndarray) -> np.ndarray:
+    """Rows w and w*lam on the grid `lam`, whose sums against a row y are
+    its trapezoid and first moment: w_0 = d_0/2, w_i = (d_{i-1} + d_i)/2 and
+    w_{n-1} = d_{n-2}/2 for the steps d, and 0 on one point."""
+    d = np.subtract(lam[1:], lam[:-1])
+    weights = np.zeros((2, lam.size))
+    weights[0, 1:] = d
+    weights[0, :-1] += d
+    weights[0] *= 0.5
+    np.multiply(weights[0], lam, out=weights[1])
+    return weights
+
+
+def _window(lam: np.ndarray, c: float, half: float) -> tuple[int, int]:
+    """[lo, hi) of the samples within `half` of the first sample nearest c,
+    as numpy rounds |lam - x|; (0, n) for a NaN half, and the first sample
+    for a c that is not finite. On an increasing grid the rounded |lam - x|
+    falls up to x and rises from it: each end is found by binary search and
+    moved to where the test changes, and only a tie run needs a full scan."""
+    if math.isnan(half):
+        return 0, lam.size
+    j = int(lam.searchsorted(c)) if math.isfinite(c) else 0
+    if j == lam.size or (j > 0 and abs(lam[j - 1] - c) <= abs(lam[j] - c)):
+        j -= 1
+        if j > 0 and abs(lam[j - 1] - c) == abs(lam[j] - c):
+            j = int(np.abs(lam - c).argmin())
+    snap = lam[j]
+    lo = int(lam.searchsorted(snap - half))
+    hi = int(lam.searchsorted(snap + half, "right"))
+    while lo > 0 and abs(lam[lo - 1] - snap) <= half:
+        lo -= 1
+    while abs(lam[lo] - snap) > half:
+        lo += 1
+    while hi < lam.size and abs(lam[hi] - snap) <= half:
+        hi += 1
+    while abs(lam[hi - 1] - snap) > half:
+        hi -= 1
+    return lo, hi
+
+
 @np.errstate(**_QUIET)
-def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | None]:
+def _fit_setups(lam: np.ndarray, stack: np.ndarray, weights: np.ndarray | None = None
+                ) -> list[_FitSetup | None]:
     """The peak and fit_center's window, start and error of each row of a
-    (rows, n) stack of intensities on the checked grid `lam`, or None for a
-    row with a negative, NaN or infinite intensity. This is the only
-    intensity check of SampledSpectrum and of the rows of _spectrum_rows.
+    (rows, n) stack of intensities on the checked grid `lam` (with its
+    _trapezoid_weights, worked out here if not given), or None for a row
+    with a negative, NaN or infinite intensity. This is the only intensity
+    check of SampledSpectrum and of the rows of _spectrum_rows.
 
     The start is the peak sample and the intensity-weighted mean and
-    standard deviation of the wavelength, from three trapezoids with
-    np.trapezoid's formula. The window is centered on the grid sample
-    nearest that mean, so that a mirror-image spectrum gets the mirror-image
-    window, and reaches FIT_WINDOW_SIGMAS standard deviations to each side;
-    on a strictly increasing grid it is an interval. Each numpy call serves
+    standard deviation of the wavelength, sums of the rows times the
+    trapezoid weights: np.trapezoid's up to rounding. The window is
+    centered on the grid sample nearest that mean, so that a mirror-image
+    spectrum gets the mirror-image window, and reaches FIT_WINDOW_SIGMAS
+    standard deviations to each side (_window). Each numpy call serves
     every row, and its reductions run along the last axis, so a row's
     numbers are bit for bit those of the row alone. Every row is computed,
     also one whose fit cannot start, so numpy's warnings are silenced; its
@@ -302,36 +346,25 @@ def _fit_setups(lam: np.ndarray, stack: np.ndarray) -> list[_FitSetup | None]:
     raw = stack
     if any(s != 1.0 for s in scales):
         stack = stack * np.array(scales)[:, None]
-    d = np.subtract(lam[1:], lam[:-1])  # np.diff, with less per-call cost
-
-    def trapezoid(y):  # d * (y[1:] + y[:-1]) / 2.0 of each row, summed
-        y = np.add(y[:, 1:], y[:, :-1])
-        y *= d
-        y *= 0.5  # the same rounding as / 2.0, and cheaper
-        return np.add.reduce(y, axis=1)  # the same sums as .sum(axis=1)
-
-    total = trapezoid(stack)
-    center = trapezoid(stack * lam) / total
-    dev = lam - center[:, None]
-    snap = lam[np.abs(dev).argmin(axis=1)]
+    if weights is None:
+        weights = _trapezoid_weights(lam)
+    wy = stack[None] * weights[:, None, :]  # w*y and w*lam*y of each row
+    total, first = np.add.reduce(wy, axis=-1)  # the same sums as .sum(axis=-1)
+    center = first / total
+    dev = np.subtract(lam, center[:, None])
     np.square(dev, out=dev)
-    dev *= stack
-    var = (trapezoid(dev) / total).tolist()
+    dev *= wy[0]
+    var = (np.add.reduce(dev, axis=1) / total).tolist()
     sigma = [math.sqrt(max(v, 0.0)) for v in var]
-    dist = np.subtract(lam, snap[:, None])
-    half = np.array([FIT_WINDOW_SIGMAS * s for s in sigma])[:, None]
-    inside = np.abs(dist, out=dist) <= half
-    lo = inside.argmax(axis=1).tolist()
-    hi = (lam.size - inside[:, ::-1].argmax(axis=1)).tolist()
 
     setups = []
-    for row, (peak, floor, t, c, v, s, a, b, scale) in enumerate(zip(
-            peaks, floors, total.tolist(), center.tolist(), var, sigma,
-            lo, hi, scales)):
+    for row, (peak, floor, t, c, v, s, scale) in enumerate(zip(
+            peaks, floors, total.tolist(), center.tolist(), var, sigma, scales)):
         # the minimum is NaN at a NaN, and only the maximum can be +inf
         if not (floor >= 0 and peak < math.inf):
             setups.append(None)
             continue
+        a, b = _window(lam, c, FIT_WINDOW_SIGMAS * s)
         pos = floor > 0  # a row with no zero needs no nonzero count
         count = lam.size if pos else np.count_nonzero(stack[row])
         error = None

@@ -413,6 +413,25 @@ def test_config_unknown_key_rejected(runner, tmp_path, line):
     assert f"unknown key {line.split()[0]!r}" in result.output
 
 
+@pytest.mark.parametrize("text, key, lines", [
+    ("theta-deg = 25\nrs = 1.0\ntheta_deg = 30\n", "theta_deg", (1, 3)),
+    ("rs = 1.0\n# again\ntheta-deg = 25\nrs = 2.0\n", "rs", (1, 4)),
+], ids=["dash and underscore", "same spelling"])
+@pytest.mark.parametrize("flag", [[], ["--theta-deg", "45", "--rs", "3"]],
+                         ids=["no flag", "flags override"])
+def test_config_key_given_twice_is_usage_error(runner, tmp_path, text, key, lines,
+                                               flag):
+    """A key given twice, `-` and `_` alike, names the key and both lines,
+    also when flags override it, and is never settled by the last value."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["geometry", "--config", str(cfg), *flag])
+    assert result.exit_code == 2
+    assert (f"run.cfg:{lines[1]}: key {key!r} is given twice, on lines "
+            f"{lines[0]} and {lines[1]}") in result.output
+    assert "n_turns" not in result.output
+
+
 def test_config_undecodable_file_is_usage_error(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"theta-deg = 25\nrs = 1\xff\xfe\n")

@@ -520,8 +520,8 @@ def test_a_probe_the_walk_does_not_reach_raises_nothing(monkeypatch, fits):
     cons = _constraints(i_min=0.005, res=0.01)
     original, plant = spectral._fit_setups, []
 
-    def planted(lam, stack):  # the records of the 8-row probe stack
-        setups = original(lam, stack)
+    def planted(*args):  # the records of the 8-row probe stack
+        setups = original(*args)
         if len(setups) == design.MONOTONE_PROBE_POINTS:
             probes.append(setups)
             for k in plant:

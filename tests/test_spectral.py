@@ -622,6 +622,217 @@ def test_growing_steps_do_not_stop_the_fit():
         assert abs(fit.width - float.fromhex(fitted_width)) <= 1e-10
 
 
+# ── the fit setup against np.trapezoid's moments ─────────────────────────────
+
+@np.errstate(**spectral._QUIET)
+def _trapezoid_fit_setups(lam, stack):
+    """_fit_setups as it was before its moments became weighted sums: three
+    trapezoids with np.trapezoid's formula, the nearest sample by argmin and
+    the window by a mask over the whole grid. The oracle of the setup."""
+    peaks = np.maximum.reduce(stack, axis=1).tolist()
+    floors = np.minimum.reduce(stack, axis=1).tolist()
+    scales = [2.0 ** min(-math.frexp(p)[1], 1023)
+              if 0 < p < spectral._TINY_PEAK else 1.0 for p in peaks]
+    raw = stack
+    if any(s != 1.0 for s in scales):
+        stack = stack * np.array(scales)[:, None]
+    d = np.subtract(lam[1:], lam[:-1])
+
+    def trapezoid(y):  # d * (y[1:] + y[:-1]) / 2.0 of each row, summed
+        y = np.add(y[:, 1:], y[:, :-1])
+        y *= d
+        y *= 0.5
+        return np.add.reduce(y, axis=1)
+
+    total = trapezoid(stack)
+    center = trapezoid(stack * lam) / total
+    dev = lam - center[:, None]
+    snap = lam[np.abs(dev).argmin(axis=1)]
+    np.square(dev, out=dev)
+    dev *= stack
+    var = (trapezoid(dev) / total).tolist()
+    sigma = [math.sqrt(max(v, 0.0)) for v in var]
+    dist = np.subtract(lam, snap[:, None])
+    half = np.array([spectral.FIT_WINDOW_SIGMAS * s for s in sigma])[:, None]
+    inside = np.abs(dist, out=dist) <= half
+    lo = inside.argmax(axis=1).tolist()
+    hi = (lam.size - inside[:, ::-1].argmax(axis=1)).tolist()
+
+    setups, least = [], spectral.MIN_FIT_POINTS
+    for row, (peak, floor, t, c, v, s, a, b, scale) in enumerate(zip(
+            peaks, floors, total.tolist(), center.tolist(), var, sigma,
+            lo, hi, scales)):
+        if not (floor >= 0 and peak < math.inf):
+            setups.append(None)
+            continue
+        pos = floor > 0
+        count = lam.size if pos else np.count_nonzero(stack[row])
+        error = None
+        if not peak > 0:
+            error = partial(DegenerateInput, "cannot fit an all-zero spectrum")
+        elif count < least:
+            error = partial(ValueError, f"need at least {least} grid points with "
+                                        f"nonzero intensity, got {count}")
+        elif not math.isfinite(t):
+            error = partial(ValueError, "integrated intensity of the spectrum "
+                                        "overflows a float")
+        elif t <= 0:
+            error = partial(DegenerateInput, "spectrum has zero total intensity")
+        elif not (math.isfinite(c) and math.isfinite(v)):
+            error = partial(ValueError, "intensity-weighted wavelength moments "
+                                        "of the spectrum overflow a float")
+        elif not s > 0:
+            error = partial(DegenerateInput,
+                            "spectrum is too narrow or too weak to seed a fit")
+        elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < least:
+            error = partial(ValueError, f"fit window holds fewer than "
+                                        f"{least} nonzero points")
+        elif scale != 1.0 and ((raw[row, a:b] > 0)
+                               & (raw[row, a:b] < np.finfo(float).tiny)).any():
+            error = partial(ValueError, "fit window of the spectrum holds "
+                                        "intensities below the smallest normal "
+                                        "float, which have lost precision; the "
+                                        "probe intensity i0 is too small")
+        setups.append(spectral._FitSetup(a, b, scale, peak, c, s, error))
+    return setups
+
+
+def _setup_grid(kind, n, seed):
+    """A strictly increasing wavelength grid of n points, in nm."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(1.0, 3000.0)
+    span = rng.uniform(1e-3, 2.0) * 10.0 ** rng.integers(-2, 4)
+    if kind == "linspace":
+        return np.linspace(start, start + span, n)
+    steps = rng.uniform(0.05, 1.0, n) * span / n  # random, strictly increasing
+    return start + np.cumsum(steps)
+
+
+def _setup_row(kind, lam, seed):
+    """Gaussian, noisy, zero-run, all-zero and bad-sample rows on `lam`."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros(lam.size)
+    lo, hi = lam[0], lam[-1]
+    mid = rng.uniform(lo, hi) if hi > lo else lo
+    width = (hi - lo or 1.0) * 10.0 ** rng.uniform(-2.0, 0.5)
+    row = rng.uniform(0.1, 1.0) * np.exp(-((lam - mid) / width) ** 2)
+    if kind == "noisy":
+        row = np.abs(row + rng.normal(0.0, rng.uniform(0.0, 0.3), lam.size))
+    elif kind == "zero runs":
+        for _ in range(rng.integers(1, 4)):
+            start = rng.integers(0, lam.size)
+            row[start:start + rng.integers(1, lam.size + 1)] = 0.0
+    elif kind == "bad":
+        row[rng.integers(0, lam.size)] = rng.choice([math.nan, -1e-3, math.inf])
+    return row
+
+
+def _moments_overflow(lam, stack):
+    """Whether a product or sum of the moments may overflow a float, in the
+    trapezoid formula or the weighted sums: there the two may refuse a row
+    with different messages, or only one of them refuse it."""
+    with np.errstate(over="ignore"):
+        bound = (np.max(np.abs(stack)) * 4.0 * lam.size * max(1.0, lam[-1] - lam[0])
+                 * max(1.0, np.max(np.abs(lam))) ** 2)
+    return not math.isfinite(bound)
+
+
+def _same_start(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b or (
+        abs(a - b) <= 1e-14 * max(abs(a), abs(b)))
+
+
+_GRID_SIZES = st.sampled_from([1, 2, 3, 15, 16, 17, 64, 2048])
+_ROW_KINDS = st.sampled_from(["gaussian", "noisy", "zero runs", "zero", "bad"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.sampled_from(["linspace", "random"]), n=_GRID_SIZES,
+       seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(_ROW_KINDS, min_size=1,
+                                                         max_size=3),
+       k=st.integers(-1070, 1020))
+def test_fit_setups_match_the_trapezoid_oracle(grid, n, seed, kinds, k):
+    """Every row of a stack gets the oracle's peak, scale, refusal, error
+    and window at any power-of-two scale, and a row that is fit gets its
+    start to 1e-14 relative (or NaN where the oracle's is). Only where a
+    moment may overflow may the errors differ; there the window and start,
+    taken from those moments, are not compared."""
+    lam = _setup_grid(grid, n, seed)
+    stack = np.array([_setup_row(kind, lam, seed + i) for i, kind in enumerate(kinds)])
+    stack *= 2.0 ** k
+    weights = spectral._trapezoid_weights(lam)
+    got = spectral._fit_setups(lam, stack)
+    assert repr(spectral._fit_setups(lam, stack.copy(), weights)) == repr(got)
+    overflow = _moments_overflow(lam, stack)
+    for row, setup in enumerate(got):
+        want, = _trapezoid_fit_setups(lam, stack[row:row + 1])
+        assert (setup is None) == (want is None)
+        if want is None:
+            continue
+        assert (setup.peak, setup.scale) == (want.peak, want.scale)
+        got_error, want_error = (s.error and s.error() for s in (setup, want))
+        if overflow and "overflow" in f"{got_error} {want_error}":
+            continue
+        assert (type(got_error), str(got_error)) == (type(want_error), str(want_error))
+        if overflow:  # the windows and starts are of moments that may differ
+            continue
+        assert (setup.lo, setup.hi) == (want.lo, want.hi)
+        if want.error is None:  # else the start is not used, and may be noise
+            assert _same_start(setup.center, want.center)
+            assert _same_start(setup.sigma, want.sigma)
+
+
+def _scan_window(lam, c, half):
+    """The window as a mask over the whole grid: the oracle of _window."""
+    with np.errstate(invalid="ignore"):
+        snap = lam[np.abs(lam - c).argmin()]
+        inside = np.abs(lam - snap) <= half
+    return int(inside.argmax()), int(lam.size - inside[::-1].argmax())
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=_GRID_SIZES, dense=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       c_kind=st.sampled_from(["sample", "midpoint", "uniform", "outside", "nan",
+                               "inf", "-inf"]),
+       half_kind=st.sampled_from(["distance", "uniform", "zero", "nan", "inf"]))
+def test_window_matches_the_full_scan(n, dense, seed, c_kind, half_kind):
+    """The binary search finds the full scan's window exactly: at ties
+    between two samples, at an edge exactly `half` away, and on grids spaced
+    by one to three units in the last place, where the rounded distances
+    repeat."""
+    rng = np.random.default_rng(seed)
+    if dense:
+        start = rng.uniform(1.0, 3000.0)
+        lam = start + np.cumsum(rng.integers(1, 4, n)) * np.spacing(start)
+    else:
+        lam = _setup_grid("random", n, seed)
+    i, k = rng.integers(0, n, 2)
+    c = {"sample": lam[i], "midpoint": (lam[i] + lam[min(i + 1, n - 1)]) / 2,
+         "uniform": rng.uniform(lam[0], lam[-1]),
+         "outside": lam[0] - rng.uniform(0, 3) * (lam[-1] - lam[0] + 1),
+         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[c_kind]
+    snap = lam[np.abs(lam - c).argmin()] if math.isfinite(c) else lam[0]
+    half = {"distance": abs(float(lam[k] - snap)),
+            "uniform": rng.uniform(0, 1.2) * (lam[-1] - lam[0]),
+            "zero": 0.0, "nan": math.nan, "inf": math.inf}[half_kind]
+    assert spectral._window(lam, float(c), half) == _scan_window(lam, c, half)
+
+
+@pytest.mark.parametrize("lam", [[1550.0], [1550.0, 1551.0]])
+def test_one_and_two_point_spectra_build_and_refuse_their_fit(lam):
+    """The grid of one point has no step and that of two no interior
+    sample; both spectra build, and their fits are refused for too few
+    points, as before the moments became weighted sums."""
+    spec = SampledSpectrum(np.array(lam), np.ones(len(lam)), "exact")
+    message = f"^need at least 16 grid points with nonzero intensity, got {len(lam)}$"
+    with pytest.raises(ValueError, match=message):
+        fit_center(spec)
+    row, = spectral._spectrum_rows(spec.wavelengths, np.ones((1, len(lam))), "exact")
+    with pytest.raises(ValueError, match=message):
+        fit_center(row)
+
+
 # ── closed-form normal equations ──────────────────────────────────────────────
 
 def test_cholesky_solve_matches_linalg_solve():

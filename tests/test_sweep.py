@@ -250,7 +250,7 @@ def test_spectrum_basis_is_read_only_and_bounded():
     wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
     (_, _, spec), = spectral._default_rows(PROBE, [(0.0, wv)], "exact")
     basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
-    assert len(basis) == 4
+    assert len(basis) == 5  # the grid, its weights, cos pg, sin pg, envelope
     assert not any(arr.flags.writeable for arr in basis)
     assert spec.wavelengths is basis[0]
     with pytest.raises(ValueError):
