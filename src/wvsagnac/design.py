@@ -148,7 +148,7 @@ def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityRepor
                                  math.nan, reason=str(wv))
     reference = _reference_center(c.probe, c.alpha, beta)
     shift = abs(fit_center(spectrum).center - reference)
-    peak = spectrum._fit_setup.peak
+    peak = spectrum._peak
     return FeasibilityReport(
         feasible=(peak >= c.i_min and shift >= c.delta_lambda_res),
         peak_intensity=peak, intensity_margin=peak - c.i_min,
@@ -206,7 +206,7 @@ def _min_area_for_beta(c: DesignConstraints, beta: float,
     if all(sp is not None and abs(wv.a_w.imag) <= MONOTONE_IM_AW_MAX
            for _, wv, sp in rows):
         shifts = [abs(analytic_wavelength_shift(c.probe, wv.a_w)) for _, wv, _ in rows]
-        detected = [spectrum._fit_setup.peak >= c.i_min for _, _, spectrum in rows]
+        detected = [spectrum._peak >= c.i_min for _, _, spectrum in rows]
         if (all(b >= a for a, b in zip(shifts, shifts[1:]))
                 and detected == sorted(detected)):
             # an undetected or screened-out largest area leaves none feasible

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -59,21 +59,28 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
-    # the row's peak and fit_center's window, start and error (_fit_setups)
-    _fit_setup: _FitSetup = field(init=False, repr=False)
+    # the largest and smallest intensity (_extremes)
+    _peak: float = field(init=False, repr=False)
+    _floor: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        # read-only copies, so that the setup stays that of the spectrum's data
+        # read-only copies, so that the facts stay those of the spectrum's data
         lam = np.array(self.wavelengths, dtype=float)
         inten = np.array(self.intensities, dtype=float)
         lam.flags.writeable = inten.flags.writeable = False
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        setup = next(_spectrum_rows(lam, inten[None, :], self.form_tag))._fit_setup
+        peak, floor = next(_extremes(inten[None, :]))
         if self.form_tag not in (FORM_PAPER, FORM_EXACT):
             raise ValueError(f"unknown form_tag {self.form_tag!r}")
-        vars(self).update(wavelengths=lam, intensities=inten, _fit_setup=setup)
+        vars(self).update(wavelengths=lam, intensities=inten, _peak=peak, _floor=floor)
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
+        """The grid's _trapezoid_weights, worked out at the spectrum's first
+        fit; the rows of a stack share their grid's instead."""
+        return _trapezoid_weights(self.wavelengths)
 
 
 def _check_grid(lam: np.ndarray):
@@ -82,6 +89,9 @@ def _check_grid(lam: np.ndarray):
         raise ValueError("spectrum grid is empty")
     if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
         raise ValueError("wavelength grid must be strictly increasing")
+    # the ends of a strictly increasing grid bound every sample
+    if not (math.isfinite(lam[0]) and math.isfinite(lam[-1])):
+        raise ValueError("wavelength grid must be finite")
 
 
 @dataclass(frozen=True)
@@ -190,16 +200,6 @@ def _default_basis(lambda0: float, width_dlambda: float) -> tuple[np.ndarray, ..
     return basis
 
 
-class _FitSetup(NamedTuple):
-    lo: int         # the fit window is the grid slice [lo, hi)
-    hi: int
-    scale: float    # power of two the intensities are fit multiplied by
-    peak: float     # the row's maximum sample, unscaled
-    center: float   # start values, from the scaled intensities
-    sigma: float
-    error: Callable[[], Exception] | None  # factory of the fit's error, or None
-
-
 # Huge finite intensities can overflow the moments, the cost or the normal
 # equations: each is checked and raises a ValueError naming it, and a trial
 # step that overflows is rejected, so numpy's warnings would only repeat that.
@@ -253,28 +253,40 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
 
 
 def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str,
-                   weights: np.ndarray | None = None) -> Iterator[SampledSpectrum]:
+                   weights: np.ndarray) -> Iterator[SampledSpectrum]:
     """Yield the rows of a (rows, n) stack of intensities on the checked grid
-    `lam`, in the checked `form`, as spectra: read-only views sharing `lam`,
-    each carrying its setup from one _fit_setups pass over the stack, with
-    the grid's `weights` if given. A row with a negative, NaN or infinite
-    sample raises SampledSpectrum's ValueError when it is reached, and ends
-    the rows.
+    `lam`, with its _trapezoid_weights `weights`, in the checked `form`, as
+    spectra: read-only views sharing `lam` and `weights`. A row with a
+    negative, NaN or infinite sample raises SampledSpectrum's ValueError
+    when it is reached, and ends the rows.
     """
     stack.flags.writeable = False
-    for inten, setup in zip(stack, _fit_setups(lam, stack, weights)):
-        if setup is None:
-            raise ValueError("intensities must be finite and nonnegative")
-        spec = object.__new__(SampledSpectrum)  # _fit_setups checked its row
+    for inten, (peak, floor) in zip(stack, _extremes(stack)):
+        spec = object.__new__(SampledSpectrum)  # _extremes checked its row
         vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
-                          _fit_setup=setup)
+                          _weights=weights, _peak=peak, _floor=floor)
         yield spec
 
 
-# Rows that _default_rows builds and sets up for fitting as one stack: enough
-# to spread numpy's per-call cost over the rows, few enough that the stack
-# and _fit_setups' temporaries stay near 128-256 KB on the 2048-point grid,
-# whatever the number of rows (4 to 32 rows timed about the same).
+def _extremes(stack: np.ndarray) -> Iterator[tuple[float, float]]:
+    """Yield the largest and smallest sample of each row of a (rows, n) stack,
+    from one reduction of each over the stack: the only intensity check of
+    spectra. A row with a negative, NaN or infinite sample raises when it is
+    reached."""
+    # ufunc reductions: the same as .max() or .min(), with less per-call cost
+    peaks = np.maximum.reduce(stack, axis=1).tolist()
+    floors = np.minimum.reduce(stack, axis=1).tolist()
+    for peak, floor in zip(peaks, floors):
+        # the minimum is NaN at a NaN, and only the maximum can be +inf
+        if not (floor >= 0 and peak < math.inf):
+            raise ValueError("intensities must be finite and nonnegative")
+        yield peak, floor
+
+
+# Rows that _default_rows builds as one stack: enough to spread numpy's
+# per-call cost over the rows, few enough that the stack and its temporaries
+# stay near 128 KB each on the 2048-point grid, whatever the number of rows
+# (4 to 32 rows timed about the same).
 _CHUNK_ROWS = 8
 
 
@@ -318,84 +330,55 @@ def _window(lam: np.ndarray, c: float, half: float) -> tuple[int, int]:
     return lo, hi
 
 
-@np.errstate(**_QUIET)
-def _fit_setups(lam: np.ndarray, stack: np.ndarray, weights: np.ndarray | None = None
-                ) -> list[_FitSetup | None]:
-    """The peak and fit_center's window, start and error of each row of a
-    (rows, n) stack of intensities on the checked grid `lam` (with its
-    _trapezoid_weights, worked out here if not given), or None for a row
-    with a negative, NaN or infinite intensity. This is the only intensity
-    check of SampledSpectrum and of the rows of _spectrum_rows.
+def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
+    """fit_center's window [lo, hi), the power of two `scale` the intensities
+    are fit multiplied by and the start (center, sigma), from the spectrum
+    alone; raises the error of a spectrum whose fit cannot start. It runs
+    under fit_center's np.errstate.
 
-    The start is the peak sample and the intensity-weighted mean and
-    standard deviation of the wavelength, sums of the rows times the
-    trapezoid weights: np.trapezoid's up to rounding. The window is
-    centered on the grid sample nearest that mean, so that a mirror-image
-    spectrum gets the mirror-image window, and reaches FIT_WINDOW_SIGMAS
-    standard deviations to each side (_window). Each numpy call serves
-    every row, and its reductions run along the last axis, so a row's
-    numbers are bit for bit those of the row alone. Every row is computed,
-    also one whose fit cannot start, so numpy's warnings are silenced; its
-    error is a factory, so every fit of the row raises a fresh exception.
+    The start is the intensity-weighted mean and standard deviation of the
+    wavelength, sums of the scaled intensities times the grid's trapezoid
+    weights: np.trapezoid's up to rounding. The window is centered on the
+    grid sample nearest that mean, so that a mirror-image spectrum gets the
+    mirror-image window, and reaches FIT_WINDOW_SIGMAS standard deviations
+    to each side (_window).
     """
-    # ufunc reductions: the same as .max() or .min(), with less per-call cost
-    peaks = np.maximum.reduce(stack, axis=1).tolist()
-    floors = np.minimum.reduce(stack, axis=1).tolist()
-    scales = [2.0 ** min(-math.frexp(p)[1], 1023) if 0 < p < _TINY_PEAK else 1.0
-              for p in peaks]
-    raw = stack
-    if any(s != 1.0 for s in scales):
-        stack = stack * np.array(scales)[:, None]
-    if weights is None:
-        weights = _trapezoid_weights(lam)
-    wy = stack[None] * weights[:, None, :]  # w*y and w*lam*y of each row
-    total, first = np.add.reduce(wy, axis=-1)  # the same sums as .sum(axis=-1)
+    lam, raw, peak = spec.wavelengths, spec.intensities, spec._peak
+    if not peak > 0:  # intensities are nonnegative
+        raise DegenerateInput("cannot fit an all-zero spectrum")
+    scale = 2.0 ** min(-math.frexp(peak)[1], 1023) if peak < _TINY_PEAK else 1.0
+    y = raw * scale if scale != 1.0 else raw
+    pos = spec._floor > 0  # a row with no zero needs no nonzero count
+    count = lam.size if pos else np.count_nonzero(y)
+    if count < MIN_FIT_POINTS:
+        raise ValueError(f"need at least {MIN_FIT_POINTS} grid points with "
+                         f"nonzero intensity, got {count}")
+    wy = np.multiply(spec._weights, y)  # w*y and w*lam*y
+    total, first = np.add.reduce(wy, axis=1).tolist()
+    if not math.isfinite(total):
+        raise ValueError("integrated intensity of the spectrum overflows a float")
+    if total <= 0:
+        raise DegenerateInput("spectrum has zero total intensity")
     center = first / total
-    dev = np.subtract(lam, center[:, None])
+    dev = np.subtract(lam, center)
     np.square(dev, out=dev)
     dev *= wy[0]
-    var = (np.add.reduce(dev, axis=1) / total).tolist()
-    sigma = [math.sqrt(max(v, 0.0)) for v in var]
-
-    setups = []
-    for row, (peak, floor, t, c, v, s, scale) in enumerate(zip(
-            peaks, floors, total.tolist(), center.tolist(), var, sigma, scales)):
-        # the minimum is NaN at a NaN, and only the maximum can be +inf
-        if not (floor >= 0 and peak < math.inf):
-            setups.append(None)
-            continue
-        a, b = _window(lam, c, FIT_WINDOW_SIGMAS * s)
-        pos = floor > 0  # a row with no zero needs no nonzero count
-        count = lam.size if pos else np.count_nonzero(stack[row])
-        error = None
-        if not peak > 0:  # intensities are nonnegative
-            error = partial(DegenerateInput, "cannot fit an all-zero spectrum")
-        elif count < MIN_FIT_POINTS:
-            error = partial(ValueError,
-                            f"need at least {MIN_FIT_POINTS} grid points with "
-                            f"nonzero intensity, got {count}")
-        elif not math.isfinite(t):
-            error = partial(ValueError, "integrated intensity of the spectrum "
-                                        "overflows a float")
-        elif t <= 0:
-            error = partial(DegenerateInput, "spectrum has zero total intensity")
-        elif not (math.isfinite(c) and math.isfinite(v)):
-            error = partial(ValueError, "intensity-weighted wavelength moments "
-                                        "of the spectrum overflow a float")
-        elif not s > 0:
-            error = partial(DegenerateInput,
-                            "spectrum is too narrow or too weak to seed a fit")
-        elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < MIN_FIT_POINTS:
-            error = partial(ValueError, f"fit window holds fewer than "
-                                        f"{MIN_FIT_POINTS} nonzero points")
-        elif scale != 1.0 and ((raw[row, a:b] > 0)
-                               & (raw[row, a:b] < sys.float_info.min)).any():
-            error = partial(ValueError, "fit window of the spectrum holds "
-                                        "intensities below the smallest normal "
-                                        "float, which have lost precision; the "
-                                        "probe intensity i0 is too small")
-        setups.append(_FitSetup(a, b, scale, peak, c, s, error))
-    return setups
+    var = float(np.add.reduce(dev)) / total
+    if not (math.isfinite(center) and math.isfinite(var)):
+        raise ValueError("intensity-weighted wavelength moments of the spectrum "
+                         "overflow a float")
+    sigma = math.sqrt(max(var, 0.0))
+    if not sigma > 0:
+        raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
+    lo, hi = _window(lam, center, FIT_WINDOW_SIGMAS * sigma)
+    if (hi - lo if pos else np.count_nonzero(y[lo:hi])) < MIN_FIT_POINTS:
+        raise ValueError(f"fit window holds fewer than {MIN_FIT_POINTS} "
+                         "nonzero points")
+    if scale != 1.0 and ((raw[lo:hi] > 0) & (raw[lo:hi] < sys.float_info.min)).any():
+        raise ValueError("fit window of the spectrum holds intensities below the "
+                         "smallest normal float, which have lost precision; the "
+                         "probe intensity i0 is too small")
+    return lo, hi, scale, center, sigma
 
 
 def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
@@ -495,22 +478,20 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     centered on the grid sample nearest the centroid and extends
     FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
     each side; the start is the peak sample, the centroid and the moment
-    width. Every spectrum carries them, and the error its fit raises, in
-    the record of the _fit_setups pass that checked its intensities, alone
-    or with the rest of its stack. A spectrum whose peak is below 2^-256 is
-    fit multiplied by a power of two and its fitted peak divided by it,
-    which is exact; one whose fit window holds a nonzero sample below the
-    smallest normal float is refused.
+    width. Each fit works them out from its own spectrum (_fit_start), so a
+    spectrum that is never fit computes no moments, and one whose fit
+    cannot start raises a fresh error at each fit. A spectrum whose peak is
+    below 2^-256 is fit multiplied by a power of two and its fitted peak
+    divided by it, which is exact; one whose fit window holds a nonzero
+    sample below the smallest normal float is refused.
     """
-    lo, hi, scale, peak, center, sigma, error = spec._fit_setup
-    if error is not None:
-        raise error()
+    lo, hi, scale, center, sigma = _fit_start(spec)
     lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
     if scale != 1.0:
         y = y * scale
 
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
-    params = (peak * scale, center, math.sqrt(2.0) * sigma)
+    params = (spec._peak * scale, center, math.sqrt(2.0) * sigma)
     weights, powers = np.empty((2, 3, lam_w.size))
     powers[0] = 1.0
     buffers = (weights, powers, *weights, *powers)  # views cost: make them once

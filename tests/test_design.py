@@ -513,36 +513,57 @@ def test_a_largest_probe_at_six_tenths_of_the_floor_is_not_fit(fits, beta):
 
 
 def test_a_probe_the_walk_does_not_reach_raises_nothing(monkeypatch, fits):
-    """The regime reads every probe's peak from its fit record, which never
-    raises: an error planted in the record of a probe the walk does not fit
-    leaves the solution as it was, and one planted in a fitted probe's
-    record is raised."""
+    """The regime reads every probe's peak, which its spectrum carries and
+    which never raises: an error planted in the fit start of a probe the
+    walk does not fit leaves the solution as it was, and one planted in a
+    fitted probe's is raised."""
     cons = _constraints(i_min=0.005, res=0.01)
-    original, plant = spectral._fit_setups, []
+    rows, fit_start, probes, plant = spectral._spectrum_rows, spectral._fit_start, [], []
 
-    def planted(*args):  # the records of the 8-row probe stack
-        setups = original(*args)
-        if len(setups) == design.MONOTONE_PROBE_POINTS:
-            probes.append(setups)
-            for k in plant:
-                setups[k] = setups[k]._replace(
-                    error=partial(RuntimeError, "planted"))
-        return setups
+    def recorded(lam, stack, *args):  # the spectra of the 8-row probe stack
+        for spec in rows(lam, stack, *args):
+            if len(stack) == design.MONOTONE_PROBE_POINTS:
+                probes.append(spec)
+            yield spec
 
-    monkeypatch.setattr(spectral, "_fit_setups", planted)
-    probes = []
+    def planted(spec):
+        if any(k < len(probes) and probes[k] is spec for k in plant):
+            raise RuntimeError("planted")
+        return fit_start(spec)
+
+    monkeypatch.setattr(spectral, "_spectrum_rows", recorded)
+    monkeypatch.setattr(spectral, "_fit_start", planted)
     clean = min_area(cons, [-0.3], (1.0, 20.0))
     assert clean.feasible and not clean.warnings
-    fitted = [any(spec._fit_setup is setup for spec in fits)
-              for setup in probes[0]]
+    assert len(probes) == design.MONOTONE_PROBE_POINTS
+    fitted = [any(spec is fit for fit in fits) for spec in probes]
     assert 0 < sum(fitted) < len(fitted)
     for k, was_fit in enumerate(fitted):
-        plant[:] = [k]
+        plant[:], probes[:] = [k], []
         if was_fit:
             with pytest.raises(RuntimeError, match="planted"):
                 min_area(cons, [-0.3], (1.0, 20.0))
         else:
             assert repr(min_area(cons, [-0.3], (1.0, 20.0))) == repr(clean)
+
+
+def test_every_fit_start_belongs_to_a_fit(monkeypatch, fits):
+    """The README design makes 15 fits, the zero-rotation references'
+    included, and works out a fit start for each of them and for no other
+    spectrum: the probes the walk skips compute no moments."""
+    fit_start, starts = spectral._fit_start, []
+
+    def counted(spec):
+        starts.append(spec)
+        return fit_start(spec)
+
+    monkeypatch.setattr(spectral, "_fit_start", counted)
+    cons = _constraints(i_min=0.005, res=0.01)
+    sol = min_area(cons, [-0.5, -0.3, -0.2], (1.0, 20.0))
+    assert sol.feasible and not sol.warnings
+    assert len(fits) == 15
+    assert len(starts) == len(fits)
+    assert all(start is fit for start, fit in zip(starts, fits))
 
 
 # ── the fit-free regime against fitting every probe ───────────────────────────

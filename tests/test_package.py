@@ -2,6 +2,7 @@
 and `wvsagnac.cli`, and which commands load numpy."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -190,3 +191,24 @@ def test_a_failing_property_test_fails_and_the_run_goes_on(tmp_path):
                    "test_property.py"], tmp_path)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout
+
+
+def test_the_readme_python_blocks_run(capsys):
+    """Each python block of README.md runs as written, so the documented
+    library API cannot drift from the package: the sketch prints a
+    first-order shift, a fitted center and a sensitivity, and the replaced
+    benchmark model sweeps the new range."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 2
+    sketch, example = {}, {}
+    for block, namespace in zip(blocks, (sketch, example)):
+        exec(compile(block, str(readme), "exec"), namespace)
+    (shift, center), (k,) = [map(float, line.split())
+                             for line in capsys.readouterr().out.splitlines()]
+    assert center == sketch["fit_center"](sketch["spectrum"]).center
+    # the fitted center sits near lambda0 plus the first-order shift
+    assert shift < 0 and abs(center - 1550.0 - shift) < 0.1 * abs(shift) and k > 0
+    wide, model = example["wide"], example["model"]
+    assert wide.omega_range == (-0.5, 0.5, 101) and wide.name == model.name

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 
@@ -171,6 +172,21 @@ def test_sampled_spectrum_validation():
         SampledSpectrum([], [], "exact")
 
 
+@pytest.mark.parametrize("lam", [[-math.inf, 1500.0, 1600.0],
+                                 [1500.0, 1600.0, math.inf], [math.inf]])
+def test_a_grid_with_an_infinite_end_is_refused(lam):
+    """A grid that is strictly increasing but ends at -inf or +inf is
+    refused by name, not at its fit as an overflowing integrated intensity.
+    output_spectrum passes +inf as positive, and refuses -inf as not."""
+    message = "^wavelength grid must be finite$"
+    with pytest.raises(ValueError, match=message):
+        SampledSpectrum(np.array(lam), np.ones(len(lam)), "exact")
+    if lam[0] < 0:
+        message = "^wavelength grid must be strictly positive$"
+    with pytest.raises(ValueError, match=message):
+        output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, np.array(lam))
+
+
 @pytest.mark.parametrize("probe, span", [
     (PROBE, 1e308),                                 # span * width is inf
     (PROBE, 1e307),                                 # hi - lo is inf
@@ -328,9 +344,8 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     unit spectrum; the window's smallest sample decides the boundary."""
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
     base = fit_center(spec)
-    stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack)
-    low = math.frexp(spec.intensities[setup.lo:setup.hi].min())[1]
+    lo, hi, *_ = spectral._fit_start(spec)
+    low = math.frexp(spec.intensities[lo:hi].min())[1]
     normal, subnormal = -1021 - low, -1022 - low  # the window's least exponent
     assert subnormal < -1000
 
@@ -349,7 +364,7 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     message = "below the smallest normal float.*probe intensity i0"
     with pytest.raises(ValueError, match=message):
         fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
-    row, = spectral._spectrum_rows(spec.wavelengths, inten[None, :], "exact")
+    row, = _rows(spec.wavelengths, inten[None, :])
     with pytest.raises(ValueError, match=message):
         fit_center(row)
 
@@ -359,16 +374,29 @@ def _stack(probe, form, phis):
     return [spec for _, _, spec in spectral._default_rows(probe, rows, form)]
 
 
-def _assert_same_setup(row, alone):
-    """The row's fit record is that of the spectrum built alone: the same
-    peak, window and start (NaN where a fit cannot start), and no error or
-    a factory raising the same type and message."""
-    got, want = row._fit_setup, alone._fit_setup
-    assert repr(got._replace(error=None)) == repr(want._replace(error=None))
-    assert (got.error is None) == (want.error is None)
-    if want.error is not None:
-        got, want = got.error(), want.error()
-        assert (type(got), str(got)) == (type(want), str(want))
+def _rows(lam, stack):
+    """The spectra of a (rows, n) stack on the grid `lam`, as _default_rows
+    makes them."""
+    return spectral._spectrum_rows(lam, stack, "exact",
+                                   spectral._trapezoid_weights(lam))
+
+
+def _start(spec):
+    """_fit_start of a spectrum, or the error it raises."""
+    try:
+        with np.errstate(**spectral._QUIET):
+            return spectral._fit_start(spec)
+    except ValueError as exc:
+        return exc
+
+
+def _assert_same_start(row, alone):
+    """The row carries the facts of the spectrum built alone, and its fit
+    starts the same: the same window, scale and start, or an error of the
+    same type and message."""
+    assert (row._peak, row._floor) == (alone._peak, alone._floor)
+    assert np.array_equal(row._weights, alone._weights)
+    assert repr(_start(row)) == repr(_start(alone))
 
 
 @pytest.mark.parametrize("form", ["exact", "paper"])
@@ -383,7 +411,7 @@ def test_stack_rows_fit_like_fresh_spectra(form):
             row.intensities[0] = 0.0
         fresh = SampledSpectrum(np.array(row.wavelengths),
                                 np.array(row.intensities), form)
-        _assert_same_setup(row, fresh)
+        _assert_same_start(row, fresh)
         assert repr(fit_center(row)) == repr(fit_center(fresh))
         assert repr(row) == repr(fresh) and row == row
     assert [r.form_tag for r in rows] == [form] * 7
@@ -397,7 +425,7 @@ def test_stack_with_a_bad_row_raises_the_spectrum_message(bad):
     message = "^intensities must be finite and nonnegative$"
     with pytest.raises(ValueError, match=message):
         SampledSpectrum(lam, stack[1], "exact")
-    rows = spectral._spectrum_rows(lam, stack, "exact")  # raises nothing yet
+    rows = _rows(lam, stack)  # raises nothing yet
     assert isinstance(next(rows), SampledSpectrum)
     with pytest.raises(ValueError, match=message) as info:
         next(rows)
@@ -413,7 +441,7 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
     sparse = np.zeros_like(lam)
     sparse[10:20] = 1.0  # only 10 nonzero samples
     stack = np.array([good, np.zeros_like(lam), good[::-1], sparse, 1e-300 * good])
-    rows = list(spectral._spectrum_rows(lam, stack, "exact"))  # raises nothing
+    rows = list(_rows(lam, stack))  # raises nothing
 
     def outcome(spec):
         try:
@@ -422,7 +450,7 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
             return f"{type(exc).__name__}: {exc}"
 
     for row, inten in zip(rows, stack):
-        _assert_same_setup(row, SampledSpectrum(lam, inten, "exact"))
+        _assert_same_start(row, SampledSpectrum(lam, inten, "exact"))
     for cap in (1, spectral.FIT_MAX_ITERATIONS):
         monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
         got = [outcome(row) for row in rows]
@@ -444,7 +472,7 @@ def test_window_of_too_few_points_is_refused_when_every_sample_is_positive(scale
     message = "^fit window holds fewer than 16 nonzero points$"
     with pytest.raises(ValueError, match=message):
         fit_center(SampledSpectrum(lam, inten, "exact"))
-    row, = spectral._spectrum_rows(lam, inten[None, :].copy(), "exact")
+    row, = _rows(lam, inten[None, :].copy())
     with pytest.raises(ValueError, match=message):
         fit_center(row)
 
@@ -458,6 +486,21 @@ def test_a_replaced_spectrum_gets_its_own_setup():
     with pytest.raises(DegenerateInput, match="all-zero"):
         fit_center(zeroed)
     assert repr(fit_center(dataclasses.replace(spec))) == repr(fit_center(spec))
+
+
+def test_a_spectrum_works_out_its_weights_only_when_it_is_fit():
+    """A spectrum built directly holds no trapezoid weights until its first
+    fit, so one that is only written out costs its two arrays; the rows of
+    a stack share the cached basis's."""
+    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    assert "_weights" not in vars(spec)
+    fit = fit_center(spec)
+    assert np.array_equal(vars(spec)["_weights"],
+                          spectral._trapezoid_weights(spec.wavelengths))
+    row, = _stack(PROBE, "exact", [0.05])
+    assert row._weights is spectral._default_basis(PROBE.lambda0,
+                                                   PROBE.width_dlambda)[1]
+    assert repr(fit_center(row)) == repr(fit) == repr(fit_center(spec))
 
 
 def test_a_spectrum_keeps_its_data_when_the_caller_rewrites_the_buffer():
@@ -503,7 +546,7 @@ def test_every_spectrum_is_read_only():
 
 def test_each_fit_of_a_refused_row_raises_a_fresh_exception():
     lam = np.linspace(1540.0, 1560.0, 64)
-    row, = spectral._spectrum_rows(lam, np.zeros((1, lam.size)), "exact")
+    row, = _rows(lam, np.zeros((1, lam.size)))
     errors = []
     for _ in range(2):
         with pytest.raises(DegenerateInput, match="all-zero") as info:
@@ -622,13 +665,19 @@ def test_growing_steps_do_not_stop_the_fit():
         assert abs(fit.width - float.fromhex(fitted_width)) <= 1e-10
 
 
-# ── the fit setup against np.trapezoid's moments ─────────────────────────────
+# ── the fit start against np.trapezoid's moments ─────────────────────────────
+
+# the oracle's record of a row: fit window [lo, hi), scale, peak, start and a
+# factory of the fit's error, or None
+_Setup = namedtuple("_Setup", "lo hi scale peak center sigma error")
+
 
 @np.errstate(**spectral._QUIET)
 def _trapezoid_fit_setups(lam, stack):
-    """_fit_setups as it was before its moments became weighted sums: three
-    trapezoids with np.trapezoid's formula, the nearest sample by argmin and
-    the window by a mask over the whole grid. The oracle of the setup."""
+    """The fit setup of each row of a stack as it was worked out before its
+    moments became weighted sums: three trapezoids with np.trapezoid's
+    formula, the nearest sample by argmin and the window by a mask over the
+    whole grid, for every row. The oracle of _fit_start."""
     peaks = np.maximum.reduce(stack, axis=1).tolist()
     floors = np.minimum.reduce(stack, axis=1).tolist()
     scales = [2.0 ** min(-math.frexp(p)[1], 1023)
@@ -693,7 +742,7 @@ def _trapezoid_fit_setups(lam, stack):
                                         "intensities below the smallest normal "
                                         "float, which have lost precision; the "
                                         "probe intensity i0 is too small")
-        setups.append(spectral._FitSetup(a, b, scale, peak, c, s, error))
+        setups.append(_Setup(a, b, scale, peak, c, s, error))
     return setups
 
 
@@ -752,35 +801,39 @@ _ROW_KINDS = st.sampled_from(["gaussian", "noisy", "zero runs", "zero", "bad"])
        seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(_ROW_KINDS, min_size=1,
                                                          max_size=3),
        k=st.integers(-1070, 1020))
-def test_fit_setups_match_the_trapezoid_oracle(grid, n, seed, kinds, k):
-    """Every row of a stack gets the oracle's peak, scale, refusal, error
-    and window at any power-of-two scale, and a row that is fit gets its
-    start to 1e-14 relative (or NaN where the oracle's is). Only where a
-    moment may overflow may the errors differ; there the window and start,
-    taken from those moments, are not compared."""
+def test_fit_starts_match_the_trapezoid_oracle(grid, n, seed, kinds, k):
+    """Every row of a stack gets the oracle's peak and refusal, alone or in
+    its stack, and at any power-of-two scale its fit starts with the
+    oracle's error, or with its window and scale and a start within 1e-14
+    relative. Only where a moment may overflow may the errors differ;
+    there the window and start, taken from those moments, are not
+    compared."""
     lam = _setup_grid(grid, n, seed)
     stack = np.array([_setup_row(kind, lam, seed + i) for i, kind in enumerate(kinds)])
     stack *= 2.0 ** k
-    weights = spectral._trapezoid_weights(lam)
-    got = spectral._fit_setups(lam, stack)
-    assert repr(spectral._fit_setups(lam, stack.copy(), weights)) == repr(got)
     overflow = _moments_overflow(lam, stack)
-    for row, setup in enumerate(got):
+    rows = _rows(lam, stack)
+    for row, inten in enumerate(stack):
         want, = _trapezoid_fit_setups(lam, stack[row:row + 1])
-        assert (setup is None) == (want is None)
-        if want is None:
+        if want is None:  # refused, and the rest of the stack is rows again
+            for build in (partial(SampledSpectrum, lam, inten, "exact"),
+                          partial(next, rows)):
+                with pytest.raises(ValueError, match="^intensities must be finite"):
+                    build()
+            rows = _rows(lam, stack[row + 1:])
             continue
-        assert (setup.peak, setup.scale) == (want.peak, want.scale)
-        got_error, want_error = (s.error and s.error() for s in (setup, want))
-        if overflow and "overflow" in f"{got_error} {want_error}":
-            continue
-        assert (type(got_error), str(got_error)) == (type(want_error), str(want_error))
-        if overflow:  # the windows and starts are of moments that may differ
-            continue
-        assert (setup.lo, setup.hi) == (want.lo, want.hi)
-        if want.error is None:  # else the start is not used, and may be noise
-            assert _same_start(setup.center, want.center)
-            assert _same_start(setup.sigma, want.sigma)
+        spec = next(rows)
+        _assert_same_start(spec, SampledSpectrum(lam, inten, "exact"))
+        assert spec._peak == want.peak
+        got, want_error = _start(spec), want.error and want.error()
+        if isinstance(got, ValueError) or want_error is not None:
+            if not (overflow and "overflow" in f"{got} {want_error}"):
+                assert repr(got) == repr(want_error)
+        elif not overflow:  # else the windows and starts may differ
+            lo, hi, scale, center, sigma = got
+            assert (lo, hi, scale) == (want.lo, want.hi, want.scale)
+            assert _same_start(center, want.center)
+            assert _same_start(sigma, want.sigma)
 
 
 def _scan_window(lam, c, half):
@@ -828,7 +881,7 @@ def test_one_and_two_point_spectra_build_and_refuse_their_fit(lam):
     message = f"^need at least 16 grid points with nonzero intensity, got {len(lam)}$"
     with pytest.raises(ValueError, match=message):
         fit_center(spec)
-    row, = spectral._spectrum_rows(spec.wavelengths, np.ones((1, len(lam))), "exact")
+    row, = _rows(spec.wavelengths, np.ones((1, len(lam))))
     with pytest.raises(ValueError, match=message):
         fit_center(row)
 
@@ -935,14 +988,10 @@ def _fit_forming_everything(spec, point=_moment_point):
     iteration, also after a rejected step or a refused solve: the oracle
     the lean loop must match bit for bit. With `point=_explicit_point` it
     is the explicit-Jacobian fit the moments replaced."""
-    stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack)
-    lo, hi, scale, peak, center, sigma, error = setup
-    if error is not None:
-        raise error()
-    lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale
-    params = (peak * scale, center, math.sqrt(2.0) * sigma)
     with np.errstate(**spectral._QUIET):
+        lo, hi, scale, center, sigma = spectral._fit_start(spec)
+        lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale
+        params = (spec._peak * scale, center, math.sqrt(2.0) * sigma)
         residual, normal_equations = point(lam_w, y, *params)
         cost = float(residual @ residual)
         if not math.isfinite(cost):
@@ -1120,15 +1169,13 @@ def _rounding_floor(spec, fit):
     changes by a rounding of itself: sqrt(eps * cost * diag((J J^T)^-1)),
     the peak relative. A fit that ends at the rounding floor is determined
     only to this; any change of summation order moves it by about as much."""
-    stack = spec.intensities[None, :]
-    setup, = spectral._fit_setups(spec.wavelengths, stack)
-    y = spec.intensities[setup.lo:setup.hi] * setup.scale
+    lo, hi, scale, _, _ = spectral._fit_start(spec)
     residual, normal_equations = _explicit_point(
-        spec.wavelengths[setup.lo:setup.hi], y, fit.peak * setup.scale,
+        spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale, fit.peak * scale,
         fit.center, fit.width)
     inverse = np.linalg.inv(np.array(normal_equations()[0]))
     floor = np.sqrt(np.finfo(float).eps * (residual @ residual) * np.diag(inverse))
-    return floor[0] / abs(fit.peak * setup.scale), floor[1], floor[2]
+    return floor[0] / abs(fit.peak * scale), floor[1], floor[2]
 
 
 @settings(max_examples=60, deadline=None)
