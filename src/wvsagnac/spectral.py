@@ -135,13 +135,19 @@ def intensity_envelope(probe: SpectrumModel, lam):
 
 def _modulation(cos_pg, sin_pg, ov2, a_w, form: str):
     """The modulation for |m+n|^2 = ov2 and weak value a_w: numbers, or
-    (rows, 1) columns that give one row per weak value."""
-    first_order = (cos_pg + a_w.imag * sin_pg) ** 2
-    if form == FORM_PAPER:
-        return ov2 * first_order
+    (rows, 1) columns that give one row per weak value, built in place in a
+    new array (IEEE + and * commute: the bits of the formula as written)."""
+    out = a_w.imag * sin_pg
+    out += cos_pg
+    out *= out
     if form == FORM_EXACT:
-        return ov2 * (first_order + (a_w.real * sin_pg) ** 2)
-    raise ValueError(f"form must be 'paper' or 'exact', got {form!r}")
+        re = a_w.real * sin_pg
+        re *= re
+        out += re
+    elif form != FORM_PAPER:
+        raise ValueError(f"form must be 'paper' or 'exact', got {form!r}")
+    out *= ov2
+    return out
 
 
 def modulation_factor(pg, wv: WeakValueResult, form: str = FORM_EXACT):
@@ -221,8 +227,9 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
     output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form), or
     None for a NearOrthogonalSelection in place of the weak value: the one
     readout of the default-grid spectra that sweeps and designs fit. Pairs
-    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack
-    from the cached basis (_spectrum_rows). Any error of a row, reading its
+    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack,
+    built in place from the cached basis, bit for bit (_modulation), and
+    read as rows (_spectrum_rows). Any error of a row, reading its
     pair and building its spectrum included, is raised at that row's turn,
     after every row before it was yielded; its fit's error, at its fit.
     """
@@ -239,9 +246,9 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
                 probe.lambda0, probe.width_dlambda)
             ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
             a_w = np.array([wv.a_w for wv in wvs])[:, None]
-            stack = _modulation(cos_pg, sin_pg, ov2, a_w, form) * (probe.i0 * unit)
-            spectra = _spectrum_rows(grid, stack.reshape(len(wvs), grid.size),
-                                     form, weights)
+            stack = _modulation(cos_pg, sin_pg, ov2, a_w, form)
+            stack *= probe.i0 * unit
+            spectra = _spectrum_rows(grid, stack, form, weights)
         for key, wv in chunk:
             # next() raises a refused row's error
             yield key, wv, (None if isinstance(wv, NearOrthogonalSelection)
@@ -284,7 +291,7 @@ def _extremes(stack: np.ndarray) -> Iterator[tuple[float, float]]:
 
 
 # Rows that _default_rows builds as one stack: enough to spread numpy's
-# per-call cost over the rows, few enough that the stack and its temporaries
+# per-call cost over the rows, few enough that the stack and its temporary
 # stay near 128 KB each on the 2048-point grid, whatever the number of rows
 # (4 to 32 rows timed about the same).
 _CHUNK_ROWS = 8
@@ -311,21 +318,22 @@ def _window(lam: np.ndarray, c: float, half: float) -> tuple[int, int]:
     moved to where the test changes, and only a tie run needs a full scan."""
     if math.isnan(half):
         return 0, lam.size
+    x = lam.item  # Python floats: the same IEEE arithmetic, at less cost
     j = int(lam.searchsorted(c)) if math.isfinite(c) else 0
-    if j == lam.size or (j > 0 and abs(lam[j - 1] - c) <= abs(lam[j] - c)):
+    if j == lam.size or (j > 0 and abs(x(j - 1) - c) <= abs(x(j) - c)):
         j -= 1
-        if j > 0 and abs(lam[j - 1] - c) == abs(lam[j] - c):
+        if j > 0 and abs(x(j - 1) - c) == abs(x(j) - c):
             j = int(np.abs(lam - c).argmin())
-    snap = lam[j]
+    snap = x(j)
     lo = int(lam.searchsorted(snap - half))
     hi = int(lam.searchsorted(snap + half, "right"))
-    while lo > 0 and abs(lam[lo - 1] - snap) <= half:
+    while lo > 0 and abs(x(lo - 1) - snap) <= half:
         lo -= 1
-    while abs(lam[lo] - snap) > half:
+    while abs(x(lo) - snap) > half:
         lo += 1
-    while hi < lam.size and abs(lam[hi] - snap) <= half:
+    while hi < lam.size and abs(x(hi) - snap) <= half:
         hi += 1
-    while abs(lam[hi - 1] - snap) > half:
+    while abs(x(hi - 1) - snap) > half:
         hi -= 1
     return lo, hi
 
@@ -360,7 +368,7 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     if total <= 0:
         raise DegenerateInput("spectrum has zero total intensity")
     center = first / total
-    dev = np.subtract(lam, center)
+    dev = np.subtract(lam, center, out=wy[1])  # w*lam*y is spent
     np.square(dev, out=dev)
     dev *= wy[0]
     var = float(np.add.reduce(dev)) / total
@@ -382,16 +390,18 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
 
 
 def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
-                    width: float, buffers: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """u = exp(-z^2), z = (lam - center)/width, and the residual peak*u - y;
+                    width: float, buffers: tuple, out=None) -> tuple:
+    """u = exp(-z^2), z = (lam - center)/width, and the residual peak*u - y,
+    written into the arrays of the pair `out` (new ones when it is None);
     leaves z and z^2 in the last two `buffers` for _normal_equations."""
     z, z2 = buffers[-2:]
+    u, residual = np.empty((2, lam.size)) if out is None else out
     np.subtract(lam, center, out=z)
     z /= width
     np.multiply(z, z, out=z2)
-    u = np.negative(z2)
+    np.negative(z2, out=u)
     np.exp(u, out=u)
-    residual = u * peak
+    np.multiply(u, peak, out=residual)
     residual -= y
     return u, residual
 
@@ -409,11 +419,11 @@ def _normal_equations(u: np.ndarray, residual: np.ndarray, peak: float,
     (m0, m1, m2), (_, m3, m4), (n0, n1, n2) = weights.dot(powers.T).tolist()
     t = 2.0 * peak / width
     tt = t * t
-    jtj = [[m0, t * m1, t * m2], [t * m1, tt * m2, tt * m3],
-           [t * m2, tt * m3, tt * m4]]
-    gradient = [-n0, -t * n1, -t * n2]
+    a01, a02, a12 = t * m1, t * m2, tt * m3
+    jtj = ((m0, a01, a02), (a01, tt * m2, a12), (a02, a12, tt * m4))
+    gradient = (-n0, -t * n1, -t * n2)
     # the off-diagonal entries are bounded by the diagonal ones
-    if not math.isfinite(jtj[0][0] + jtj[1][1] + jtj[2][2] + sum(gradient)):
+    if not math.isfinite(m0 + jtj[1][1] + jtj[2][2] + sum(gradient)):
         raise ValueError("normal equations of the fit to the spectrum "
                          "overflow a float")
     return jtj, gradient
@@ -483,63 +493,68 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     cannot start raises a fresh error at each fit. A spectrum whose peak is
     below 2^-256 is fit multiplied by a power of two and its fitted peak
     divided by it, which is exact; one whose fit window holds a nonzero
-    sample below the smallest normal float is refused.
+    sample below the smallest normal float is refused. A fit allocates its
+    start's temporaries and one buffer block: no window-sized array after.
     """
     lo, hi, scale, center, sigma = _fit_start(spec)
     lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
     if scale != 1.0:
         y = y * scale
 
+    # the buffer block: the moment rows, then the (u, residual) pairs of the
+    # point and the trial, which swap on acceptance
+    block = np.empty((10, lam_w.size))
+    block[3] = 1.0
+    row = [block[i] for i in range(10)]  # views cost: make them once
+    buffers, spare = (block[:3], block[3:6], *row[:6]), row[8:]
     # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
-    params = (spec._peak * scale, center, math.sqrt(2.0) * sigma)
-    weights, powers = np.empty((2, 3, lam_w.size))
-    powers[0] = 1.0
-    buffers = (weights, powers, *weights, *powers)  # views cost: make them once
-    u, residual = _gaussian_model(lam_w, y, *params, buffers)
+    peak, width = spec._peak * scale, math.sqrt(2.0) * sigma
+    u, residual = _gaussian_model(lam_w, y, peak, center, width, buffers, row[6:8])
     cost = float(residual.dot(residual))
     if not math.isfinite(cost):
         raise ValueError("sum of squared fit residuals of the spectrum "
                          "overflows a float")
     damping, last_change = 1e-3, math.nan
-    jtj = None  # the normal equations at params, formed when a step needs them
-    converged = False
+    jtj = None  # the normal equations at the point, formed when a step needs them
     for iteration in range(1, FIT_MAX_ITERATIONS + 1):
         if jtj is None:
-            jtj, gradient = _normal_equations(u, residual, params[0], params[2],
-                                              buffers)
-        damped = [row[:] for row in jtj]
-        for i, row in enumerate(damped):
-            row[i] += damping * (1e-30 if row[i] <= 0 else row[i])
-        step = _cholesky_solve(damped, gradient)
+            jtj, gradient = _normal_equations(u, residual, peak, width, buffers)
+            (a00, a01, a02), (_, a11, a12), (_, _, a22) = jtj
+        step = _cholesky_solve(
+            ((a00 + damping * (1e-30 if a00 <= 0 else a00), a01, a02),
+             (a01, a11 + damping * (1e-30 if a11 <= 0 else a11), a12),
+             (a02, a12, a22 + damping * (1e-30 if a22 <= 0 else a22))), gradient)
         if step is None:
             damping *= 10.0
             continue
-        trial = (params[0] + step[0], params[1] + step[1], params[2] + step[2])
+        trial = (peak + step[0], center + step[1], width + step[2])
         if trial[2] > 0:  # width must stay positive
-            u_t, residual_t = _gaussian_model(lam_w, y, *trial, buffers)
+            u_t, residual_t = _gaussian_model(lam_w, y, *trial, buffers, spare)
             cost_t = float(residual_t.dot(residual_t))
         if not (trial[2] > 0 and cost_t <= cost):  # the step is rejected
             damping *= 10.0
             continue
-        params, u, residual, cost = trial, u_t, residual_t, cost_t
+        (peak, center, width), cost = trial, cost_t
+        spare, u, residual = (u, residual), u_t, residual_t
         jtj = None
         damping = max(damping * 0.1, 1e-15)
-        rel_change = max(abs(step[0]) / max(abs(params[0]), 1e-300),
-                         abs(step[1]) / max(abs(params[1]), 1e-300),
-                         abs(step[2]) / max(abs(params[2]), 1e-300))
+        rel_change = max(abs(step[0]) / max(abs(peak), 1e-300),
+                         abs(step[1]) / max(abs(center), 1e-300),
+                         abs(step[2]) / max(abs(width), 1e-300))
         # theta is NaN on the first accepted step, so the estimate needs two
         theta = rel_change / last_change
         if rel_change < FIT_RELATIVE_TOL or (
                 theta < 1.0 and rel_change * theta / (1.0 - theta) < FIT_RELATIVE_TOL):
-            converged = True
             break
         last_change = rel_change
+    else:
+        iteration = None
 
-    residual_norm = math.sqrt(cost / lam_w.size) / (abs(params[0]) or 1.0)
-    if not converged:
+    residual_norm = math.sqrt(cost / lam_w.size) / (abs(peak) or 1.0)
+    if iteration is None:
         raise FitFailure(
             f"Gaussian fit did not converge in {FIT_MAX_ITERATIONS} iterations "
             f"(relative rms residual {residual_norm:.3e})",
             residual_norm=residual_norm, iterations=FIT_MAX_ITERATIONS)
-    return FitResult(center=params[1], width=params[2], peak=params[0] / scale,
+    return FitResult(center=center, width=width, peak=peak / scale,
                      residual_norm=residual_norm, iterations=iteration)

@@ -1,12 +1,15 @@
 """Rate sweeps: symmetry, sensitivity extraction, benchmark configurations."""
 
 import math
+import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
@@ -228,20 +231,54 @@ def test_row_error_is_raised_at_its_rows_turn(monkeypatch, fit_failure_row,
         assert len(weak_values) == bad_row + 2
 
 
-def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit():
-    wvs = [weak_value(SelectionConfig(0.1, -0.3, phi))
-           for phi in (-0.02, 0.0, 0.013)]
-    for probe in (PROBE, SpectrumModel(i0=3.7, lambda0=1310.0, width_dlambda=6.0)):
-        grid = default_grid(probe)
-        for form in ("exact", "paper"):
-            for _, wv, spec in spectral._default_rows(probe, enumerate(wvs), form):
-                want = output_spectrum(probe, wv, probe.lambda0, grid, form)
-                assert spec.intensities.tobytes() == want.intensities.tobytes()
-                assert spec.wavelengths.tobytes() == grid.tobytes()
-                assert spec.form_tag == form
+_PROBES = st.builds(
+    lambda i0, lambda0, share: SpectrumModel(i0, lambda0, share * lambda0),
+    st.floats(1e-3, 1e3), st.floats(400.0, 2000.0), st.floats(1e-3, 0.24))
+# (alpha, beta, phi), or None for an orthogonal selection: beta = phi = 0
+_SELECTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(-0.5, 0.5)),
+    # beta near -alpha: a small overlap, |Re A_w| well above 1
+    st.builds(lambda a, off, phi: (a, -a + off, phi), st.floats(-1.5, 1.5),
+              st.floats(-0.05, 0.05), st.floats(-0.05, 0.05)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe=_PROBES, form=st.sampled_from(["exact", "paper"]),
+       selections=st.lists(_SELECTIONS, min_size=1, max_size=20))
+@example(probe=PROBE, form="exact",
+         selections=[(0.1, -0.03, 0.0), None, *[(0.1, -0.3, 1e-3 * k) for k in range(9)]])
+def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit(
+        probe, form, selections):
+    """Every row of the stacks built in place, chunks of 8 split, with
+    orthogonal selections among them, is output_spectrum's on the default
+    grid byte for byte; |Re A_w| reaches above 1."""
+    rows = [sweep._weak(0.1, 0.0, 0.0) if sel is None else sweep._weak(*sel)
+            for sel in selections]
+    grid = default_grid(probe)
+    got = list(spectral._default_rows(probe, enumerate(rows), form))
+    assert [(key, wv) for key, wv, _ in got] == list(enumerate(rows))
+    for _, wv, spec in got:
+        if isinstance(wv, NearOrthogonalSelection):
+            assert spec is None
+            continue
+        want = output_spectrum(probe, wv, probe.lambda0, grid, form)
+        assert spec.intensities.tobytes() == want.intensities.tobytes()
+        assert spec.wavelengths.tobytes() == grid.tobytes()
+        assert spec.form_tag == form
+    spectra = [wv for wv in rows if not isinstance(wv, NearOrthogonalSelection)]
+    if spectra:  # an unknown form raises output_spectrum's error
+        with pytest.raises(ValueError) as want:
+            output_spectrum(probe, spectra[0], probe.lambda0, grid, "Exact")
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            list(spectral._default_rows(probe, enumerate(rows), "Exact"))
+
+
+def test_a_default_grid_reaching_zero_is_refused():
+    wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
     wide = SpectrumModel(i0=1.0, lambda0=100.0, width_dlambda=40.0)
     with pytest.raises(ValueError, match="strictly positive"):
-        output_spectrum(wide, wvs[1], wide.lambda0, default_grid(wide))
+        output_spectrum(wide, wv, wide.lambda0, default_grid(wide))
     with pytest.raises(ValueError, match="strictly positive"):
         run_sweep(ModelSpec("w", 16.0, 0.1, -0.3, wide, (-0.1, 0.1, 5)))
 
@@ -488,3 +525,21 @@ def test_fitted_shift_falls_short_of_first_order_by_the_squared_width(
                   if abs(row.im_aw) <= 0.05 and row.dlambda_analytic != 0.0]
         assert len(ratios) == 40
         assert lo <= min(ratios) and max(ratios) <= hi, form
+
+
+def test_concurrent_sweeps_give_the_serial_results():
+    """README: sweeps are safe for concurrent use. The eight benchmark sweeps
+    (four models, both forms, 51 rates), run on 4 threads from cold caches,
+    give the serial results: every fit has its own buffers."""
+    jobs = [partial(run_sweep, replace(m, omega_range=(-0.1, 0.1, 51)), form)
+            for m in benchmark_models(1550.0, 10.0) for form in ("exact", "paper")]
+    serial = [repr(job()) for job in jobs]
+    spectral._default_basis.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # switch threads often, to expose races
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda job: repr(job()), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
