@@ -33,7 +33,7 @@ import numpy as np
 from .classical import InterferometerConfig
 from .errors import NearOrthogonalSelection
 from .spectral import (FIT_RELATIVE_TOL, FORM_EXACT, SpectrumModel, _default_rows,
-                       fit_center)
+                       _quiet, fit_center)
 from .sweep import _weak
 from .weak import analytic_wavelength_shift, sagnac_phase
 
@@ -301,15 +301,16 @@ def min_area(constraints: DesignConstraints, beta_grid: list[float],
 
     warnings: list[str] = []
     best: tuple[float, float, FeasibilityReport] | None = None  # (area, beta, report)
-    for beta in beta_grid:
-        found = _min_area_for_beta(constraints, float(beta), s_lo, s_hi, warnings)
-        if found is None:
-            continue
-        area, rep = found
-        if (best is None or area < best[0] * (1.0 - _TIE_REL)
-                or (area <= best[0] * (1.0 + _TIE_REL)
-                    and (abs(beta), beta) < (abs(best[1]), best[1]))):
-            best = (area, float(beta), rep)
+    with _quiet():  # one np.errstate for the stacks and every fit
+        for beta in beta_grid:
+            found = _min_area_for_beta(constraints, float(beta), s_lo, s_hi, warnings)
+            if found is None:
+                continue
+            area, rep = found
+            if (best is None or area < best[0] * (1.0 - _TIE_REL)
+                    or (area <= best[0] * (1.0 + _TIE_REL)
+                        and (abs(beta), beta) < (abs(best[1]), best[1]))):
+                best = (area, float(beta), rep)
 
     if best is None:
         return DesignSolution(beta=math.nan, area_s_min=math.nan,

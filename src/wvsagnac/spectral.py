@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -133,15 +135,15 @@ def intensity_envelope(probe: SpectrumModel, lam):
     return float(out) if out.ndim == 0 else out
 
 
-def _modulation(cos_pg, sin_pg, ov2, a_w, form: str):
-    """The modulation for |m+n|^2 = ov2 and weak value a_w: numbers, or
-    (rows, 1) columns that give one row per weak value, built in place in a
-    new array (IEEE + and * commute: the bits of the formula as written)."""
-    out = a_w.imag * sin_pg
+def _modulation(cos_pg, sin_pg, ov2, a_w, form: str, out=None, scratch=None):
+    """The modulation for |m+n|^2 = ov2 and weak value a_w, numbers, written
+    into the row `out` with the row `scratch` (new arrays when None), in
+    place (IEEE + and * commute: the bits of the formula as written)."""
+    out = np.multiply(sin_pg, a_w.imag, out)
     out += cos_pg
     out *= out
     if form == FORM_EXACT:
-        re = a_w.real * sin_pg
+        re = np.multiply(sin_pg, a_w.real, scratch)
         re *= re
         out += re
     elif form != FORM_PAPER:
@@ -210,6 +212,20 @@ def _default_basis(lambda0: float, width_dlambda: float) -> tuple[np.ndarray, ..
 # equations: each is checked and raises a ValueError naming it, and a trial
 # step that overflows is rejected, so numpy's warnings would only repeat that.
 _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+_QUIETED, _NO_ERRSTATE = ContextVar("wvsagnac_quieted", default=False), nullcontext()
+
+
+@contextmanager
+def _quiet():
+    """np.errstate(**_QUIET) and _QUIETED, for a sweep's or a design's stacks
+    and fits: fit_center enters _NO_ERRSTATE inside, not one of its own."""
+    with np.errstate(**_QUIET):
+        token = _QUIETED.set(True)
+        try:
+            yield
+        finally:
+            _QUIETED.reset(token)
+
 
 # A fit's squared residuals can fall below the smallest normal float (2^-1022)
 # once the peak is below 2^-256 and the relative residuals below 2^-255; then
@@ -227,11 +243,12 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
     output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form), or
     None for a NearOrthogonalSelection in place of the weak value: the one
     readout of the default-grid spectra that sweeps and designs fit. Pairs
-    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack,
-    built in place from the cached basis, bit for bit (_modulation), and
-    read as rows (_spectrum_rows). Any error of a row, reading its
-    pair and building its spectrum included, is raised at that row's turn,
-    after every row before it was yielded; its fit's error, at its fit.
+    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack
+    built from the cached basis row by row, in place with one scratch row
+    and the i0 * unit envelope, bit for bit (_modulation), and read as rows
+    (_spectrum_rows). Any error of a row, reading its pair and building its
+    spectrum included, is raised at that row's turn, after every row
+    before it was yielded; its fit's error, at its fit.
     """
     rows = iter(rows)
     while True:
@@ -244,10 +261,12 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
         if wvs:  # else every row yields None, and `spectra` is not read
             grid, weights, cos_pg, sin_pg, unit = _default_basis(
                 probe.lambda0, probe.width_dlambda)
-            ov2 = np.array([wv.postselect_prob for wv in wvs])[:, None]
-            a_w = np.array([wv.a_w for wv in wvs])[:, None]
-            stack = _modulation(cos_pg, sin_pg, ov2, a_w, form)
-            stack *= probe.i0 * unit
+            stack, scratch = np.empty((len(wvs), grid.size)), np.empty(grid.size)
+            envelope = probe.i0 * unit
+            for row, wv in zip(stack, wvs):  # the row and scratch stay in cache
+                _modulation(cos_pg, sin_pg, wv.postselect_prob, wv.a_w, form,
+                            row, scratch)
+                row *= envelope
             spectra = _spectrum_rows(grid, stack, form, weights)
         for key, wv in chunk:
             # next() raises a refused row's error
@@ -291,9 +310,8 @@ def _extremes(stack: np.ndarray) -> Iterator[tuple[float, float]]:
 
 
 # Rows that _default_rows builds as one stack: enough to spread numpy's
-# per-call cost over the rows, few enough that the stack and its temporary
-# stay near 128 KB each on the 2048-point grid, whatever the number of rows
-# (4 to 32 rows timed about the same).
+# per-call cost over the rows, few enough that the stack stays near 128 KB
+# on the 2048-point grid (4 to 32 rows timed about the same).
 _CHUNK_ROWS = 8
 
 
@@ -342,7 +360,7 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     """fit_center's window [lo, hi), the power of two `scale` the intensities
     are fit multiplied by and the start (center, sigma), from the spectrum
     alone; raises the error of a spectrum whose fit cannot start. It runs
-    under fit_center's np.errstate.
+    under the np.errstate(**_QUIET) of fit_center or of its caller.
 
     The start is the intensity-weighted mean and standard deviation of the
     wavelength, sums of the scaled intensities times the grid's trapezoid
@@ -389,51 +407,52 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     return lo, hi, scale, center, sigma
 
 
+# the fit's ufuncs, bound once: an np.<name> lookup per call took ~2% of a fit
+_subtract, _divide, _multiply, _negative, _exp = (
+    np.subtract, np.divide, np.multiply, np.negative, np.exp)
+
+
 def _gaussian_model(lam: np.ndarray, y: np.ndarray, peak: float, center: float,
-                    width: float, buffers: tuple, out=None) -> tuple:
-    """u = exp(-z^2), z = (lam - center)/width, and the residual peak*u - y,
-    written into the arrays of the pair `out` (new ones when it is None);
-    leaves z and z^2 in the last two `buffers` for _normal_equations."""
-    z, z2 = buffers[-2:]
-    u, residual = np.empty((2, lam.size)) if out is None else out
-    np.subtract(lam, center, out=z)
-    z /= width
-    np.multiply(z, z, out=z2)
-    np.negative(z2, out=u)
-    np.exp(u, out=u)
-    np.multiply(u, peak, out=residual)
-    residual -= y
-    return u, residual
+                    width: float, z: np.ndarray, z2: np.ndarray, u: np.ndarray,
+                    residual: np.ndarray) -> float:
+    """Write z = (lam - center)/width, z^2, u = exp(-z^2) and the residual
+    peak*u - y into the rows given; return the cost, sum(residual^2)."""
+    _subtract(lam, center, z)
+    _divide(z, width, z)
+    _multiply(z, z, z2)
+    _negative(z2, u)
+    _exp(u, u)
+    _multiply(u, peak, residual)
+    _subtract(residual, y, residual)
+    return float(residual.dot(residual))
 
 
-def _normal_equations(u: np.ndarray, residual: np.ndarray, peak: float,
-                      width: float, buffers: tuple):
-    """J J^T and -J r at (peak, width): powers of t = 2*peak/width times the
-    moments sum(u^2 z^k) and sum(r u z^k), from one GEMM of `weights` =
-    [u^2, u^2 z^2, r u] against `powers` = [1, z, z^2], whose z rows
-    _gaussian_model left. `buffers`: those (3, n) arrays, then their rows."""
-    weights, powers, u2, u2z2, ru, _, _, z2 = buffers
-    np.multiply(u, u, out=u2)
-    np.multiply(u2, z2, out=u2z2)
-    np.multiply(residual, u, out=ru)
+def _normal_equations(rows: tuple, peak: float, width: float) -> tuple:
+    """J J^T and -J r at (peak, width), as (a00, a01, a02, a11, a12, a22, b0,
+    b1, b2): powers of t = 2*peak/width times the moments sum(u^2 z^k) and
+    sum(r u z^k), from one GEMM of `weights` = [u^2, u^2 z^2, r u] against
+    `powers` = [1, z, z^2]. `rows`: those (3, n) arrays, then the rows of the
+    fit's block, the last four the z, z^2, u and r _gaussian_model left."""
+    weights, powers, u2, u2z2, ru, _, _, z2, u, residual = rows
+    _multiply(u, u, u2)
+    _multiply(u2, z2, u2z2)
+    _multiply(residual, u, ru)
     (m0, m1, m2), (_, m3, m4), (n0, n1, n2) = weights.dot(powers.T).tolist()
     t = 2.0 * peak / width
     tt = t * t
-    a01, a02, a12 = t * m1, t * m2, tt * m3
-    jtj = ((m0, a01, a02), (a01, tt * m2, a12), (a02, a12, tt * m4))
-    gradient = (-n0, -t * n1, -t * n2)
+    a11, a22, b1, b2 = tt * m2, tt * m4, -t * n1, -t * n2
     # the off-diagonal entries are bounded by the diagonal ones
-    if not math.isfinite(m0 + jtj[1][1] + jtj[2][2] + sum(gradient)):
+    if not math.isfinite(m0 + a11 + a22 + (-n0 + b1 + b2)):
         raise ValueError("normal equations of the fit to the spectrum "
                          "overflow a float")
-    return jtj, gradient
+    return m0, t * m1, t * m2, a11, tt * m3, a22, -n0, b1, b2
 
 
-def _cholesky_solve(a: list[list[float]], b: list[float]
+def _cholesky_solve(a00: float, a10: float, a11: float, a20: float, a21: float,
+                    a22: float, b0: float, b1: float, b2: float
                     ) -> tuple[float, float, float] | None:
-    """Solve the symmetric 3x3 system a x = b by Cholesky, reading the lower
-    triangle of `a`; None when a pivot is not positive."""
-    (a00, _, _), (a10, a11, _), (a20, a21, a22) = a
+    """Solve the symmetric 3x3 system a x = b by Cholesky, given the lower
+    triangle of `a` row by row; None when a pivot is not positive."""
     if not a00 > 0:
         return None
     l00 = math.sqrt(a00)
@@ -448,16 +467,15 @@ def _cholesky_solve(a: list[list[float]], b: list[float]
     if not t22 > 0:
         return None
     l22 = math.sqrt(t22)
-    y0 = b[0] / l00
-    y1 = (b[1] - l10 * y0) / l11
-    y2 = (b[2] - l20 * y0 - l21 * y1) / l22
+    y0 = b0 / l00
+    y1 = (b1 - l10 * y0) / l11
+    y2 = (b2 - l20 * y0 - l21 * y1) / l22
     x2 = y2 / l22
     x1 = (y1 - l21 * x2) / l11
     x0 = (y0 - l10 * x1 - l20 * x2) / l00
     return x0, x1, x2
 
 
-@np.errstate(**_QUIET)
 def fit_center(spec: SampledSpectrum) -> FitResult:
     """Windowed least-squares Gaussian fit of (peak, center, width).
 
@@ -494,61 +512,64 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     below 2^-256 is fit multiplied by a power of two and its fitted peak
     divided by it, which is exact; one whose fit window holds a nonzero
     sample below the smallest normal float is refused. A fit allocates its
-    start's temporaries and one buffer block: no window-sized array after.
+    start's temporaries and one (8, window) buffer block, with one set of
+    z, z^2, u and residual rows that each evaluation overwrites. It enters
+    np.errstate(**_QUIET), unless a sweep or a design holds it (_quiet).
     """
-    lo, hi, scale, center, sigma = _fit_start(spec)
-    lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
-    if scale != 1.0:
-        y = y * scale
+    with _NO_ERRSTATE if _QUIETED.get() else np.errstate(**_QUIET):
+        lo, hi, scale, center, sigma = _fit_start(spec)
+        lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi]
+        if scale != 1.0:
+            y = y * scale
 
-    # the buffer block: the moment rows, then the (u, residual) pairs of the
-    # point and the trial, which swap on acceptance
-    block = np.empty((10, lam_w.size))
-    block[3] = 1.0
-    row = [block[i] for i in range(10)]  # views cost: make them once
-    buffers, spare = (block[:3], block[3:6], *row[:6]), row[8:]
-    # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
-    peak, width = spec._peak * scale, math.sqrt(2.0) * sigma
-    u, residual = _gaussian_model(lam_w, y, peak, center, width, buffers, row[6:8])
-    cost = float(residual.dot(residual))
-    if not math.isfinite(cost):
-        raise ValueError("sum of squared fit residuals of the spectrum "
-                         "overflows a float")
-    damping, last_change = 1e-3, math.nan
-    jtj = None  # the normal equations at the point, formed when a step needs them
-    for iteration in range(1, FIT_MAX_ITERATIONS + 1):
-        if jtj is None:
-            jtj, gradient = _normal_equations(u, residual, peak, width, buffers)
-            (a00, a01, a02), (_, a11, a12), (_, _, a22) = jtj
-        step = _cholesky_solve(
-            ((a00 + damping * (1e-30 if a00 <= 0 else a00), a01, a02),
-             (a01, a11 + damping * (1e-30 if a11 <= 0 else a11), a12),
-             (a02, a12, a22 + damping * (1e-30 if a22 <= 0 else a22))), gradient)
-        if step is None:
-            damping *= 10.0
-            continue
-        trial = (peak + step[0], center + step[1], width + step[2])
-        if trial[2] > 0:  # width must stay positive
-            u_t, residual_t = _gaussian_model(lam_w, y, *trial, buffers, spare)
-            cost_t = float(residual_t.dot(residual_t))
-        if not (trial[2] > 0 and cost_t <= cost):  # the step is rejected
-            damping *= 10.0
-            continue
-        (peak, center, width), cost = trial, cost_t
-        spare, u, residual = (u, residual), u_t, residual_t
-        jtj = None
-        damping = max(damping * 0.1, 1e-15)
-        rel_change = max(abs(step[0]) / max(abs(peak), 1e-300),
-                         abs(step[1]) / max(abs(center), 1e-300),
-                         abs(step[2]) / max(abs(width), 1e-300))
-        # theta is NaN on the first accepted step, so the estimate needs two
-        theta = rel_change / last_change
-        if rel_change < FIT_RELATIVE_TOL or (
-                theta < 1.0 and rel_change * theta / (1.0 - theta) < FIT_RELATIVE_TOL):
-            break
-        last_change = rel_change
-    else:
-        iteration = None
+        # the buffer block: the moment rows, then one (z, z^2, u, residual)
+        # set, the last evaluation's: the point's at the start and after an
+        # accepted step, the only times the normal equations are formed
+        block = np.empty((8, lam_w.size))
+        block[3] = 1.0
+        rows = (block[:3], block[3:6], *block)
+        z, z2, u, residual = rows[6:]
+        # start: peak sample, centroid, 1/e half width of a Gaussian with std sigma
+        peak, width = spec._peak * scale, math.sqrt(2.0) * sigma
+        cost = _gaussian_model(lam_w, y, peak, center, width, z, z2, u, residual)
+        if not math.isfinite(cost):
+            raise ValueError("sum of squared fit residuals of the spectrum "
+                             "overflows a float")
+        damping, last_change = 1e-3, math.nan
+        normal = None  # the normal equations at the point, formed when needed
+        for iteration in range(1, FIT_MAX_ITERATIONS + 1):
+            if normal is None:
+                a00, a01, a02, a11, a12, a22, b0, b1, b2 = normal = (
+                    _normal_equations(rows, peak, width))
+            step = _cholesky_solve(
+                a00 + damping * (1e-30 if a00 <= 0 else a00),
+                a01, a11 + damping * (1e-30 if a11 <= 0 else a11),
+                a02, a12, a22 + damping * (1e-30 if a22 <= 0 else a22), b0, b1, b2)
+            if step is None:
+                damping *= 10.0
+                continue
+            d_peak, d_center, d_width = step
+            trial = (peak + d_peak, center + d_center, width + d_width)
+            if trial[2] > 0:  # width must stay positive
+                cost_t = _gaussian_model(lam_w, y, *trial, z, z2, u, residual)
+            if not (trial[2] > 0 and cost_t <= cost):  # the step is rejected
+                damping *= 10.0
+                continue
+            (peak, center, width), cost = trial, cost_t
+            normal = None
+            damping = max(damping * 0.1, 1e-15)
+            rel_change = max(abs(d_peak) / max(abs(peak), 1e-300),
+                             abs(d_center) / max(abs(center), 1e-300),
+                             abs(d_width) / max(abs(width), 1e-300))
+            # theta is NaN on the first accepted step, so the estimate needs two
+            theta = rel_change / last_change
+            if rel_change < FIT_RELATIVE_TOL or (
+                    theta < 1.0
+                    and rel_change * theta / (1.0 - theta) < FIT_RELATIVE_TOL):
+                break
+            last_change = rel_change
+        else:
+            iteration = None
 
     residual_norm = math.sqrt(cost / lam_w.size) / (abs(peak) or 1.0)
     if iteration is None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classical import InterferometerConfig
 from .errors import FitFailure, NearOrthogonalSelection
-from .spectral import FORM_EXACT, SpectrumModel, _default_rows, fit_center
+from .spectral import FORM_EXACT, SpectrumModel, _default_rows, _quiet, fit_center
 from .weak import (SelectionConfig, analytic_wavelength_shift, sagnac_phase,
                    weak_value)
 
@@ -162,29 +162,29 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     lo, hi, steps = model.omega_range
     omegas = np.linspace(lo, hi, int(steps)).tolist()
     phases = chain([0.0], (sagnac_phase(cfg, omega) for omega in omegas))
-    evaluated = _default_rows(
-        model.probe, ((phi, _weak(model.alpha, model.beta, phi)) for phi in phases),
-        form)
-    _, wv, spectrum = next(evaluated)
-    if spectrum is None:
-        raise wv
-    ref_center = fit_center(spectrum).center
-    rows: list[SweepRow] = []
-    for omega, (phi, wv, spectrum) in zip(omegas, evaluated):
-        im_aw = analytic = fitted = math.nan
-        prob, note = 0.0, ""  # a failed row's note is its error, never empty
+    with _quiet():  # one np.errstate for the stacks and every fit
+        evaluated = _default_rows(model.probe, (
+            (phi, _weak(model.alpha, model.beta, phi)) for phi in phases), form)
+        _, wv, spectrum = next(evaluated)
         if spectrum is None:
-            note = str(wv)
-        else:
-            im_aw, prob = wv.a_w.imag, wv.postselect_prob
-            analytic = analytic_wavelength_shift(model.probe, wv.a_w)
-            try:
-                fitted = fit_center(spectrum).center - ref_center
-            except FitFailure as exc:
-                note = str(exc)
-        rows.append(SweepRow(omega=omega, phi=phi, im_aw=im_aw,
-                             dlambda_analytic=analytic, dlambda_fitted=fitted,
-                             postselect_prob=prob, note=note))
+            raise wv
+        ref_center = fit_center(spectrum).center
+        rows: list[SweepRow] = []
+        for omega, (phi, wv, spectrum) in zip(omegas, evaluated):
+            im_aw = analytic = fitted = math.nan
+            prob, note = 0.0, ""  # a failed row's note is its error, never empty
+            if spectrum is None:
+                note = str(wv)
+            else:
+                im_aw, prob = wv.a_w.imag, wv.postselect_prob
+                analytic = analytic_wavelength_shift(model.probe, wv.a_w)
+                try:
+                    fitted = fit_center(spectrum).center - ref_center
+                except FitFailure as exc:
+                    note = str(exc)
+            rows.append(SweepRow(omega=omega, phi=phi, im_aw=im_aw,
+                                 dlambda_analytic=analytic, dlambda_fitted=fitted,
+                                 postselect_prob=prob, note=note))
 
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,

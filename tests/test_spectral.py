@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 from functools import partial
 from pathlib import Path
@@ -488,6 +489,40 @@ def test_a_replaced_spectrum_gets_its_own_setup():
     assert repr(fit_center(dataclasses.replace(spec))) == repr(fit_center(spec))
 
 
+def _traced_peak(fn):
+    """The most memory fn() held at once beyond what was held before it, as
+    tracemalloc counts it (numpy reports its arrays' data to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_fit_and_a_stack_allocate_only_their_buffers():
+    """A fit on the default 1277-point window holds at most its start's
+    temporaries, freed before the fit proper begins, or one (8, window)
+    float64 block, give or take 8 KiB of Python objects: one more row in
+    the block, or a second (u, residual) pair, would not fit. An 8-row
+    exact-form stack holds the stack, one scratch row and the i0 * unit
+    envelope, give or take 16 KiB: one more grid-sized row would not fit."""
+    rows = [(k, _wv(0.1, -0.3, 1e-3 * k)) for k in range(8)]
+
+    def stack():
+        return list(spectral._default_rows(PROBE, rows, "exact"))
+
+    spec = stack()[3][2]
+    lo, hi, *_ = spectral._fit_start(spec)
+    assert hi - lo == 1277
+    fit_center(spec)  # warm: the first call may make lasting objects
+    start = _traced_peak(lambda: spectral._fit_start(spec))
+    assert _traced_peak(lambda: fit_center(spec)) <= max(start, 8 * 1277 * 8) + 8192
+    n = spec.wavelengths.size
+    assert _traced_peak(stack) <= (8 + 2) * n * 8 + 16384
+
+
 def test_a_spectrum_works_out_its_weights_only_when_it_is_fit():
     """A spectrum built directly holds no trapezoid weights until its first
     fit, so one that is only written out costs its two arrays; the rows of
@@ -888,6 +923,18 @@ def test_one_and_two_point_spectra_build_and_refuse_their_fit(lam):
 
 # ── closed-form normal equations ──────────────────────────────────────────────
 
+def _lower(a):
+    """The lower triangle of the 3x3 matrix `a`, row by row: the first six
+    arguments of spectral._cholesky_solve."""
+    return a[0][0], a[1][0], a[1][1], a[2][0], a[2][1], a[2][2]
+
+
+def _full(lower):
+    """The symmetric 3x3 matrix, as lists, of its lower triangle row by row."""
+    a00, a10, a11, a20, a21, a22 = lower
+    return [[a00, a10, a20], [a10, a11, a21], [a20, a21, a22]]
+
+
 def test_cholesky_solve_matches_linalg_solve():
     rng = np.random.default_rng(41)
     for _ in range(500):
@@ -895,7 +942,7 @@ def test_cholesky_solve_matches_linalg_solve():
         a = jac @ jac.T
         a[np.diag_indices(3)] *= 1.0 + 10.0 ** rng.uniform(-15.0, 2.0)  # damping
         b = rng.normal(size=3)
-        x = np.array(spectral._cholesky_solve(a.tolist(), b.tolist()))
+        x = np.array(spectral._cholesky_solve(*_lower(a.tolist()), *b.tolist()))
         want = np.linalg.solve(a, b)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -908,7 +955,7 @@ def test_cholesky_solve_refuses_non_positive_pivots():
     last_pivot_zero = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]
     nan = [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for a in (singular, indefinite, zero_first, last_pivot_zero, nan):
-        assert spectral._cholesky_solve(a, b) is None
+        assert spectral._cholesky_solve(*_lower(a), *b) is None
 
 
 def test_refused_solve_raises_damping_and_retries(monkeypatch):
@@ -919,9 +966,9 @@ def test_refused_solve_raises_damping_and_retries(monkeypatch):
     solve = spectral._cholesky_solve
     seen = []
 
-    def refuse_first(a, b):
-        seen.append(([row[:] for row in a], list(b)))
-        return None if len(seen) == 1 else solve(a, b)
+    def refuse_first(*args):
+        seen.append((_full(args[:6]), list(args[6:])))
+        return None if len(seen) == 1 else solve(*args)
 
     monkeypatch.setattr(spectral, "_cholesky_solve", refuse_first)
     fit = fit_center(spec)
@@ -1006,7 +1053,7 @@ def _fit_forming_everything(spec, point=_moment_point):
             for i in range(3):
                 d = jtj[i][i]
                 jtj[i][i] = d + damping * (1e-30 if d <= 0 else d)
-            step = spectral._cholesky_solve(jtj, gradient)
+            step = spectral._cholesky_solve(*_lower(jtj), *gradient)
             if step is None:
                 damping *= 10.0
                 continue
@@ -1092,9 +1139,9 @@ def test_refused_solves_fit_like_the_oracle(monkeypatch, refused):
     solve = spectral._cholesky_solve
     calls = []
 
-    def refuse(a, b):
+    def refuse(*args):
         calls.append(None)
-        return None if len(calls) in refused else solve(a, b)
+        return None if len(calls) in refused else solve(*args)
 
     monkeypatch.setattr(spectral, "_cholesky_solve", refuse)
     for spec in (_model_spectrum("model2", "exact", 0.05),
@@ -1150,9 +1197,9 @@ def test_a_fit_forms_the_jacobian_only_for_steps_that_continue(monkeypatch):
     for planted, models in ((None, 4), ((0.0, 5.0, 0.0), 5)):
         calls = []
 
-        def third_planted(a, b):
+        def third_planted(*args):
             calls.append(None)
-            return planted if len(calls) == 3 else solve(a, b)
+            return planted if len(calls) == 3 else solve(*args)
 
         monkeypatch.setattr(spectral, "_cholesky_solve", third_planted)
         counts.update(model=0, normal=0)
@@ -1219,11 +1266,14 @@ def test_normal_equations_match_an_explicit_jacobian(peak, center, width, points
     products of the explicit (3, n) Jacobian."""
     lam = np.linspace(1500.0, 1600.0, points)
     y = peak * np.random.default_rng(seed).uniform(0.0, 1.0, points)
-    weights, powers = np.empty((2, 3, points))
-    powers[0] = 1.0
-    buffers = (weights, powers, *weights, *powers)
-    u, residual = spectral._gaussian_model(lam, y, peak, center, width, buffers)
-    jtj, gradient = spectral._normal_equations(u, residual, peak, width, buffers)
+    block = np.empty((8, points))
+    block[3] = 1.0
+    rows = (block[:3], block[3:6], *block)
+    spectral._gaussian_model(lam, y, peak, center, width, *rows[6:])
+    a00, a01, a02, a11, a12, a22, *gradient = spectral._normal_equations(
+        rows, peak, width)
+    jtj = _full((a00, a01, a11, a02, a12, a22))
+    u, residual = block[6:]
     z = (lam - center) / width
     jac = np.array([u, peak * u * 2.0 * z / width, peak * u * 2.0 * z * z / width])
     want = jac @ jac.T

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 from functools import partial
@@ -14,11 +15,12 @@ from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
-from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig, ModelSpec,
-                      NearOrthogonalSelection, SelectionConfig, SpectrumModel,
-                      SweepResult, SweepRow, benchmark_models, default_grid,
-                      default_window, fit_center, output_spectrum, run_sweep,
-                      sagnac_phase, sensitivity, weak_value)
+from wvsagnac import (DegenerateInput, DesignConstraints, FitFailure,
+                      InterferometerConfig, ModelSpec, NearOrthogonalSelection,
+                      SelectionConfig, SpectrumModel, SweepResult, SweepRow,
+                      WeakValueResult, benchmark_models, default_grid,
+                      default_window, fit_center, min_area, output_spectrum,
+                      run_sweep, sagnac_phase, sensitivity, weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 PHI_PER_OMEGA_S16 = 8.0 * math.pi * 16.0 / (1550e-9 * 299792458.0)
@@ -543,3 +545,42 @@ def test_concurrent_sweeps_give_the_serial_results():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_sweeps_and_designs_hold_one_quiet_errstate(monkeypatch):
+    """run_sweep and min_area enter np.errstate(**spectral._QUIET) once for
+    their stacks and fits, which then enter none of their own: no
+    RuntimeWarning escapes, whether the run succeeds or a fit overflows.
+    Inside that region a row whose intensities are not finite still raises
+    its ValueError: here an infinite Re(A_w) with a zero post-selection
+    probability makes the row inf * 0 = NaN, which numpy flags as invalid.
+    Outside, fit_center enters its own again."""
+    huge = replace(PROBE, i0=1e160)  # the fit's cost overflows
+    cons = DesignConstraints(i0=1.0, i_min=0.005, delta_lambda_res=0.01,
+                             omega_target=0.05, alpha=0.1, probe=PROBE)
+    bad = WeakValueResult(m=0j, n=0j, overlap=0j, a_w=complex(math.inf, 0.0))
+    bad_phi = sagnac_phase(InterferometerConfig.from_nm(16.0, PROBE.lambda0), -0.05)
+    real = sweep.weak_value
+
+    def planted(sel):  # the bad weak value at the rate -0.05 rad/s
+        return bad if sel.phi == bad_phi else real(sel)
+
+    with pytest.warns(RuntimeWarning):  # numpy flags the planted row
+        np.multiply(np.float64(math.inf), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_sweep(_model(omega_range=(-0.1, 0.1, 5)))
+        assert min_area(cons, [-0.5, -0.3, -0.2], (1.0, 20.0)).feasible
+        with pytest.raises(ValueError, match="squared fit residuals"):
+            run_sweep(replace(_model(), probe=huge))
+        with pytest.raises(ValueError, match="squared fit residuals"):
+            min_area(replace(cons, i0=1e160, i_min=0.0), [-0.3], (1.0, 20.0))
+        with monkeypatch.context() as mp:
+            mp.setattr(sweep, "weak_value", planted)
+            with pytest.raises(ValueError,
+                               match="^intensities must be finite and nonnegative$"):
+                run_sweep(_model(omega_range=(-0.1, 0.1, 5)))
+        assert not spectral._QUIETED.get()
+        with pytest.raises(ValueError, match="squared fit residuals"):
+            fit_center(output_spectrum(huge, weak_value(SelectionConfig(0.1, -0.3, 0.0)),
+                                       huge.lambda0, default_grid(huge)))
