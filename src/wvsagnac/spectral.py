@@ -80,9 +80,26 @@ class SampledSpectrum:
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """The grid's _trapezoid_weights, worked out at the spectrum's first
-        fit; the rows of a stack share their grid's instead."""
+        """The grid's _trapezoid_weights, at the first fit; a stack's rows share it."""
         return _trapezoid_weights(self.wavelengths)
+
+    @cached_property
+    def _moments(self) -> tuple[float, float, float, float]:
+        """_fit_scale and the total, mean and variance (NaN unless 0 < total <
+        inf) of the wavelength over the scaled intensities, against _weights,
+        at the first fit; _default_rows sets its rows' (_basis_moments)."""
+        scale = _fit_scale(self._peak)
+        y = self.intensities * scale if scale != 1.0 else self.intensities
+        wy = np.empty((2, y.size))  # w*y and w*lam*y, a row at a time: unbuffered
+        for w, out in zip(self._weights, wy):
+            _multiply(w, y, out)
+        total, first = np.add.reduce(wy, axis=1).tolist()
+        if not 0 < total < math.inf:
+            return scale, total, math.nan, math.nan
+        center = first / total  # w*lam*y is spent: wy[1] takes (lam - center)^2
+        dev = np.square(np.subtract(self.wavelengths, center, out=wy[1]), out=wy[1])
+        dev *= wy[0]
+        return scale, total, center, float(np.add.reduce(dev)) / total
 
 
 def _check_grid(lam: np.ndarray):
@@ -191,13 +208,15 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
     return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
 
 
-# Bounded: one basis is 6 x GRID_POINTS doubles (96 KB), and a run uses one
-# per probe center and width.
+# Bounded: one basis is 6 x GRID_POINTS doubles (96 KB) and nine floats, and a
+# run uses one per probe center and width.
 @lru_cache(maxsize=8)
-def _default_basis(lambda0: float, width_dlambda: float) -> tuple[np.ndarray, ...]:
+def _default_basis(lambda0: float, width_dlambda: float) -> tuple:
     """Read-only default grid, its _trapezoid_weights, cos pg, sin pg (g =
-    lambda0) and unit-peak envelope (i0 times it is intensity_envelope's).
-    The grid is checked here, once, for every spectrum built on it."""
+    lambda0) and unit-peak envelope (i0 times it is intensity_envelope's),
+    then for k = 0, 1, 2 the sums of w (lam - lambda0)^k B, B = (cos^2 pg,
+    cos pg sin pg, sin^2 pg) * envelope: nine floats. The grid is checked
+    here, once, for every spectrum built on it."""
     unit = SpectrumModel(1.0, lambda0, width_dlambda)
     grid, pg = _modulation_argument(default_grid(unit), lambda0)
     _check_grid(grid)
@@ -205,7 +224,26 @@ def _default_basis(lambda0: float, width_dlambda: float) -> tuple[np.ndarray, ..
              intensity_envelope(unit, grid))
     for arr in basis:
         arr.flags.writeable = False
-    return basis
+    (w, _), (c, s, env), d = basis[1], basis[2:], grid - lambda0
+    terms = np.array([c * c, c * s, s * s]) * env
+    sums = np.add.reduce(np.array([w, w * d, w * d * d])[:, None] * terms, axis=2)
+    return *basis, tuple(map(tuple, sums.tolist()))
+
+
+def _basis_moments(sums: tuple, probe: SpectrumModel, wv: WeakValueResult,
+                   form: str, peak: float) -> tuple[float, float, float, float]:
+    """_moments of a default-grid row from its basis's `sums`: the row is i0
+    |m+n|^2 (cos^2 pg + 2 Im A_w cos pg sin pg + q sin^2 pg) * envelope, q =
+    |A_w|^2, or Im^2 A_w ('paper'), and its moments the same sum of sums."""
+    scale, im, re = _fit_scale(peak), wv.a_w.imag, wv.a_w.real
+    q = im * im + re * re if form == FORM_EXACT else im * im
+    k = probe.i0 * scale * wv.postselect_prob
+    total, first, second = (k * (cc + 2.0 * im * cs + q * ss) for cc, cs, ss in sums)
+    if not 0 < total < math.inf:
+        return scale, total, math.nan, math.nan
+    shift = first / total  # the mean about 0 overflows where the samples' does
+    return (scale, total, (probe.lambda0 * total + first) / total,
+            second / total - shift * shift)
 
 
 # Huge finite intensities can overflow the moments, the cost or the normal
@@ -227,28 +265,29 @@ def _quiet():
             _QUIETED.reset(token)
 
 
-# A fit's squared residuals can fall below the smallest normal float (2^-1022)
-# once the peak is below 2^-256 and the relative residuals below 2^-255; then
-# the cost no longer tells steps apart and every step is accepted. Such a
-# spectrum is fit multiplied by the power of two that brings its peak into
-# [0.5, 1), which is exact. Samples below the smallest normal float have
-# lost significant bits before any scaling, so a fit window holding one is
-# refused.
 _TINY_PEAK = 2.0 ** -256
+
+
+def _fit_scale(peak: float) -> float:
+    """The exact power of two a fit multiplies a spectrum by: below _TINY_PEAK,
+    where squared residuals can underflow and the cost no longer tells steps
+    apart, the one that brings the peak into [0.5, 1). A fit window holding
+    a subnormal sample, which lost bits before any scaling, is refused."""
+    return 2.0 ** min(-math.frexp(peak)[1], 1023) if peak < _TINY_PEAK else 1.0
 
 
 def _default_rows(probe: SpectrumModel, rows, form: str):
     """Yield (key, weak value, spectrum) for each (key, weak value) pair of
-    the iterable `rows`, in order, the spectrum bit for bit
-    output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form), or
-    None for a NearOrthogonalSelection in place of the weak value: the one
-    readout of the default-grid spectra that sweeps and designs fit. Pairs
-    are read _CHUNK_ROWS at a time, and the spectra of a chunk are one stack
-    built from the cached basis row by row, in place with one scratch row
-    and the i0 * unit envelope, bit for bit (_modulation), and read as rows
-    (_spectrum_rows). Any error of a row, reading its pair and building its
-    spectrum included, is raised at that row's turn, after every row
-    before it was yielded; its fit's error, at its fit.
+    the iterable `rows`, in order: the one readout of the default-grid
+    spectra that sweeps and designs fit. The spectrum is bit for bit
+    output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form),
+    or None for a NearOrthogonalSelection in place of the weak value. Pairs
+    are read _CHUNK_ROWS at a time; a chunk's spectra are one stack built
+    from the cached basis row by row, in place with one scratch row and the
+    i0 * unit envelope (_modulation), read as rows (_spectrum_rows) with
+    the basis's moments (_basis_moments). Any error of a row, reading its
+    pair and building its spectrum included, is raised at that row's turn,
+    after every row before it was yielded; its fit's error, at its fit.
     """
     rows = iter(rows)
     while True:
@@ -259,7 +298,7 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
             error = exc
         wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
         if wvs:  # else every row yields None, and `spectra` is not read
-            grid, weights, cos_pg, sin_pg, unit = _default_basis(
+            grid, weights, cos_pg, sin_pg, unit, sums = _default_basis(
                 probe.lambda0, probe.width_dlambda)
             stack, scratch = np.empty((len(wvs), grid.size)), np.empty(grid.size)
             envelope = probe.i0 * unit
@@ -270,8 +309,10 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
             spectra = _spectrum_rows(grid, stack, form, weights)
         for key, wv in chunk:
             # next() raises a refused row's error
-            yield key, wv, (None if isinstance(wv, NearOrthogonalSelection)
-                            else next(spectra))
+            spec = None if isinstance(wv, NearOrthogonalSelection) else next(spectra)
+            if spec is not None:
+                vars(spec)["_moments"] = _basis_moments(sums, probe, wv, form, spec._peak)
+            yield key, wv, spec
         if error is not None:
             raise error
         if len(chunk) < _CHUNK_ROWS:
@@ -358,38 +399,25 @@ def _window(lam: np.ndarray, c: float, half: float) -> tuple[int, int]:
 
 def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     """fit_center's window [lo, hi), the power of two `scale` the intensities
-    are fit multiplied by and the start (center, sigma), from the spectrum
-    alone; raises the error of a spectrum whose fit cannot start. It runs
-    under the np.errstate(**_QUIET) of fit_center or of its caller.
-
-    The start is the intensity-weighted mean and standard deviation of the
-    wavelength, sums of the scaled intensities times the grid's trapezoid
-    weights: np.trapezoid's up to rounding. The window is centered on the
-    grid sample nearest that mean, so that a mirror-image spectrum gets the
-    mirror-image window, and reaches FIT_WINDOW_SIGMAS standard deviations
-    to each side (_window).
-    """
-    lam, raw, peak = spec.wavelengths, spec.intensities, spec._peak
-    if not peak > 0:  # intensities are nonnegative
+    are fit multiplied by and the start (center, sigma), the mean and
+    standard deviation of the wavelength (_moments); raises the error of a
+    spectrum whose fit cannot start. It runs under the np.errstate(**_QUIET)
+    of fit_center or of its caller. The window reaches FIT_WINDOW_SIGMAS
+    standard deviations to each side of the sample nearest the mean, so
+    that a mirror-image spectrum gets the mirror-image window (_window)."""
+    lam, raw = spec.wavelengths, spec.intensities
+    if not spec._peak > 0:  # intensities are nonnegative
         raise DegenerateInput("cannot fit an all-zero spectrum")
-    scale = 2.0 ** min(-math.frexp(peak)[1], 1023) if peak < _TINY_PEAK else 1.0
-    y = raw * scale if scale != 1.0 else raw
-    pos = spec._floor > 0  # a row with no zero needs no nonzero count
-    count = lam.size if pos else np.count_nonzero(y)
+    pos = spec._floor > 0  # no zero: no count; `scale` keeps nonzeros nonzero
+    count = lam.size if pos else np.count_nonzero(raw)
     if count < MIN_FIT_POINTS:
         raise ValueError(f"need at least {MIN_FIT_POINTS} grid points with "
                          f"nonzero intensity, got {count}")
-    wy = np.multiply(spec._weights, y)  # w*y and w*lam*y
-    total, first = np.add.reduce(wy, axis=1).tolist()
+    scale, total, center, var = spec._moments
     if not math.isfinite(total):
         raise ValueError("integrated intensity of the spectrum overflows a float")
     if total <= 0:
         raise DegenerateInput("spectrum has zero total intensity")
-    center = first / total
-    dev = np.subtract(lam, center, out=wy[1])  # w*lam*y is spent
-    np.square(dev, out=dev)
-    dev *= wy[0]
-    var = float(np.add.reduce(dev)) / total
     if not (math.isfinite(center) and math.isfinite(var)):
         raise ValueError("intensity-weighted wavelength moments of the spectrum "
                          "overflow a float")
@@ -397,7 +425,7 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     if not sigma > 0:
         raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
     lo, hi = _window(lam, center, FIT_WINDOW_SIGMAS * sigma)
-    if (hi - lo if pos else np.count_nonzero(y[lo:hi])) < MIN_FIT_POINTS:
+    if (hi - lo if pos else np.count_nonzero(raw[lo:hi])) < MIN_FIT_POINTS:
         raise ValueError(f"fit window holds fewer than {MIN_FIT_POINTS} "
                          "nonzero points")
     if scale != 1.0 and ((raw[lo:hi] > 0) & (raw[lo:hi] < sys.float_info.min)).any():
@@ -502,19 +530,21 @@ def fit_center(spec: SampledSpectrum) -> FitResult:
     and the damping is raised until one passes. Raises FitFailure after
     FIT_MAX_ITERATIONS (200) iterations without convergence.
 
-    The window and the start come from the spectrum alone. The window is
-    centered on the grid sample nearest the centroid and extends
-    FIT_WINDOW_SIGMAS times the spectrum's moment standard deviation to
-    each side; the start is the peak sample, the centroid and the moment
-    width. Each fit works them out from its own spectrum (_fit_start), so a
-    spectrum that is never fit computes no moments, and one whose fit
-    cannot start raises a fresh error at each fit. A spectrum whose peak is
-    below 2^-256 is fit multiplied by a power of two and its fitted peak
-    divided by it, which is exact; one whose fit window holds a nonzero
-    sample below the smallest normal float is refused. A fit allocates its
-    start's temporaries and one (8, window) buffer block, with one set of
-    z, z^2, u and residual rows that each evaluation overwrites. It enters
-    np.errstate(**_QUIET), unless a sweep or a design holds it (_quiet).
+    The window holds the samples within FIT_WINDOW_SIGMAS moment standard
+    deviations of the sample nearest the centroid; the start is the peak
+    sample, the centroid and the moment width. A spectrum's moments are
+    worked out once (SampledSpectrum._moments): from its samples at its first
+    fit, or for a default-grid row of a sweep or a design in closed form from
+    its basis: the same window (but on a tie of two samples) and scale, a
+    start within 2e-15 relative and a fitted center within 2 FIT_RELATIVE_TOL
+    lambda0 (tested; bit for bit on the benchmark). One whose fit cannot
+    start raises a fresh error at each fit. One whose peak is below 2^-256 is
+    fit multiplied by a power of two and its fitted peak divided by it, which
+    is exact; one whose window holds a nonzero sample below the smallest
+    normal float is refused. A fit allocates its start's temporaries and one
+    (8, window) block, with one set of z, z^2, u and residual rows that each
+    evaluation overwrites. It enters np.errstate(**_QUIET), unless a sweep or
+    a design holds it (_quiet).
     """
     with _NO_ERRSTATE if _QUIETED.get() else np.errstate(**_QUIET):
         lo, hi, scale, center, sigma = _fit_start(spec)

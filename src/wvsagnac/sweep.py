@@ -155,7 +155,7 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     `default_window`, and a default window with too few usable rows leaves
     k NaN with a warning, where a given one raises ValueError.
     Output is deterministic and independent of evaluation order: each row
-    is bit for bit the fit of `output_spectrum` on `default_grid` alone,
+    is the fit of `output_spectrum` on `default_grid` alone (fit_center),
     minus the reference, whichever rows share its stack.
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)

@@ -289,9 +289,23 @@ def test_spectrum_basis_is_read_only_and_bounded():
     wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
     (_, _, spec), = spectral._default_rows(PROBE, [(0.0, wv)], "exact")
     basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
-    assert len(basis) == 5  # the grid, its weights, cos pg, sin pg, envelope
-    assert not any(arr.flags.writeable for arr in basis)
+    # the grid, its weights, cos pg, sin pg, envelope, then the moment sums
+    *arrays, sums = basis
+    assert len(arrays) == 5
+    assert not any(arr.flags.writeable for arr in arrays)
     assert spec.wavelengths is basis[0]
+    # sums of w (lam - lambda0)^k B, k = 0, 1, 2, for the modulation's terms
+    # B = (cos^2, cos sin, sin^2) pg times the envelope: np.trapezoid's, up
+    # to rounding of the sums of their magnitudes
+    grid, _, cos_pg, sin_pg, env = arrays
+    terms = [cos_pg * cos_pg * env, cos_pg * sin_pg * env, sin_pg * sin_pg * env]
+    assert len(sums) == 3
+    for k, row in enumerate(sums):
+        assert len(row) == 3 and all(type(x) is float for x in row)
+        for got, term in zip(row, terms):
+            d = (grid - PROBE.lambda0) ** k
+            want = np.trapezoid(d * term, grid)
+            assert abs(got - want) <= 1e-14 * np.trapezoid(np.abs(d * term), grid)
     with pytest.raises(ValueError):
         spec.wavelengths[0] = 0.0
     maxsize = spectral._default_basis.cache_info().maxsize
