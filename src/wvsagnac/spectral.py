@@ -16,7 +16,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -61,7 +60,7 @@ class SampledSpectrum:
     wavelengths: np.ndarray  # nm, strictly increasing
     intensities: np.ndarray  # same length, nonnegative
     form_tag: str            # 'paper' | 'exact'
-    # the largest and smallest intensity (_extremes)
+    # the largest and smallest intensity (_check_extremes)
     _peak: float = field(init=False, repr=False)
     _floor: float = field(init=False, repr=False)
 
@@ -73,21 +72,23 @@ class SampledSpectrum:
         if lam.ndim != 1 or inten.ndim != 1 or lam.size != inten.size:
             raise ValueError("wavelengths and intensities must be 1-d and equal length")
         _check_grid(lam)
-        peak, floor = next(_extremes(inten[None, :]))
+        peak, floor = _check_extremes(np.maximum.reduce(inten).item(),
+                                      np.minimum.reduce(inten).item())
         if self.form_tag not in (FORM_PAPER, FORM_EXACT):
             raise ValueError(f"unknown form_tag {self.form_tag!r}")
         vars(self).update(wavelengths=lam, intensities=inten, _peak=peak, _floor=floor)
 
     @cached_property
     def _weights(self) -> np.ndarray:
-        """The grid's _trapezoid_weights, at the first fit; a stack's rows share it."""
+        """The grid's _trapezoid_weights, at the first fit."""
         return _trapezoid_weights(self.wavelengths)
 
     @cached_property
     def _moments(self) -> tuple[float, float, float, float]:
         """_fit_scale and the total, mean and variance (NaN unless 0 < total <
         inf) of the wavelength over the scaled intensities, against _weights,
-        at the first fit; _default_rows sets its rows' (_basis_moments)."""
+        at the first fit; _default_rows sets its rows' (_basis_moments), and
+        they carry no _weights."""
         scale = _fit_scale(self._peak)
         y = self.intensities * scale if scale != 1.0 else self.intensities
         wy = np.empty((2, y.size))  # w*y and w*lam*y, a row at a time: unbuffered
@@ -100,6 +101,15 @@ class SampledSpectrum:
         dev = np.square(np.subtract(self.wavelengths, center, out=wy[1]), out=wy[1])
         dev *= wy[0]
         return scale, total, center, float(np.add.reduce(dev)) / total
+
+
+def _check_extremes(peak: float, floor: float) -> tuple[float, float]:
+    """The intensity check of spectra, from their largest and smallest
+    sample, which it returns: the minimum is NaN at a NaN, and only the
+    maximum can be +inf."""
+    if not (floor >= 0 and peak < math.inf):
+        raise ValueError("intensities must be finite and nonnegative")
+    return peak, floor
 
 
 def _check_grid(lam: np.ndarray):
@@ -208,23 +218,22 @@ def output_spectrum(probe: SpectrumModel, wv: WeakValueResult, g: float,
     return SampledSpectrum(wavelengths=grid, intensities=intensities, form_tag=form)
 
 
-# Bounded: one basis is 6 x GRID_POINTS doubles (96 KB) and nine floats, and a
-# run uses one per probe center and width.
+# Bounded: one basis is 4 x GRID_POINTS doubles (64 KiB) and nine floats, and
+# a run uses one per probe center and width.
 @lru_cache(maxsize=8)
 def _default_basis(lambda0: float, width_dlambda: float) -> tuple:
-    """Read-only default grid, its _trapezoid_weights, cos pg, sin pg (g =
-    lambda0) and unit-peak envelope (i0 times it is intensity_envelope's),
-    then for k = 0, 1, 2 the sums of w (lam - lambda0)^k B, B = (cos^2 pg,
-    cos pg sin pg, sin^2 pg) * envelope: nine floats. The grid is checked
-    here, once, for every spectrum built on it."""
+    """Read-only default grid, cos pg, sin pg (g = lambda0) and unit-peak
+    envelope (i0 times it is intensity_envelope's), then for k = 0, 1, 2 the
+    sums of w (lam - lambda0)^k B against the grid's _trapezoid_weights w,
+    B = (cos^2 pg, cos pg sin pg, sin^2 pg) * envelope: nine floats. The
+    grid is checked here, once, for every spectrum built on it."""
     unit = SpectrumModel(1.0, lambda0, width_dlambda)
     grid, pg = _modulation_argument(default_grid(unit), lambda0)
     _check_grid(grid)
-    basis = (grid, _trapezoid_weights(grid), np.cos(pg), np.sin(pg),
-             intensity_envelope(unit, grid))
+    basis = grid, np.cos(pg), np.sin(pg), intensity_envelope(unit, grid)
     for arr in basis:
         arr.flags.writeable = False
-    (w, _), (c, s, env), d = basis[1], basis[2:], grid - lambda0
+    (w, _), (c, s, env), d = _trapezoid_weights(grid), basis[1:], grid - lambda0
     terms = np.array([c * c, c * s, s * s]) * env
     sums = np.add.reduce(np.array([w, w * d, w * d * d])[:, None] * terms, axis=2)
     return *basis, tuple(map(tuple, sums.tolist()))
@@ -282,12 +291,14 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
     spectra that sweeps and designs fit. The spectrum is bit for bit
     output_spectrum(probe, wv, probe.lambda0, default_grid(probe), form),
     or None for a NearOrthogonalSelection in place of the weak value. Pairs
-    are read _CHUNK_ROWS at a time; a chunk's spectra are one stack built
-    from the cached basis row by row, in place with one scratch row and the
-    i0 * unit envelope (_modulation), read as rows (_spectrum_rows) with
-    the basis's moments (_basis_moments). Any error of a row, reading its
-    pair and building its spectrum included, is raised at that row's turn,
-    after every row before it was yielded; its fit's error, at its fit.
+    are read _CHUNK_ROWS at a time; a chunk's spectra are one read-only
+    stack built from the cached basis row by row, in place with one scratch
+    row and the i0 * unit envelope (_modulation), whose rows' largest and
+    smallest samples are one reduction each. A row's spectrum shares the
+    basis's grid and has its moments from the basis's sums (_basis_moments).
+    Any error of a row, reading its pair and checking its spectrum's
+    intensities included, is raised at that row's turn, after every row
+    before it was yielded; its fit's error, at its fit.
     """
     rows = iter(rows)
     while True:
@@ -298,7 +309,7 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
             error = exc
         wvs = [wv for _, wv in chunk if not isinstance(wv, NearOrthogonalSelection)]
         if wvs:  # else every row yields None, and `spectra` is not read
-            grid, weights, cos_pg, sin_pg, unit, sums = _default_basis(
+            grid, cos_pg, sin_pg, unit, sums = _default_basis(
                 probe.lambda0, probe.width_dlambda)
             stack, scratch = np.empty((len(wvs), grid.size)), np.empty(grid.size)
             envelope = probe.i0 * unit
@@ -306,48 +317,25 @@ def _default_rows(probe: SpectrumModel, rows, form: str):
                 _modulation(cos_pg, sin_pg, wv.postselect_prob, wv.a_w, form,
                             row, scratch)
                 row *= envelope
-            spectra = _spectrum_rows(grid, stack, form, weights)
+            stack.flags.writeable = False
+            # ufunc reductions: the same as .max() or .min(), with less per-call cost
+            spectra = zip(stack, np.maximum.reduce(stack, axis=1).tolist(),
+                          np.minimum.reduce(stack, axis=1).tolist())
         for key, wv in chunk:
-            # next() raises a refused row's error
-            spec = None if isinstance(wv, NearOrthogonalSelection) else next(spectra)
-            if spec is not None:
-                vars(spec)["_moments"] = _basis_moments(sums, probe, wv, form, spec._peak)
+            if isinstance(wv, NearOrthogonalSelection):
+                yield key, wv, None
+                continue
+            inten, peak, floor = next(spectra)
+            _check_extremes(peak, floor)
+            spec = object.__new__(SampledSpectrum)  # checked above: set, not built
+            vars(spec).update(wavelengths=grid, intensities=inten, form_tag=form,
+                              _peak=peak, _floor=floor,
+                              _moments=_basis_moments(sums, probe, wv, form, peak))
             yield key, wv, spec
         if error is not None:
             raise error
         if len(chunk) < _CHUNK_ROWS:
             return
-
-
-def _spectrum_rows(lam: np.ndarray, stack: np.ndarray, form: str,
-                   weights: np.ndarray) -> Iterator[SampledSpectrum]:
-    """Yield the rows of a (rows, n) stack of intensities on the checked grid
-    `lam`, with its _trapezoid_weights `weights`, in the checked `form`, as
-    spectra: read-only views sharing `lam` and `weights`. A row with a
-    negative, NaN or infinite sample raises SampledSpectrum's ValueError
-    when it is reached, and ends the rows.
-    """
-    stack.flags.writeable = False
-    for inten, (peak, floor) in zip(stack, _extremes(stack)):
-        spec = object.__new__(SampledSpectrum)  # _extremes checked its row
-        vars(spec).update(wavelengths=lam, intensities=inten, form_tag=form,
-                          _weights=weights, _peak=peak, _floor=floor)
-        yield spec
-
-
-def _extremes(stack: np.ndarray) -> Iterator[tuple[float, float]]:
-    """Yield the largest and smallest sample of each row of a (rows, n) stack,
-    from one reduction of each over the stack: the only intensity check of
-    spectra. A row with a negative, NaN or infinite sample raises when it is
-    reached."""
-    # ufunc reductions: the same as .max() or .min(), with less per-call cost
-    peaks = np.maximum.reduce(stack, axis=1).tolist()
-    floors = np.minimum.reduce(stack, axis=1).tolist()
-    for peak, floor in zip(peaks, floors):
-        # the minimum is NaN at a NaN, and only the maximum can be +inf
-        if not (floor >= 0 and peak < math.inf):
-            raise ValueError("intensities must be finite and nonnegative")
-        yield peak, floor
 
 
 # Rows that _default_rows builds as one stack: enough to spread numpy's

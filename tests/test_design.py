@@ -518,20 +518,22 @@ def test_a_probe_the_walk_does_not_reach_raises_nothing(monkeypatch, fits):
     walk does not fit leaves the solution as it was, and one planted in a
     fitted probe's is raised."""
     cons = _constraints(i_min=0.005, res=0.01)
-    rows, fit_start, probes, plant = spectral._spectrum_rows, spectral._fit_start, [], []
+    default_rows, fit_start, probes, plant = (design._default_rows,
+                                              spectral._fit_start, [], [])
 
-    def recorded(lam, stack, *args):  # the spectra of the 8-row probe stack
-        for spec in rows(lam, stack, *args):
-            if len(stack) == design.MONOTONE_PROBE_POINTS:
+    def recorded(probe, rows, form):  # the spectra of the 8-row probe stack
+        rows = list(rows)
+        for s, wv, spec in default_rows(probe, rows, form):
+            if len(rows) == design.MONOTONE_PROBE_POINTS:
                 probes.append(spec)
-            yield spec
+            yield s, wv, spec
 
     def planted(spec):
         if any(k < len(probes) and probes[k] is spec for k in plant):
             raise RuntimeError("planted")
         return fit_start(spec)
 
-    monkeypatch.setattr(spectral, "_spectrum_rows", recorded)
+    monkeypatch.setattr(design, "_default_rows", recorded)
     monkeypatch.setattr(spectral, "_fit_start", planted)
     clean = min_area(cons, [-0.3], (1.0, 20.0))
     assert clean.feasible and not clean.warnings

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import wvsagnac.spectral as spectral
 from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig,
                       NearOrthogonalSelection, SampledSpectrum, SelectionConfig,
-                      SpectrumModel, analytic_wavelength_shift, benchmark_models,
-                      default_grid, fit_center, intensity_envelope,
-                      modulation_factor, output_spectrum, sagnac_phase,
-                      weak_value)
+                      SpectrumModel, WeakValueResult, analytic_wavelength_shift,
+                      benchmark_models, default_grid, fit_center,
+                      intensity_envelope, modulation_factor, output_spectrum,
+                      sagnac_phase, weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 CFG = InterferometerConfig.from_nm(area_s=16.0, lambda0_nm=1550.0)
@@ -342,8 +342,10 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     """Samples below 2^-1022 lost significant bits when they were computed,
     which no scaling brings back: a fit window holding one is refused. A
     peak of 2^-1000 keeps every sample normal and fits bit for bit like the
-    unit spectrum; the window's smallest sample decides the boundary."""
-    spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
+    unit spectrum; the window's smallest sample decides the boundary. A
+    default-grid row of a probe whose i0 is that small is refused too."""
+    wv = _wv(0.1, -0.3, 0.05)
+    spec = output_spectrum(PROBE, wv, G, default_grid(PROBE))
     base = fit_center(spec)
     lo, hi, *_ = spectral._fit_start(spec)
     low = math.frexp(spec.intensities[lo:hi].min())[1]
@@ -365,7 +367,8 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     message = "below the smallest normal float.*probe intensity i0"
     with pytest.raises(ValueError, match=message):
         fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
-    row, = _rows(spec.wavelengths, inten[None, :])
+    tiny = dataclasses.replace(PROBE, i0=PROBE.i0 * 2.0 ** subnormal)
+    (_, _, row), = spectral._default_rows(tiny, [(0, wv)], "exact")
     with pytest.raises(ValueError, match=message):
         fit_center(row)
 
@@ -373,13 +376,6 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
 def _stack(probe, form, phis):
     rows = [(phi, _wv(0.1, -0.3, phi)) for phi in phis]
     return [spec for _, _, spec in spectral._default_rows(probe, rows, form)]
-
-
-def _rows(lam, stack):
-    """The spectra of a (rows, n) stack on the grid `lam`, as _default_rows
-    makes them."""
-    return spectral._spectrum_rows(lam, stack, "exact",
-                                   spectral._trapezoid_weights(lam))
 
 
 def _start(spec):
@@ -409,7 +405,7 @@ def _assert_same_start(row, alone, tol=_START_TOL):
     spectrum that is exactly the probe's envelope (A_w = +-1, exact form)
     is centered on the default grid's middle midpoint."""
     assert (row._peak, row._floor) == (alone._peak, alone._floor)
-    assert np.array_equal(row._weights, alone._weights)
+    assert np.array_equal(row.wavelengths, alone.wavelengths)
     got, want = _start(row), _start(alone)
     if isinstance(got, ValueError) or isinstance(want, ValueError):
         assert repr(got) == repr(want)
@@ -446,31 +442,58 @@ def test_stack_rows_fit_like_fresh_spectra(form):
     assert [r.form_tag for r in rows] == [form] * 7
 
 
+def _planted(overlap):
+    """A weak value whose default-grid row is NaN (overlap 0: 0 * inf) or
+    +inf (overlap 1) at every sample, from an infinite Re A_w."""
+    return WeakValueResult(overlap / 2, overlap / 2, overlap, complex(math.inf, 0.0))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
 def test_stack_with_a_bad_row_raises_the_spectrum_message(bad):
+    """A spectrum with a NaN, infinite or negative sample is refused. A
+    default-grid row can hold only NaN or +inf samples, from a planted weak
+    value: a stack refuses it with the same message at its turn, after the
+    rows before it, and ends."""
     lam = default_grid(PROBE)
     stack = np.ones((3, lam.size))
     stack[1, 100] = bad
     message = "^intensities must be finite and nonnegative$"
     with pytest.raises(ValueError, match=message):
         SampledSpectrum(lam, stack[1], "exact")
-    rows = _rows(lam, stack)  # raises nothing yet
-    assert isinstance(next(rows), SampledSpectrum)
-    with pytest.raises(ValueError, match=message) as info:
-        next(rows)
+    if bad < 0:  # no default row has a negative sample
+        return
+    planted = _planted(0.0 if math.isnan(bad) else 1.0)
+    wv = _wv(0.1, -0.3, 0.05)
+    with np.errstate(**spectral._QUIET):
+        inten = modulation_factor(2.0 * math.pi * G / lam, planted)
+        assert np.array_equal(inten, np.full(lam.size, bad), equal_nan=True)
+        rows = spectral._default_rows(PROBE, [(0, wv), (1, planted), (2, wv)],
+                                      "exact")  # raises nothing yet
+        assert isinstance(next(rows)[2], SampledSpectrum)
+        with pytest.raises(ValueError, match=message) as info:
+            next(rows)
     assert type(info.value) is ValueError
     assert next(rows, None) is None  # the refused row ends the rows
 
 
 def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
-    """A row whose fit cannot start raises its error only when it is fit,
-    the same error as a fresh spectrum, after the rows before it."""
+    """A spectrum whose fit cannot start raises its error only when it is
+    fit, the same error at each fit. So does a default-grid row, after the
+    rows before it, with the error of the same spectrum built alone: here
+    one whose overlap is so small that its fit window holds subnormal
+    samples."""
     lam = np.linspace(1540.0, 1560.0, 64)
     good = np.exp(-((lam - 1550.0) / 4.0) ** 2)
     sparse = np.zeros_like(lam)
     sparse[10:20] = 1.0  # only 10 nonzero samples
     stack = np.array([good, np.zeros_like(lam), good[::-1], sparse, 1e-300 * good])
-    rows = list(_rows(lam, stack))  # raises nothing
+    spectra = [SampledSpectrum(lam, inten, "exact") for inten in stack]
+    wv = _wv(0.1, -0.3, 0.05)
+    faint = dataclasses.replace(wv, overlap=wv.overlap * 2.0 ** -520)
+    wvs = [wv, faint, _wv(0.1, -0.3, -0.05)]
+    rows = [spec for _, _, spec in spectral._default_rows(
+        PROBE, enumerate(wvs), "exact")]  # raises nothing
+    alone = [output_spectrum(PROBE, w, G, default_grid(PROBE)) for w in wvs]
 
     def outcome(spec):
         try:
@@ -478,16 +501,21 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
         except (ValueError, FitFailure) as exc:
             return f"{type(exc).__name__}: {exc}"
 
-    for row, inten in zip(rows, stack):
-        _assert_same_start(row, SampledSpectrum(lam, inten, "exact"), tol=0.0)
+    for row, spec in zip(rows, alone):
+        _assert_same_start(row, spec)
     for cap in (1, spectral.FIT_MAX_ITERATIONS):
         monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
-        got = [outcome(row) for row in rows]
-        assert got == [outcome(SampledSpectrum(lam, inten, "exact"))
-                       for inten in stack]
+        got = [outcome(spec) for spec in spectra]
         assert got[1] == "DegenerateInput: cannot fit an all-zero spectrum"
         assert got[3].startswith("ValueError: need at least 16 grid points")
         assert got[0].startswith("FitFailure" if cap == 1 else "FitResult")
+        assert got == [outcome(spec) for spec in spectra]  # again, the same
+        got = [outcome(row) for row in rows]
+        assert got[1] == outcome(alone[1])
+        assert got[1].startswith("ValueError: fit window of the spectrum holds "
+                                 "intensities below the smallest normal float")
+        assert [g.startswith("FitFailure" if cap == 1 else "FitResult")
+                for g in got] == [True, False, True]
         assert got == [outcome(row) for row in rows]  # again, the same
 
 
@@ -501,9 +529,6 @@ def test_window_of_too_few_points_is_refused_when_every_sample_is_positive(scale
     message = "^fit window holds fewer than 16 nonzero points$"
     with pytest.raises(ValueError, match=message):
         fit_center(SampledSpectrum(lam, inten, "exact"))
-    row, = _rows(lam, inten[None, :].copy())
-    with pytest.raises(ValueError, match=message):
-        fit_center(row)
 
 
 def test_a_replaced_spectrum_gets_its_own_setup():
@@ -562,8 +587,8 @@ def test_a_fit_and_a_stack_allocate_only_their_buffers():
 def test_a_spectrum_works_out_its_weights_only_when_it_is_fit():
     """A spectrum built directly holds no trapezoid weights or moments until
     its first fit, so one that is only written out costs its two arrays; the
-    rows of a stack share the cached basis's weights, and have their
-    moments from its sums as they are built."""
+    rows of a stack have their moments from the cached basis's sums as they
+    are built, and hold no weights, before their fit or after it."""
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
     assert "_weights" not in vars(spec) and "_moments" not in vars(spec)
     fit = fit_center(spec)
@@ -571,10 +596,10 @@ def test_a_spectrum_works_out_its_weights_only_when_it_is_fit():
                           spectral._trapezoid_weights(spec.wavelengths))
     assert "_moments" in vars(spec)
     row, = _stack(PROBE, "exact", [0.05])
-    assert row._weights is spectral._default_basis(PROBE.lambda0,
-                                                   PROBE.width_dlambda)[1]
+    assert "_weights" not in vars(row)
     assert "_moments" in vars(row)  # from the basis, as the row was built
     assert repr(fit_center(row)) == repr(fit) == repr(fit_center(spec))
+    assert "_weights" not in vars(row)  # its fit reads only its moments
 
 
 def test_a_spectrum_keeps_its_data_when_the_caller_rewrites_the_buffer():
@@ -619,17 +644,23 @@ def test_every_spectrum_is_read_only():
 
 
 def test_each_fit_of_a_refused_row_raises_a_fresh_exception():
+    """An all-zero spectrum, and a default-grid row of a probe whose i0 is
+    too small to fit, raise a new exception at each fit."""
     lam = np.linspace(1540.0, 1560.0, 64)
-    row, = _rows(lam, np.zeros((1, lam.size)))
-    errors = []
-    for _ in range(2):
-        with pytest.raises(DegenerateInput, match="all-zero") as info:
-            fit_center(row)
-        # a caller's mark (not add_note, which Python 3.10 lacks)
-        info.value.seen_by = getattr(info.value, "seen_by", 0) + 1
-        errors.append(info.value)
-    assert errors[0] is not errors[1]
-    assert errors[1].seen_by == 1
+    zero = SampledSpectrum(lam, np.zeros(lam.size), "exact")
+    tiny = dataclasses.replace(PROBE, i0=2.0 ** -1040)
+    (_, _, row), = spectral._default_rows(tiny, [(0, _wv(0.1, -0.3, 0.05))], "exact")
+    for spec, error, match in ((zero, DegenerateInput, "all-zero"),
+                               (row, ValueError, "below the smallest normal float")):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(error, match=match) as info:
+                fit_center(spec)
+            # a caller's mark (not add_note, which Python 3.10 lacks)
+            info.value.seen_by = getattr(info.value, "seen_by", 0) + 1
+            errors.append(info.value)
+        assert errors[0] is not errors[1]
+        assert errors[1].seen_by == 1
 
 
 def test_fit_failure_carries_residual(monkeypatch):
@@ -861,9 +892,19 @@ def _moments_overflow(lam, stack):
     return not math.isfinite(bound)
 
 
-def _same_start(a, b):
+def _same_start(a, b, slack=0.0):
+    """a and b agree within 1e-14 + `slack` relative, or are both NaN."""
     return (math.isnan(a) and math.isnan(b)) or a == b or (
-        abs(a - b) <= 1e-14 * max(abs(a), abs(b)))
+        abs(a - b) <= (1e-14 + slack) * max(abs(a), abs(b)))
+
+
+# How far sigma may lie from the oracle's beyond 1e-14 relative, in units of
+# (spacing(center) / sigma)^2: a variance taken about a center off by d is
+# var + d^2, and the two centers can differ by a few units in the last
+# place where a narrow spectrum lies far from zero. The largest seen over
+# 350,000 rows drawn as this test draws them, two thirds of them on 2048
+# point grids spanning less than 0.01 nm, was 8.0: twice that.
+_SIGMA_ULPS2 = 16.0
 
 
 _GRID_SIZES = st.sampled_from([1, 2, 3, 15, 16, 17, 64, 2048])
@@ -875,29 +916,25 @@ _ROW_KINDS = st.sampled_from(["gaussian", "noisy", "zero runs", "zero", "bad"])
        seed=st.integers(0, 2 ** 32 - 1), kinds=st.lists(_ROW_KINDS, min_size=1,
                                                          max_size=3),
        k=st.integers(-1070, 1020))
+@example(grid="random", n=2048, seed=12329571, kinds=["zero runs"],
+         k=0)  # the centers differ by about an ulp: sigma by 3.4e-14 relative
 def test_fit_starts_match_the_trapezoid_oracle(grid, n, seed, kinds, k):
-    """Every row of a stack gets the oracle's peak and refusal, alone or in
-    its stack, and at any power-of-two scale its fit starts with the
-    oracle's error, or with its window and scale and a start within 1e-14
-    relative. Only where a moment may overflow may the errors differ;
-    there the window and start, taken from those moments, are not
-    compared."""
+    """Every row of a stack, built as a spectrum, gets the oracle's peak
+    and refusal, and at any power-of-two scale its fit starts with the
+    oracle's error, or with its window and scale and a center within 1e-14
+    relative, and a sigma within that and _SIGMA_ULPS2. Only where a moment
+    may overflow may the errors differ; there the window and start, taken
+    from those moments, are not compared."""
     lam = _setup_grid(grid, n, seed)
     stack = np.array([_setup_row(kind, lam, seed + i) for i, kind in enumerate(kinds)])
     stack *= 2.0 ** k
     overflow = _moments_overflow(lam, stack)
-    rows = _rows(lam, stack)
-    for row, inten in enumerate(stack):
-        want, = _trapezoid_fit_setups(lam, stack[row:row + 1])
-        if want is None:  # refused, and the rest of the stack is rows again
-            for build in (partial(SampledSpectrum, lam, inten, "exact"),
-                          partial(next, rows)):
-                with pytest.raises(ValueError, match="^intensities must be finite"):
-                    build()
-            rows = _rows(lam, stack[row + 1:])
+    for inten, want in zip(stack, _trapezoid_fit_setups(lam, stack)):
+        if want is None:
+            with pytest.raises(ValueError, match="^intensities must be finite"):
+                SampledSpectrum(lam, inten, "exact")
             continue
-        spec = next(rows)
-        _assert_same_start(spec, SampledSpectrum(lam, inten, "exact"), tol=0.0)
+        spec = SampledSpectrum(lam, inten, "exact")
         assert spec._peak == want.peak
         got, want_error = _start(spec), want.error and want.error()
         if isinstance(got, ValueError) or want_error is not None:
@@ -907,7 +944,8 @@ def test_fit_starts_match_the_trapezoid_oracle(grid, n, seed, kinds, k):
             lo, hi, scale, center, sigma = got
             assert (lo, hi, scale) == (want.lo, want.hi, want.scale)
             assert _same_start(center, want.center)
-            assert _same_start(sigma, want.sigma)
+            ulps2 = (np.spacing(want.center) / want.sigma) ** 2
+            assert _same_start(sigma, want.sigma, _SIGMA_ULPS2 * ulps2)
 
 
 # probes as in test_sweep's _PROBES, with i0 times 2^k from 2^-1012 to 2^1020
@@ -1015,9 +1053,6 @@ def test_one_and_two_point_spectra_build_and_refuse_their_fit(lam):
     message = f"^need at least 16 grid points with nonzero intensity, got {len(lam)}$"
     with pytest.raises(ValueError, match=message):
         fit_center(spec)
-    row, = _rows(spec.wavelengths, np.ones((1, len(lam))))
-    with pytest.raises(ValueError, match=message):
-        fit_center(row)
 
 
 # ── closed-form normal equations ──────────────────────────────────────────────

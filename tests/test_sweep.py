@@ -289,15 +289,17 @@ def test_spectrum_basis_is_read_only_and_bounded():
     wv = weak_value(SelectionConfig(0.1, -0.3, 0.0))
     (_, _, spec), = spectral._default_rows(PROBE, [(0.0, wv)], "exact")
     basis = spectral._default_basis(PROBE.lambda0, PROBE.width_dlambda)
-    # the grid, its weights, cos pg, sin pg, envelope, then the moment sums
+    # the grid, cos pg, sin pg and envelope, then the moment sums: no
+    # trapezoid weights, which only the sums read
     *arrays, sums = basis
-    assert len(arrays) == 5
+    assert len(arrays) == 4
+    assert all(arr.shape == (spectral.GRID_POINTS,) for arr in arrays)
     assert not any(arr.flags.writeable for arr in arrays)
     assert spec.wavelengths is basis[0]
     # sums of w (lam - lambda0)^k B, k = 0, 1, 2, for the modulation's terms
     # B = (cos^2, cos sin, sin^2) pg times the envelope: np.trapezoid's, up
     # to rounding of the sums of their magnitudes
-    grid, _, cos_pg, sin_pg, env = arrays
+    grid, cos_pg, sin_pg, env = arrays
     terms = [cos_pg * cos_pg * env, cos_pg * sin_pg * env, sin_pg * sin_pg * env]
     assert len(sums) == 3
     for k, row in enumerate(sums):

@@ -48,3 +48,28 @@ def test_paired_timing_exits_1_when_the_outputs_differ(tmp_path):
     assert re.fullmatch(r"outputs differ: parent [0-9a-f]{16}, change [0-9a-f]{16}",
                         lines[1])
     assert len(lines) == 2
+
+
+def _output_digest(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "output_digest.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=60)
+
+
+def test_output_digest_prints_its_usage_line_for_extra_arguments():
+    run = _output_digest(SRC, SRC)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr == "usage: python3 tools/output_digest.py [SRC_DIR]\n"
+
+
+def test_tools_refuse_a_directory_without_the_package(tmp_path):
+    """A source directory with no wvsagnac/__init__.py is named on one line,
+    with exit code 2, before anything is imported from it or from bench/."""
+    (tmp_path / "wvsagnac").mkdir()  # a package directory with no __init__.py
+    for run, tool in ((_output_digest(tmp_path), "output_digest.py"),
+                      (_paired_timing(SRC, tmp_path), "paired_timing.py"),
+                      (_paired_timing(tmp_path, SRC), "paired_timing.py")):
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == f"{tool}: no wvsagnac package in {tmp_path.resolve()}\n"

@@ -9,7 +9,8 @@ seed 31, with the package imported from SRC_DIR (default: this checkout's
 src). A change that keeps outputs bit for bit keeps the digest, so the
 digests of two checkouts' src, taken with this checkout's bench/jobs.py,
 compare a parent and a change. BLAS summation order can differ across hosts:
-compare digests taken on one host.
+compare digests taken on one host. A usage error, or a SRC_DIR that holds
+no wvsagnac package, prints one line and exits 2.
 """
 
 import hashlib
@@ -38,6 +39,10 @@ def digest(src: Path) -> str:
 
 if __name__ == "__main__":
     if len(sys.argv) > 2:
-        sys.exit(__doc__.strip().split("\n\n")[1])
+        print("usage: " + __doc__.split("\n\n")[1].strip(), file=sys.stderr)
+        sys.exit(2)
     src = Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src").resolve()
+    if not (src / "wvsagnac" / "__init__.py").is_file():
+        print(f"output_digest.py: no wvsagnac package in {src}", file=sys.stderr)
+        sys.exit(2)
     print(f"benchmark output digest: {digest(src)}")

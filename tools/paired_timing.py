@@ -14,7 +14,8 @@ a long run does for its repeated inputs. The script prints each round's
 change/parent ratio, then the median ratio, its quartiles and the number of
 rounds the change won (ratio below 1). It exits 1, after the round that
 shows it, if the two trees' outputs differ: the repr of every job's output
-of the first pass, compared by sha256.
+of the first pass, compared by sha256, and exits 2, before it runs
+anything, if either tree holds no wvsagnac package.
 """
 
 import argparse
@@ -74,6 +75,10 @@ def main() -> int:
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     parent, change = args.parent.resolve(), args.change.resolve()
+    for src in (parent, change):
+        if not (src / "wvsagnac" / "__init__.py").is_file():
+            print(f"paired_timing.py: no wvsagnac package in {src}", file=sys.stderr)
+            return 2
     if args.child:
         print(json.dumps(child(parent, args.workload, args.seed, args.jobs)))
         return 0
