@@ -84,7 +84,7 @@ PARAMS = {
 def _load_config(path: str, names) -> dict:
     """Values of the parameters `names` from a config file, typed as flags."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # skips a byte order mark
     except (OSError, UnicodeError) as exc:
         raise click.UsageError(f"{path}: cannot read config file: {exc}")
     values, lines = {}, {}
@@ -199,8 +199,7 @@ def design(*, alpha, lambda0, dlambda, i0, i_min, dlambda_res, omega_target,
            beta_grid, area_lo, area_hi):
     """Smallest feasible loop area under detection and resolution floors."""
     try:
-        betas = [float(tok) for tok in beta_grid.replace(";", ",").split(",")
-                 if tok.strip()]
+        betas = [float(tok) for tok in beta_grid.split(",") if tok.strip()]
     except ValueError:
         betas = []
     if not betas:

@@ -11,6 +11,7 @@ turn count and area from them, so no design holds values that disagree.
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 
@@ -78,6 +79,9 @@ def equivalent_area(theta_deg, radius_rs: float) -> float:
     if not math.isfinite(area):
         raise ValueError(f"equivalent area overflows a float for "
                          f"radius_rs = {radius_rs:g} m")
+    if area < sys.float_info.min:  # 0.0, or subnormal and short of bits
+        raise ValueError(f"equivalent area underflows the smallest normal float "
+                         f"for radius_rs = {radius_rs:g} m")
     return area
 
 

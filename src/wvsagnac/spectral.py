@@ -79,21 +79,16 @@ class SampledSpectrum:
         vars(self).update(wavelengths=lam, intensities=inten, _peak=peak, _floor=floor)
 
     @cached_property
-    def _weights(self) -> np.ndarray:
-        """The grid's _trapezoid_weights, at the first fit."""
-        return _trapezoid_weights(self.wavelengths)
-
-    @cached_property
     def _moments(self) -> tuple[float, float, float, float]:
         """_fit_scale and the total, mean and variance (NaN unless 0 < total <
-        inf) of the wavelength over the scaled intensities, against _weights,
-        at the first fit; _default_rows sets its rows' (_basis_moments), and
-        they carry no _weights."""
+        inf) of the wavelength over the scaled intensities, against the grid's
+        _trapezoid_weights, made at the first fit and not kept; _default_rows
+        sets its rows' (_basis_moments)."""
         scale = _fit_scale(self._peak)
         y = self.intensities * scale if scale != 1.0 else self.intensities
-        wy = np.empty((2, y.size))  # w*y and w*lam*y, a row at a time: unbuffered
-        for w, out in zip(self._weights, wy):
-            _multiply(w, y, out)
+        wy = _trapezoid_weights(self.wavelengths)
+        for row in wy:  # w*y and w*lam*y, in place a row at a time: unbuffered
+            _multiply(row, y, row)
         total, first = np.add.reduce(wy, axis=1).tolist()
         if not 0 < total < math.inf:
             return scale, total, math.nan, math.nan
@@ -113,7 +108,9 @@ def _check_extremes(peak: float, floor: float) -> tuple[float, float]:
 
 
 def _check_grid(lam: np.ndarray):
-    """SampledSpectrum's checks of its wavelength grid."""
+    """The checks of a wavelength grid, before anything is computed on it."""
+    if lam.ndim != 1:
+        raise ValueError("wavelength grid must be 1-d")
     if lam.size == 0:
         raise ValueError("spectrum grid is empty")
     if not (lam[1:] > lam[:-1]).all():  # also False at a NaN
@@ -194,14 +191,14 @@ def modulation_factor(pg, wv: WeakValueResult, form: str = FORM_EXACT):
 
 
 def _modulation_argument(grid, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """The checked grid and pg = 2*pi*g/lambda on it."""
+    """The checked grid and pg = 2*pi*g/lambda on it, formed after the checks:
+    its largest value, at the grid's first point, must be finite."""
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("wavelength grid is empty")
     if not np.all(grid > 0):
         raise ValueError("wavelength grid must be strictly positive")
-    if not (math.isfinite(g) and g > 0):
-        raise ValueError(f"coupling g must be positive, got {g}")
+    _check_grid(grid)
+    if not (g > 0 and math.isfinite(2.0 * math.pi * float(g) / grid.item(0))):
+        raise ValueError(f"coupling g must be positive, 2*pi*g/lambda finite: got {g}")
     return grid, 2.0 * math.pi * g / grid
 
 
@@ -229,7 +226,6 @@ def _default_basis(lambda0: float, width_dlambda: float) -> tuple:
     grid is checked here, once, for every spectrum built on it."""
     unit = SpectrumModel(1.0, lambda0, width_dlambda)
     grid, pg = _modulation_argument(default_grid(unit), lambda0)
-    _check_grid(grid)
     basis = grid, np.cos(pg), np.sin(pg), intensity_envelope(unit, grid)
     for arr in basis:
         arr.flags.writeable = False
@@ -345,11 +341,12 @@ _CHUNK_ROWS = 8
 
 
 def _trapezoid_weights(lam: np.ndarray) -> np.ndarray:
-    """Rows w and w*lam on the grid `lam`, whose sums against a row y are
-    its trapezoid and first moment: w_0 = d_0/2, w_i = (d_{i-1} + d_i)/2 and
-    w_{n-1} = d_{n-2}/2 for the steps d, and 0 on one point."""
-    d = np.subtract(lam[1:], lam[:-1])
+    """A new (2, n) array, the only one made, of rows w and w*lam on the grid
+    `lam`, whose sums against a row y are its trapezoid and first moment: w_0
+    = d_0/2, w_i = (d_{i-1} + d_i)/2, w_{n-1} = d_{n-2}/2 and 0 on one point
+    for the steps d, which are worked out in the second row."""
     weights = np.zeros((2, lam.size))
+    d = np.subtract(lam[1:], lam[:-1], out=weights[1, 1:])
     weights[0, 1:] = d
     weights[0, :-1] += d
     weights[0] *= 0.5

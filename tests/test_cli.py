@@ -365,10 +365,13 @@ def test_classical_matches_library(runner):
 
 def test_config_file_supplies_values(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# geometry run\ntheta-deg = 25\nrs = 1.0\n")
-    result = runner.invoke(main, ["geometry", "--config", str(cfg)])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["n_turns"] == 5
+    # "utf-8-sig" starts the file with a byte order mark, which is skipped
+    for text, encoding in (("# geometry run\ntheta-deg = 25\nrs = 1.0\n", "utf-8"),
+                           ("theta-deg = 25\nrs = 1.0\n", "utf-8-sig")):
+        cfg.write_text(text, encoding=encoding)
+        result = runner.invoke(main, ["geometry", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n_turns"] == 5
 
 
 def test_flag_overrides_config(runner, tmp_path):
@@ -514,7 +517,8 @@ def test_unparseable_flag_rejected(runner):
 
 def test_unparseable_beta_grid_rejected(runner):
     args = [a for a in DESIGN_ARGS if not a.startswith("--beta-grid")]
-    for grid in (",", "-0.3,abc"):  # no angle; a token that is not a float
+    # no angle; a token that is not a float; angles not split by commas
+    for grid in (",", "-0.3,abc", "-0.5;-0.3"):
         result = runner.invoke(main, args + ["--beta-grid", grid])
         assert result.exit_code == 2
         assert f"--beta-grid: cannot parse {grid!r}" in result.stderr
@@ -523,6 +527,21 @@ def test_unparseable_beta_grid_rejected(runner):
 def test_domain_error_exit_code(runner):
     result = runner.invoke(main, ["geometry", "--theta-deg", "90", "--rs", "1"])
     assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("args, quantity", [
+    (["geometry", "--theta-deg", "25", "--rs", "1e-200"], "equivalent area"),
+    (SIMULATE_ARGS[:-2] + ["--dlambda", "1e-200"], "wavelength grid"),
+], ids=["area underflows", "grid collapses"])
+def test_an_area_that_underflows_or_a_collapsed_grid_is_one_error_line(args, quantity):
+    """A radius whose area underflows, and a probe so narrow that its grid
+    collapses to one wavelength, exit 3 with one `error:` line naming the
+    quantity, in a real child: no traceback and no numpy warning before it."""
+    proc = _cli_child(args)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    line, = proc.stderr.splitlines()
+    assert line.startswith(f"error: {quantity} ")
 
 
 def test_unknown_command_rejected(runner):

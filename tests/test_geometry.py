@@ -74,6 +74,12 @@ def test_equivalent_area_rejects_bad_radius():
         equivalent_area(25, 0.0)
     with pytest.raises(ValueError):
         equivalent_area(25, -1.0)
+    # the area is subnormal at 1e-160 and 0.0 below: refused by name, not
+    # left for a ratio to the radius squared to divide by zero or misread
+    for radius in (1e-160, 1e-200, 5e-324):
+        with pytest.raises(ValueError, match="^equivalent area underflows"):
+            equivalent_area(25, radius)
+    assert equivalent_area(25, 1e-150) / 4e-300 == pytest.approx(3.4472, abs=5e-4)
 
 
 # The amplification ratio is the area gain over the single-pass square loop

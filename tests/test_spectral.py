@@ -154,6 +154,20 @@ def test_output_validation():
         output_spectrum(PROBE, res, G, default_grid(PROBE), form="bogus")
     with pytest.raises(ValueError, match="at least 2 grid points"):
         default_grid(PROBE, points=1)
+    # a grid and a coupling are refused by name before numpy computes on
+    # them, not after a warning: a probe narrower than its grid can resolve
+    # collapses the grid to one wavelength, and a 2*pi*g/lambda that
+    # overflows would make cos pg NaN
+    narrow = SpectrumModel(1.0, 1550.0, 1e-200)
+    with pytest.raises(ValueError, match="^wavelength grid must be strictly "
+                       "increasing$"):
+        output_spectrum(narrow, res, narrow.lambda0, default_grid(narrow))
+    with pytest.raises(ValueError, match="^wavelength grid must be 1-d$"):
+        output_spectrum(PROBE, res, G, np.array(1550.0))
+    for g in (1.7e308, np.float64(1.7e308), math.inf):
+        with pytest.raises(ValueError, match="^coupling g must be positive, "
+                           r"2\*pi\*g/lambda finite"):
+            output_spectrum(PROBE, res, g, default_grid(PROBE))
 
 
 def test_sampled_spectrum_validation():
@@ -560,9 +574,10 @@ def test_a_fit_and_a_stack_allocate_only_their_buffers():
     float64 block, give or take 8 KiB of Python objects: one more row in
     the block, or a second (u, residual) pair, would not fit. The start of
     a stack row, from its basis's moments, allocates no grid-sized array;
-    that of a spectrum built directly holds one (2, n) array of w*y and
-    w*lam*y, give or take 4 KiB (numpy's buffered broadcast of the (2, n)
-    weights by the (n,) intensities held twice that). An 8-row exact-form
+    that of a spectrum built directly, with no warm-up, holds one (2, n)
+    array, the grid's trapezoid weights made into w*y and w*lam*y in place,
+    give or take 4 KiB: a second such array, as a buffered broadcast of the
+    weights by the intensities makes, would not fit. An 8-row exact-form
     stack holds the stack, one scratch row and the i0 * unit envelope, give
     or take 16 KiB: one more grid-sized row would not fit."""
     rows = [(k, _wv(0.1, -0.3, 1e-3 * k)) for k in range(8)]
@@ -579,27 +594,29 @@ def test_a_fit_and_a_stack_allocate_only_their_buffers():
     assert start < n * 8
     assert _traced_peak(lambda: fit_center(spec)) <= max(start, 8 * 1277 * 8) + 8192
     alone = SampledSpectrum(spec.wavelengths, spec.intensities, "exact")
-    assert alone._weights.shape == (2, n)  # worked out before the trace
     assert _traced_peak(lambda: spectral._fit_start(alone)) <= 2 * n * 8 + 4096
     assert _traced_peak(stack) <= (8 + 2) * n * 8 + 16384
 
 
-def test_a_spectrum_works_out_its_weights_only_when_it_is_fit():
-    """A spectrum built directly holds no trapezoid weights or moments until
-    its first fit, so one that is only written out costs its two arrays; the
-    rows of a stack have their moments from the cached basis's sums as they
-    are built, and hold no weights, before their fit or after it."""
+def test_a_spectrum_works_out_its_moments_only_when_it_is_fit():
+    """A spectrum built directly holds no moments until its first fit, so
+    one that is only written out costs its two arrays, and no spectrum ever
+    holds trapezoid weights: a directly built one's moments are its sums
+    against the grid's weights, formed at its fit and not kept, and the rows
+    of a stack have theirs from the cached basis's sums as they are built."""
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
-    assert "_weights" not in vars(spec) and "_moments" not in vars(spec)
+    assert "_moments" not in vars(spec)
     fit = fit_center(spec)
-    assert np.array_equal(vars(spec)["_weights"],
-                          spectral._trapezoid_weights(spec.wavelengths))
-    assert "_moments" in vars(spec)
+    w, w_lam = spectral._trapezoid_weights(spec.wavelengths)
+    y = spec.intensities
+    total = float(np.add.reduce(w * y))
+    center = float(np.add.reduce(w_lam * y)) / total
+    var = float(np.add.reduce((spec.wavelengths - center) ** 2 * (w * y))) / total
+    assert vars(spec)["_moments"] == (1.0, total, center, var)
     row, = _stack(PROBE, "exact", [0.05])
-    assert "_weights" not in vars(row)
     assert "_moments" in vars(row)  # from the basis, as the row was built
     assert repr(fit_center(row)) == repr(fit) == repr(fit_center(spec))
-    assert "_weights" not in vars(row)  # its fit reads only its moments
+    assert not hasattr(spec, "_weights") and not hasattr(row, "_weights")
 
 
 def test_a_spectrum_keeps_its_data_when_the_caller_rewrites_the_buffer():

@@ -20,17 +20,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def digest(src: Path) -> str:
+def workloads(src: Path, *names: str) -> list:
+    """(make, prepare, run) of each named workload of bench/jobs.py, with
+    wvsagnac imported from `src`; exits, naming the file, if the package
+    came from anywhere else."""
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     import jobs
     import wvsagnac
     if Path(wvsagnac.__file__).resolve().parents[1] != src:
         sys.exit(f"wvsagnac was imported from {wvsagnac.__file__}, not from {src}")
-    sha = hashlib.sha256()
+    return [tuple(getattr(jobs, f"{step}_{name}")
+                  for step in ("make", "prepare", "run")) for name in names]
+
+
+def digest(src: Path) -> str:
+    steps, sha = workloads(src, "sweep", "design"), hashlib.sha256()
     for seed in (1, 31):
-        for workload, count in (("sweep", 40), ("design", 48)):
-            make, prepare, run = (getattr(jobs, f"{step}_{workload}")
-                                  for step in ("make", "prepare", "run"))
+        for (make, prepare, run), count in zip(steps, (40, 48)):
             for index in range(1, count + 1):
                 output = run(prepare(make(seed, index), None), None)
                 sha.update(repr(output).encode())

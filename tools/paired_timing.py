@@ -28,19 +28,14 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from output_digest import workloads  # this script's directory is on sys.path
+
 PASSES = 5
 
 
 def child(src: Path, workload: str, seed: int, jobs: int) -> dict:
     """The best pass's wall time over jobs 1..`jobs`, and the outputs' digest."""
-    sys.path[:0] = [str(src), str(ROOT / "bench")]
-    import jobs as bench_jobs
-    import wvsagnac
-    if Path(wvsagnac.__file__).resolve().parents[1] != src:
-        sys.exit(f"wvsagnac was imported from {wvsagnac.__file__}, not from {src}")
-    make, prepare, run = (getattr(bench_jobs, f"{step}_{workload}")
-                          for step in ("make", "prepare", "run"))
+    (make, prepare, run), = workloads(src, workload)
     calls = [prepare(make(seed, index), None) for index in range(1, jobs + 1)]
     best, sha = float("inf"), hashlib.sha256()
     for k in range(PASSES):
