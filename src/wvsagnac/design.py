@@ -158,7 +158,8 @@ def _report(c: DesignConstraints, beta: float, wv, spectrum) -> FeasibilityRepor
 
 def _ruled_out(c: DesignConstraints, wv) -> bool:
     """Whether the first-order shift alone shows infeasible an area whose
-    _candidates weak value is `wv` (never an orthogonal one). Inside the
+    _candidates weak value is `wv`; False for a NearOrthogonalSelection in
+    its place, which the fallback scan passes on to _report. Inside the
     monotone bound on |Im A_w| the fitted shift stays below
 
         f |first-order shift| + (1e-7 + 1e-3 D) W + 10 FIT_RELATIVE_TOL lambda0

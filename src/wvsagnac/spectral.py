@@ -151,9 +151,17 @@ def intensity_envelope(probe: SpectrumModel, lam):
     the envelope by its standard deviation (rather than a 1/e width) is what
     makes the fitted center shift of the modulated spectrum reproduce the
     first-order prediction -4*pi*W^2/lambda0 * Im(A_w); any other Gaussian
-    width convention rescales the fitted shift by a constant factor.
+    width convention rescales the fitted shift by a constant factor. A grid
+    whose largest (lam - lambda0)^2 is not finite, an infinite sample's
+    included, raises a ValueError naming it.
     """
     lam = np.asarray(lam, dtype=float)
+    # the largest squared distance, from the extremes, before numpy squares any
+    far = (max(probe.lambda0 - lam.min().item(), lam.max().item() - probe.lambda0)
+           if lam.size else 0.0)
+    if far * far == math.inf:
+        raise ValueError("squared distance (lam - lambda0)^2 of the wavelength "
+                         "grid overflows a float")
     w2 = 2.0 * probe.width_dlambda ** 2
     out = probe.i0 * np.exp(-((lam - probe.lambda0) ** 2) / w2)
     return float(out) if out.ndim == 0 else out
@@ -356,14 +364,12 @@ def _trapezoid_weights(lam: np.ndarray) -> np.ndarray:
 
 def _window(lam: np.ndarray, c: float, half: float) -> tuple[int, int]:
     """[lo, hi) of the samples within `half` of the first sample nearest c,
-    as numpy rounds |lam - x|; (0, n) for a NaN half, and the first sample
-    for a c that is not finite. On an increasing grid the rounded |lam - x|
-    falls up to x and rises from it: each end is found by binary search and
-    moved to where the test changes, and only a tie run needs a full scan."""
-    if math.isnan(half):
-        return 0, lam.size
+    as numpy rounds |lam - x|, for a finite c and a half that is not NaN
+    (_fit_start's). On an increasing grid the rounded |lam - x| falls up to
+    x and rises from it: each end is found by binary search and moved to
+    where the test changes, and only a tie run needs a full scan."""
     x = lam.item  # Python floats: the same IEEE arithmetic, at less cost
-    j = int(lam.searchsorted(c)) if math.isfinite(c) else 0
+    j = int(lam.searchsorted(c))
     if j == lam.size or (j > 0 and abs(x(j - 1) - c) <= abs(x(j) - c)):
         j -= 1
         if j > 0 and abs(x(j - 1) - c) == abs(x(j) - c):

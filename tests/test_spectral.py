@@ -213,6 +213,21 @@ def test_default_grid_rejects_an_overflowing_span(probe, span):
         default_grid(probe, points=3, span=span)
 
 
+def test_envelope_rejects_an_overflowing_squared_distance():
+    """A valid wide probe 5 widths out, where the envelope is exp(-12.5),
+    and a valid grid far from the probe: (lam - lambda0)^2 overflows, and
+    the refusal names it before numpy warns (warnings are errors here)."""
+    message = r"^squared distance \(lam - lambda0\)\^2 of the wavelength grid overflows"
+    wide = SpectrumModel(1.0, 1e155, 3.5e153)
+    with pytest.raises(ValueError, match=message):
+        intensity_envelope(wide, np.array([1e155, 1e155 + 5 * 3.5e153]))
+    with pytest.raises(ValueError, match=message):
+        output_spectrum(SpectrumModel(1.0, 1550.0, 5.0), _wv(0.1, -0.3, 0.05), G,
+                        np.array([1.0, 1e200]))
+    assert intensity_envelope(wide, 1e155 + 3 * 3.5e153) == pytest.approx(
+        math.exp(-4.5), rel=1e-13)
+
+
 # ── fitting ───────────────────────────────────────────────────────────────────
 
 def test_fit_recovers_its_own_model():
@@ -1027,37 +1042,58 @@ def test_closed_form_starts_match_the_samples(probe, angles, form):
 
 def _scan_window(lam, c, half):
     """The window as a mask over the whole grid: the oracle of _window."""
-    with np.errstate(invalid="ignore"):
-        snap = lam[np.abs(lam - c).argmin()]
-        inside = np.abs(lam - snap) <= half
+    snap = lam[np.abs(lam - c).argmin()]
+    inside = np.abs(lam - snap) <= half
     return int(inside.argmax()), int(lam.size - inside[::-1].argmax())
 
 
-@settings(max_examples=400, deadline=None)
-@given(n=_GRID_SIZES, dense=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       c_kind=st.sampled_from(["sample", "midpoint", "uniform", "outside", "nan",
-                               "inf", "-inf"]),
-       half_kind=st.sampled_from(["distance", "uniform", "zero", "nan", "inf"]))
-def test_window_matches_the_full_scan(n, dense, seed, c_kind, half_kind):
-    """The binary search finds the full scan's window exactly: at ties
-    between two samples, at an edge exactly `half` away, and on grids spaced
-    by one to three units in the last place, where the rounded distances
-    repeat."""
-    rng = np.random.default_rng(seed)
-    if dense:
+def _window_grid(kind, n, rng):
+    """A strictly increasing grid of n points for the _window test: "dense"
+    is spaced by one to three units in the last place, "decades" spans 2 to
+    20 decades, so that snap -/+ half rounds past a sample at the edge, and
+    "near zero" is 1e-300, 2e-300 and then 1.0 and up over decades, whose
+    first two samples round to one distance from any c above about 1e-284."""
+    if kind == "dense":
         start = rng.uniform(1.0, 3000.0)
-        lam = start + np.cumsum(rng.integers(1, 4, n)) * np.spacing(start)
-    else:
-        lam = _setup_grid("random", n, seed)
+        return start + np.cumsum(rng.integers(1, 4, n)) * np.spacing(start)
+    if kind == "random":
+        return _setup_grid("random", n, int(rng.integers(0, 2 ** 32)))
+    steps = rng.uniform(0.05, 1.0, n) * rng.uniform(2.0, 20.0) / n
+    if kind == "decades":
+        return 10.0 ** (rng.uniform(-300.0, 280.0) + np.cumsum(steps))
+    return np.concatenate(([1e-300, 2e-300], 10.0 ** (np.cumsum(steps) - steps[0])))[:n]
+
+
+@settings(max_examples=400, deadline=None)
+@given(n=_GRID_SIZES, grid=st.sampled_from(["dense", "random", "decades", "near zero"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       c_kind=st.sampled_from(["sample", "midpoint", "uniform", "log-uniform",
+                               "outside"]),
+       half_kind=st.sampled_from(["distance", "uniform", "zero", "inf"]))
+# each moves an end past its binary search or takes the tie scan, which
+# about 0.04%, 1% and 4% of random draws do
+@example(n=3, grid="decades", seed=39, c_kind="sample", half_kind="distance")  # hi
+@example(n=3, grid="decades", seed=1, c_kind="uniform", half_kind="distance")  # lo
+@example(n=3, grid="near zero", seed=0, c_kind="log-uniform", half_kind="uniform")
+def test_window_matches_the_full_scan(n, grid, seed, c_kind, half_kind):
+    """The binary search finds the full scan's window exactly, for the
+    finite c and the half that is not NaN _fit_start passes it: at ties
+    between two samples, at an edge exactly `half` away, on grids spaced by
+    one to three units in the last place, where the rounded distances
+    repeat, on grids spanning decades, where an end moves past where its
+    binary search put it, and where two samples left of c tie, which takes
+    the full scan (lam = [1e-300, 2e-300, 1.0] and c = 1e-10: window (0, 2))."""
+    rng = np.random.default_rng(seed)
+    lam = _window_grid(grid, n, rng)
     i, k = rng.integers(0, n, 2)
     c = {"sample": lam[i], "midpoint": (lam[i] + lam[min(i + 1, n - 1)]) / 2,
          "uniform": rng.uniform(lam[0], lam[-1]),
-         "outside": lam[0] - rng.uniform(0, 3) * (lam[-1] - lam[0] + 1),
-         "nan": math.nan, "inf": math.inf, "-inf": -math.inf}[c_kind]
-    snap = lam[np.abs(lam - c).argmin()] if math.isfinite(c) else lam[0]
+         "log-uniform": 10.0 ** rng.uniform(math.log10(lam[0]), math.log10(lam[-1])),
+         "outside": lam[0] - rng.uniform(0, 3) * (lam[-1] - lam[0] + 1)}[c_kind]
+    snap = lam[np.abs(lam - c).argmin()]
     half = {"distance": abs(float(lam[k] - snap)),
             "uniform": rng.uniform(0, 1.2) * (lam[-1] - lam[0]),
-            "zero": 0.0, "nan": math.nan, "inf": math.inf}[half_kind]
+            "zero": 0.0, "inf": math.inf}[half_kind]
     assert spectral._window(lam, float(c), half) == _scan_window(lam, c, half)
 
 
