@@ -14,8 +14,8 @@ import importlib
 
 from .classical import (NM, SPEED_OF_LIGHT, InterferometerConfig,
                         classical_intensity, fringe_shift)
-from .errors import DegenerateInput, FitFailure, NearOrthogonalSelection
-from .geometry import MultipassDesign, equivalent_area, multipass_design, turns
+from .errors import FitFailure, NearOrthogonalSelection
+from .geometry import MultipassDesign, multipass_design
 from .weak import (OVERLAP_FLOOR, SelectionConfig, WeakValueResult,
                    amplitudes_mn, analytic_wavelength_shift, sagnac_phase,
                    weak_value, weak_value_direct)
@@ -26,8 +26,8 @@ _LAZY_MODULES = {
     "spectral": ("FORM_EXACT", "FORM_PAPER", "FitResult", "SampledSpectrum",
                  "SpectrumModel", "default_grid", "fit_center",
                  "intensity_envelope", "modulation_factor", "output_spectrum"),
-    "sweep": ("ModelSpec", "Sensitivity", "SweepResult", "SweepRow",
-              "benchmark_models", "default_window", "run_sweep", "sensitivity"),
+    "sweep": ("ModelSpec", "SweepResult", "SweepRow", "benchmark_models",
+              "run_sweep", "sensitivity"),
     "design": ("DesignConstraints", "DesignSolution", "FeasibilityReport",
                "feasible", "min_area"),
 }
@@ -52,9 +52,8 @@ def __dir__():
 
 __all__ = [
     "NM", "SPEED_OF_LIGHT", "InterferometerConfig", "classical_intensity",
-    "fringe_shift", "DegenerateInput", "FitFailure", "NearOrthogonalSelection",
-    "MultipassDesign", "equivalent_area", "multipass_design", "turns",
-    "OVERLAP_FLOOR", "SelectionConfig", "WeakValueResult", "amplitudes_mn",
-    "analytic_wavelength_shift", "sagnac_phase", "weak_value",
+    "fringe_shift", "FitFailure", "NearOrthogonalSelection", "MultipassDesign",
+    "multipass_design", "OVERLAP_FLOOR", "SelectionConfig", "WeakValueResult",
+    "amplitudes_mn", "analytic_wavelength_shift", "sagnac_phase", "weak_value",
     "weak_value_direct", *_LAZY,
 ]

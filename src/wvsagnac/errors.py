@@ -1,18 +1,14 @@
 """Exception types shared across the package.
 
-Generic bad-input validation raises plain ValueError; these subclasses mark
-the failure modes callers are expected to branch on (the CLI maps them to
-distinct exit codes).
+Generic bad-input validation raises plain ValueError, and so does a spectrum
+whose fit cannot start. FitFailure has its own CLI exit code; sweeps and
+designs branch on NearOrthogonalSelection.
 """
 
 
 class NearOrthogonalSelection(ValueError):
     """Pre- and post-selection are close enough to orthogonal that the
     surviving intensity is effectively zero and the weak value diverges."""
-
-
-class DegenerateInput(ValueError):
-    """A spectrum with no usable intensity was passed to an estimator."""
 
 
 class FitFailure(RuntimeError):

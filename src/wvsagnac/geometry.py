@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class MultipassDesign:
+    """n_turns = lcm(2*theta, 360) / 360 and the equivalent enclosed area
+    area_equiv = [lcm(2*theta, 360) / (2*theta)] * R^2 * sin(beta) * cos(beta)
+    with beta = 90 deg - theta; the bracket is the (integer) chord count."""
     theta_deg: int      # injection angle, integer degrees in (0, 90)
     radius_rs: float    # device radius, m
     n_turns: int = field(init=False)       # full turns before the path closes
@@ -25,9 +28,17 @@ class MultipassDesign:
     def __post_init__(self):
         # derived here, also under dataclasses.replace
         t = _check_theta(self.theta_deg)
-        object.__setattr__(self, "theta_deg", t)
-        object.__setattr__(self, "n_turns", turns(t))
-        object.__setattr__(self, "area_equiv", equivalent_area(t, self.radius_rs))
+        travel = math.lcm(2 * t, 360)  # degrees before the path closes
+        beta = math.radians(90 - t)
+        area = (travel // (2 * t) * _square(self.radius_rs)
+                * math.sin(beta) * math.cos(beta))
+        if not math.isfinite(area):
+            raise ValueError(f"equivalent area overflows a float for "
+                             f"radius_rs = {self.radius_rs:g} m")
+        if area < sys.float_info.min:  # 0.0, or subnormal and short of bits
+            raise ValueError(f"equivalent area underflows the smallest normal "
+                             f"float for radius_rs = {self.radius_rs:g} m")
+        vars(self).update(theta_deg=t, n_turns=travel // 360, area_equiv=area)
 
 
 def _square(radius_rs: float) -> float:
@@ -58,31 +69,6 @@ def _check_theta(theta_deg) -> int:
     if not 0 < theta_deg < 90:
         raise ValueError(f"theta_deg must lie in (0, 90), got {theta_deg}")
     return theta_deg
-
-
-def turns(theta_deg) -> int:
-    """Number of full turns before the chord path closes, lcm(2*theta, 360)/360."""
-    t = _check_theta(theta_deg)
-    return math.lcm(2 * t, 360) // 360
-
-
-def equivalent_area(theta_deg, radius_rs: float) -> float:
-    """Equivalent enclosed area of the closed multipass path, m^2.
-
-    area = [lcm(2*theta, 360) / (2*theta)] * R^2 * sin(beta) * cos(beta)
-    with beta = 90 deg - theta; the bracket is the (integer) chord count.
-    """
-    t = _check_theta(theta_deg)
-    chords = math.lcm(2 * t, 360) // (2 * t)
-    beta = math.radians(90 - t)
-    area = chords * _square(radius_rs) * math.sin(beta) * math.cos(beta)
-    if not math.isfinite(area):
-        raise ValueError(f"equivalent area overflows a float for "
-                         f"radius_rs = {radius_rs:g} m")
-    if area < sys.float_info.min:  # 0.0, or subnormal and short of bits
-        raise ValueError(f"equivalent area underflows the smallest normal float "
-                         f"for radius_rs = {radius_rs:g} m")
-    return area
 
 
 def multipass_design(theta_deg, radius_rs: float) -> MultipassDesign:

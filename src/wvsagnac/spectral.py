@@ -19,7 +19,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import DegenerateInput, FitFailure, NearOrthogonalSelection
+from .errors import FitFailure, NearOrthogonalSelection
 from .weak import WeakValueResult
 
 GRID_POINTS = 2048   # default resolution of the wavelength grid
@@ -398,7 +398,7 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     that a mirror-image spectrum gets the mirror-image window (_window)."""
     lam, raw = spec.wavelengths, spec.intensities
     if not spec._peak > 0:  # intensities are nonnegative
-        raise DegenerateInput("cannot fit an all-zero spectrum")
+        raise ValueError("cannot fit an all-zero spectrum")
     pos = spec._floor > 0  # no zero: no count; `scale` keeps nonzeros nonzero
     count = lam.size if pos else np.count_nonzero(raw)
     if count < MIN_FIT_POINTS:
@@ -408,13 +408,13 @@ def _fit_start(spec: SampledSpectrum) -> tuple[int, int, float, float, float]:
     if not math.isfinite(total):
         raise ValueError("integrated intensity of the spectrum overflows a float")
     if total <= 0:
-        raise DegenerateInput("spectrum has zero total intensity")
+        raise ValueError("spectrum has zero total intensity")
     if not (math.isfinite(center) and math.isfinite(var)):
         raise ValueError("intensity-weighted wavelength moments of the spectrum "
                          "overflow a float")
     sigma = math.sqrt(max(var, 0.0))
     if not sigma > 0:
-        raise DegenerateInput("spectrum is too narrow or too weak to seed a fit")
+        raise ValueError("spectrum is too narrow or too weak to seed a fit")
     lo, hi = _window(lam, center, FIT_WINDOW_SIGMAS * sigma)
     if (hi - lo if pos else np.count_nonzero(raw[lo:hi])) < MIN_FIT_POINTS:
         raise ValueError(f"fit window holds fewer than {MIN_FIT_POINTS} "

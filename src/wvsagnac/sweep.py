@@ -72,17 +72,11 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class Sensitivity:
-    k_analytic: float  # nm per rad/s
-    k_fitted: float    # nm per rad/s
-
-
-@dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
-    k_analytic: float
-    k_fitted: float
-    k_window: tuple[float, float]
+    k_analytic: float               # nm per rad/s
+    k_fitted: float                 # nm per rad/s
+    k_window: tuple[float, float]   # rad/s, where k is read
     form: str
     warnings: tuple[str, ...] = ()
 
@@ -125,15 +119,6 @@ def _degeneracy_warnings(model: ModelSpec) -> tuple[str, ...]:
         if abs(math.sin(angle)) < DEGENERACY_TOL)
 
 
-def default_window(omega_range: tuple[float, float, int]) -> tuple[float, float]:
-    """Central DEFAULT_WINDOW_FRACTION of the sweep range, the default
-    sensitivity window."""
-    lo, hi, _ = omega_range
-    center = 0.5 * (lo + hi)
-    half = 0.5 * DEFAULT_WINDOW_FRACTION * (hi - lo)
-    return (center - half, center + half)
-
-
 def _weak(alpha: float, beta: float, phi: float):
     """The weak value at phase `phi`, or the NearOrthogonalSelection it raises."""
     try:
@@ -151,12 +136,15 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     modulation leaves in the fit. That reference is fit first, as row 0 of
     the first stack, and its failure aborts the sweep; rows whose selection
     is effectively orthogonal are flagged and carry NaNs instead.
-    The sensitivity is taken inside `window`; without one, inside
-    `default_window`, and a default window with too few usable rows leaves
-    k NaN with a warning, where a given one raises ValueError.
-    Output is deterministic and independent of evaluation order: each row
-    is the fit of `output_spectrum` on `default_grid` alone (fit_center),
-    minus the reference, whichever rows share its stack.
+    The sensitivity is taken inside `window`; without one, inside the
+    central DEFAULT_WINDOW_FRACTION of the rate range, and a default window
+    with too few usable rows leaves k NaN with a warning, where a given one
+    raises ValueError.
+    Output is deterministic and independent of evaluation order: each row's
+    spectrum is bit for bit `output_spectrum` on `default_grid` alone,
+    whichever rows share its stack, and its fit, started from closed-form
+    moments, lands within 2 FIT_RELATIVE_TOL lambda0 of that spectrum's
+    `fit_center`.
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     lo, hi, steps = model.omega_range
@@ -186,27 +174,26 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
                                  dlambda_analytic=analytic, dlambda_fitted=fitted,
                                  postselect_prob=prob, note=note))
 
+    center, half = 0.5 * (lo + hi), 0.5 * DEFAULT_WINDOW_FRACTION * (hi - lo)
+    k_window = (center - half, center + half) if window is None else window
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,
-        k_window=(default_window(model.omega_range) if window is None
-                  else tuple(map(float, window))),
-        form=form, warnings=_degeneracy_warnings(model))
+        k_window=tuple(map(float, k_window)), form=form,
+        warnings=_degeneracy_warnings(model))
     try:
-        k = sensitivity(result, result.k_window)
+        return sensitivity(result, result.k_window)
     except ValueError as exc:
         if window is not None:
             raise
         return replace(result, warnings=result.warnings
                        + (f"sensitivity window unusable: {exc}",))
-    return replace(result, k_analytic=k.k_analytic, k_fitted=k.k_fitted)
 
 
-def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> Sensitivity:
-    """Absolute least-squares slope of shift vs rate inside the window.
-
-    Computed independently for the analytic and the fitted columns; failed
-    rows are excluded. Requires finite bounds and at least 3 usable rows in
-    the window.
+def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> SweepResult:
+    """`sweep` re-read over `window`: k_analytic and k_fitted become the
+    absolute least-squares slopes of the analytic and the fitted shift vs
+    rate over the window's rows that did not fail, and k_window the window's
+    bounds as floats. Requires finite bounds lo < hi and at least 3 such rows.
     """
     lo, hi = window
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -222,4 +209,5 @@ def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> Sensitivity:
                                 [r.dlambda_analytic for r in rows], 1)[0])
     k_fitted = abs(np.polyfit(omegas,
                               [r.dlambda_fitted for r in rows], 1)[0])
-    return Sensitivity(k_analytic=float(k_analytic), k_fitted=float(k_fitted))
+    return replace(sweep, k_analytic=float(k_analytic), k_fitted=float(k_fitted),
+                   k_window=(float(lo), float(hi)))

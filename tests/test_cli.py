@@ -14,8 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wvsagnac import (FitResult, InterferometerConfig, SampledSpectrum,
-                      equivalent_area, fit_center, fringe_shift,
-                      multipass_design, serialize)
+                      fit_center, fringe_shift, multipass_design, serialize)
 from wvsagnac.cli import main
 from wvsagnac.errors import FitFailure
 
@@ -107,8 +106,8 @@ def test_geometry_csv_format(runner):
 def test_ratio_vs_square_where_four_r_squared_overflows():
     # R^2 and the area are finite floats here, 4 R^2 is not
     doc = json.loads(serialize.result_to_json(multipass_design(60, 7.3e153)))
-    assert doc["ratio_vs_square"] == pytest.approx(equivalent_area(60, 1.0) / 4.0,
-                                                   rel=1e-12)
+    unit = multipass_design(60, 1.0).area_equiv
+    assert doc["ratio_vs_square"] == pytest.approx(unit / 4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("result", [object(), FitResult(1550.0, 10.0, 1.0, 0.0, 3)],

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 import wvsagnac.design as design
 import wvsagnac.spectral as spectral
 import wvsagnac.sweep as sweep
-from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, InterferometerConfig,
-                      NearOrthogonalSelection, SelectionConfig, SpectrumModel,
-                      analytic_wavelength_shift, benchmark_models, default_grid,
-                      feasible, fit_center, min_area, output_spectrum,
-                      run_sweep, sagnac_phase, weak_value)
+from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, FitFailure,
+                      InterferometerConfig, NearOrthogonalSelection,
+                      SelectionConfig, SpectrumModel, analytic_wavelength_shift,
+                      benchmark_models, default_grid, feasible, fit_center,
+                      min_area, output_spectrum, run_sweep, sagnac_phase,
+                      weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 
@@ -266,6 +267,14 @@ def _unstacked_report(beta, area_s, cons):
         peak - cons.i_min, shift, shift - cons.delta_lambda_res, wv.a_w.imag)
 
 
+def _outcome(fn, *args):
+    """repr(fn(*args)), or the type and message of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, FitFailure) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 @settings(max_examples=20, deadline=None)
 @given(beta=st.floats(-0.55, 0.05),
        areas=st.lists(st.floats(1.0, 40.0), min_size=1, max_size=17),
@@ -275,11 +284,19 @@ def _unstacked_report(beta, area_s, cons):
 @example(beta=-0.2, areas=[3.0] * 7 + [ORTHOGONAL_AREA] + [40.0] * 3,
          i_min=0.0, res=0.01, i0=1.0)  # an orthogonal row in the first stack
 @example(beta=-0.3, areas=[2.0, 9.0], i_min=0.004, res=0.01, i0=1e-200)
+@example(beta=6.103515625e-05, areas=[6.578125], i_min=0.0, res=0.0,
+         i0=1.0)  # |A_w| about 3256: every path's fits fail alike
 def test_stacked_rows_equal_one_candidate_at_a_time(beta, areas, i_min, res, i0):
+    """Each area's outcome, its report's repr or its error's type and
+    message, is the same from a stack, from feasible() and from the public
+    pieces."""
     cons = _constraints(i_min=i_min * i0, res=res, i0=i0)
-    stacked = [repr(r) for r in _reports(beta, areas, cons)]
-    assert stacked == [repr(feasible(beta, s, cons)) for s in areas]
-    assert stacked == [repr(_unstacked_report(beta, s, cons)) for s in areas]
+    rows = spectral._default_rows(cons.probe, design._candidates(beta, areas, cons),
+                                  "exact")
+    stacked = [_outcome(design._report, cons, beta, wv, spectrum)
+               for _, wv, spectrum in rows]
+    assert stacked == [_outcome(feasible, beta, s, cons) for s in areas]
+    assert stacked == [_outcome(_unstacked_report, beta, s, cons) for s in areas]
 
 
 def _sequential_scan(cons, beta, s_lo, s_hi):

@@ -19,16 +19,16 @@ SRC = Path(wvsagnac.__file__).resolve().parent.parent
 DEFINED_IN = {
     classical: ("NM", "SPEED_OF_LIGHT", "InterferometerConfig", "fringe_shift",
                 "classical_intensity"),
-    errors: ("NearOrthogonalSelection", "DegenerateInput", "FitFailure"),
-    geometry: ("MultipassDesign", "turns", "equivalent_area", "multipass_design"),
+    errors: ("NearOrthogonalSelection", "FitFailure"),
+    geometry: ("MultipassDesign", "multipass_design"),
     weak: ("OVERLAP_FLOOR", "SelectionConfig", "WeakValueResult", "sagnac_phase",
            "amplitudes_mn", "weak_value", "weak_value_direct",
            "analytic_wavelength_shift"),
     spectral: ("FORM_EXACT", "FORM_PAPER", "SpectrumModel", "SampledSpectrum",
                "FitResult", "intensity_envelope", "modulation_factor",
                "output_spectrum", "fit_center", "default_grid"),
-    sweep: ("ModelSpec", "SweepRow", "SweepResult", "Sensitivity", "run_sweep",
-            "sensitivity", "default_window", "benchmark_models"),
+    sweep: ("ModelSpec", "SweepRow", "SweepResult", "run_sweep", "sensitivity",
+            "benchmark_models"),
     design: ("DesignConstraints", "FeasibilityReport", "DesignSolution",
              "feasible", "min_area"),
 }

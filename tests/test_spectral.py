@@ -14,9 +14,9 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
-from wvsagnac import (DegenerateInput, FitFailure, InterferometerConfig,
-                      NearOrthogonalSelection, SampledSpectrum, SelectionConfig,
-                      SpectrumModel, WeakValueResult, analytic_wavelength_shift,
+from wvsagnac import (FitFailure, InterferometerConfig, NearOrthogonalSelection,
+                      SampledSpectrum, SelectionConfig, SpectrumModel,
+                      WeakValueResult, analytic_wavelength_shift,
                       benchmark_models, default_grid, fit_center,
                       intensity_envelope, modulation_factor, output_spectrum,
                       sagnac_phase, weak_value)
@@ -299,7 +299,7 @@ def test_zero_rotation_center_stays_put():
 
 def test_fit_rejects_degenerate_input():
     lam = np.linspace(1540.0, 1560.0, 64)
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(ValueError, match="^cannot fit an all-zero spectrum$"):
         fit_center(SampledSpectrum(lam, np.zeros_like(lam), "exact"))
     sparse = np.zeros_like(lam)
     sparse[10:20] = 1.0  # only 10 nonzero samples
@@ -310,7 +310,7 @@ def test_fit_rejects_degenerate_input():
     tiny = np.arange(1, 65) * 5e-324
     for level, message in ((0.4, "^spectrum has zero total intensity$"),
                            (0.75, "^spectrum is too narrow or too weak")):
-        with pytest.raises(DegenerateInput, match=message):
+        with pytest.raises(ValueError, match=message):
             fit_center(SampledSpectrum(tiny, np.full(tiny.size, level), "exact"))
 
 
@@ -535,7 +535,7 @@ def test_stack_setup_errors_are_raised_at_their_row(monkeypatch):
     for cap in (1, spectral.FIT_MAX_ITERATIONS):
         monkeypatch.setattr(spectral, "FIT_MAX_ITERATIONS", cap)
         got = [outcome(spec) for spec in spectra]
-        assert got[1] == "DegenerateInput: cannot fit an all-zero spectrum"
+        assert got[1] == "ValueError: cannot fit an all-zero spectrum"
         assert got[3].startswith("ValueError: need at least 16 grid points")
         assert got[0].startswith("FitFailure" if cap == 1 else "FitResult")
         assert got == [outcome(spec) for spec in spectra]  # again, the same
@@ -566,7 +566,7 @@ def test_a_replaced_spectrum_gets_its_own_setup():
     spec = output_spectrum(PROBE, _wv(0.1, -0.3, 0.05), G, default_grid(PROBE))
     fit_center(spec)
     zeroed = dataclasses.replace(spec, intensities=np.zeros_like(spec.intensities))
-    with pytest.raises(DegenerateInput, match="all-zero"):
+    with pytest.raises(ValueError, match="all-zero"):
         fit_center(zeroed)
     assert repr(fit_center(dataclasses.replace(spec))) == repr(fit_center(spec))
 
@@ -682,7 +682,7 @@ def test_each_fit_of_a_refused_row_raises_a_fresh_exception():
     zero = SampledSpectrum(lam, np.zeros(lam.size), "exact")
     tiny = dataclasses.replace(PROBE, i0=2.0 ** -1040)
     (_, _, row), = spectral._default_rows(tiny, [(0, _wv(0.1, -0.3, 0.05))], "exact")
-    for spec, error, match in ((zero, DegenerateInput, "all-zero"),
+    for spec, error, match in ((zero, ValueError, "all-zero"),
                                (row, ValueError, "below the smallest normal float")):
         errors = []
         for _ in range(2):
@@ -855,7 +855,7 @@ def _trapezoid_fit_setups(lam, stack):
         count = lam.size if pos else np.count_nonzero(stack[row])
         error = None
         if not peak > 0:
-            error = partial(DegenerateInput, "cannot fit an all-zero spectrum")
+            error = partial(ValueError, "cannot fit an all-zero spectrum")
         elif count < least:
             error = partial(ValueError, f"need at least {least} grid points with "
                                         f"nonzero intensity, got {count}")
@@ -863,12 +863,12 @@ def _trapezoid_fit_setups(lam, stack):
             error = partial(ValueError, "integrated intensity of the spectrum "
                                         "overflows a float")
         elif t <= 0:
-            error = partial(DegenerateInput, "spectrum has zero total intensity")
+            error = partial(ValueError, "spectrum has zero total intensity")
         elif not (math.isfinite(c) and math.isfinite(v)):
             error = partial(ValueError, "intensity-weighted wavelength moments "
                                         "of the spectrum overflow a float")
         elif not s > 0:
-            error = partial(DegenerateInput,
+            error = partial(ValueError,
                             "spectrum is too narrow or too weak to seed a fit")
         elif (b - a if pos else np.count_nonzero(stack[row, a:b])) < least:
             error = partial(ValueError, f"fit window holds fewer than "
