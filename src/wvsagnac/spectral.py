@@ -134,6 +134,8 @@ def default_grid(probe: SpectrumModel, points: int = GRID_POINTS,
     """Uniform wavelength grid over lambda0 +/- span*width, in nm."""
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
+    if not 0 < span < math.inf:
+        raise ValueError(f"grid span must be positive and finite, got {span:g}")
     half = span * probe.width_dlambda
     lo, hi = probe.lambda0 - half, probe.lambda0 + half
     # hi - lo is also not finite when half, lo or hi is not; the envelope

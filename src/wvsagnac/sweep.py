@@ -127,6 +127,16 @@ def _weak(alpha: float, beta: float, phi: float):
         return exc
 
 
+def _bounds(window) -> tuple[float, float]:
+    """A sensitivity window's (lo, hi), refused unless finite with lo < hi."""
+    lo, hi = window
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"window bounds must be finite, got {window}")
+    if not lo < hi:
+        raise ValueError(f"window must satisfy lo < hi, got {window}")
+    return lo, hi
+
+
 def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
               window: tuple[float, float] | None = None) -> SweepResult:
     """Evaluate the shift curve over the model's rate range.
@@ -136,10 +146,10 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     modulation leaves in the fit. That reference is fit first, as row 0 of
     the first stack, and its failure aborts the sweep; rows whose selection
     is effectively orthogonal are flagged and carry NaNs instead.
-    The sensitivity is taken inside `window`; without one, inside the
-    central DEFAULT_WINDOW_FRACTION of the rate range, and a default window
-    with too few usable rows leaves k NaN with a warning, where a given one
-    raises ValueError.
+    The sensitivity is taken inside `window`, whose bounds are checked
+    before any row is built, or else inside the central DEFAULT_WINDOW_FRACTION
+    of the rate range; a default window with too few usable rows leaves k NaN
+    with a warning, where a given one raises ValueError.
     Output is deterministic and independent of evaluation order: each row's
     spectrum is bit for bit `output_spectrum` on `default_grid` alone,
     whichever rows share its stack, and its fit, started from closed-form
@@ -148,6 +158,8 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
     """
     cfg = InterferometerConfig.from_nm(model.area_s, model.probe.lambda0)
     lo, hi, steps = model.omega_range
+    center, half = 0.5 * (lo + hi), 0.5 * DEFAULT_WINDOW_FRACTION * (hi - lo)
+    k_window = (center - half, center + half) if window is None else _bounds(window)
     omegas = np.linspace(lo, hi, int(steps)).tolist()
     phases = chain([0.0], (sagnac_phase(cfg, omega) for omega in omegas))
     with _quiet():  # one np.errstate for the stacks and every fit
@@ -174,8 +186,6 @@ def run_sweep(model: ModelSpec, form: str = FORM_EXACT,
                                  dlambda_analytic=analytic, dlambda_fitted=fitted,
                                  postselect_prob=prob, note=note))
 
-    center, half = 0.5 * (lo + hi), 0.5 * DEFAULT_WINDOW_FRACTION * (hi - lo)
-    k_window = (center - half, center + half) if window is None else window
     result = SweepResult(
         rows=tuple(rows), k_analytic=math.nan, k_fitted=math.nan,
         k_window=tuple(map(float, k_window)), form=form,
@@ -195,11 +205,7 @@ def sensitivity(sweep: SweepResult, window: tuple[float, float]) -> SweepResult:
     rate over the window's rows that did not fail, and k_window the window's
     bounds as floats. Requires finite bounds lo < hi and at least 3 such rows.
     """
-    lo, hi = window
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"window bounds must be finite, got {window}")
-    if not lo < hi:
-        raise ValueError(f"window must satisfy lo < hi, got {window}")
+    lo, hi = _bounds(window)
     rows = [r for r in sweep.rows if lo <= r.omega <= hi and not r.failed]
     if len(rows) < 3:
         raise ValueError(

@@ -531,11 +531,12 @@ def test_domain_error_exit_code(runner):
 @pytest.mark.parametrize("args, quantity", [
     (["geometry", "--theta-deg", "25", "--rs", "1e-200"], "equivalent area"),
     (SIMULATE_ARGS[:-2] + ["--dlambda", "1e-200"], "wavelength grid"),
-], ids=["area underflows", "grid collapses"])
+    (SIMULATE_ARGS + ["--grid-span", "nan"], "grid span"),
+], ids=["area underflows", "grid collapses", "span not a number"])
 def test_an_area_that_underflows_or_a_collapsed_grid_is_one_error_line(args, quantity):
-    """A radius whose area underflows, and a probe so narrow that its grid
-    collapses to one wavelength, exit 3 with one `error:` line naming the
-    quantity, in a real child: no traceback and no numpy warning before it."""
+    """An underflowing area, a grid that a narrow probe collapses to one
+    wavelength and a grid span that is not a number exit 3 with one `error:`
+    line naming the quantity, in a real child: no traceback, no numpy warning."""
     proc = _cli_child(args)
     assert proc.returncode == 3
     assert proc.stdout == ""

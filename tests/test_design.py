@@ -24,6 +24,7 @@ from wvsagnac import (SPEED_OF_LIGHT, DesignConstraints, FitFailure,
                       benchmark_models, default_grid, feasible, fit_center,
                       min_area, output_spectrum, run_sweep, sagnac_phase,
                       weak_value)
+from test_sweep import _weak
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 
@@ -93,20 +94,15 @@ def test_orthogonal_angle_reports_infeasible_not_error():
 
 def test_an_orthogonal_only_grid_is_infeasible():
     # every area of beta = 0 is orthogonal at rest: the regime probe ends it
-    warnings = []
-    assert design._min_area_for_beta(_constraints(), 0.0, 1.0, 20.0,
-                                     warnings) is None
     reason = feasible(0.0, 1.0, _constraints()).reason
     assert "effectively orthogonal" in reason
-    assert warnings == [f"beta = 0: every probed area is infeasible: {reason}"]
+    warnings = (f"beta = 0: every probed area is infeasible: {reason}",)
     sol = min_area(_constraints(), [0.0], (1.0, 20.0))
-    assert not sol.feasible
+    assert not sol.feasible and sol.warnings == warnings
     assert all(math.isnan(x) for x in (sol.beta, sol.area_s_min,
                                        sol.k_achieved, sol.peak_intensity))
-    assert sol.warnings == tuple(warnings)
     # beside a beta with feasible areas, only beta = 0 is named
-    assert min_area(_constraints(), [0.0, -0.3], (1.0, 20.0)).warnings == (
-        warnings[0],)
+    assert min_area(_constraints(), [0.0, -0.3], (1.0, 20.0)).warnings == warnings
 
 
 @settings(max_examples=15, deadline=None)
@@ -165,25 +161,18 @@ def test_source_intensity_override_scales_peak():
 
 
 def test_constraint_validation():
-    with pytest.raises(ValueError):
-        _constraints(i0=-1.0)
-    with pytest.raises(ValueError):
-        _constraints(i_min=2.0)  # floor above the source
-    with pytest.raises(ValueError):
-        _constraints(res=-0.1)
-    with pytest.raises(ValueError):
-        _constraints(omega=0.0)
+    # i_min = 2: a floor above the source
+    for bad in ({"i0": -1.0}, {"i_min": 2.0}, {"res": -0.1}, {"omega": 0.0}):
+        with pytest.raises(ValueError):
+            _constraints(**bad)
     with pytest.raises(ValueError, match="alpha must be finite"):
         _constraints(alpha=math.nan)
 
 
 def test_bracket_and_grid_validation():
-    with pytest.raises(ValueError):
-        min_area(_constraints(), [-0.2], (5.0, 1.0))
-    with pytest.raises(ValueError):
-        min_area(_constraints(), [-0.2], (-1.0, 5.0))
-    with pytest.raises(ValueError):
-        min_area(_constraints(), [], (1.0, 5.0))
+    for betas, bracket in ([-0.2], (5.0, 1.0)), ([-0.2], (-1.0, 5.0)), ([], (1.0, 5.0)):
+        with pytest.raises(ValueError):
+            min_area(_constraints(), betas, bracket)
     with pytest.raises(ValueError):
         feasible(-0.2, -1.0, _constraints())
     with pytest.raises(ValueError, match="beta must be finite"):
@@ -236,26 +225,23 @@ def test_constraints_keep_the_source_probe_out_of_eq_hash_and_repr():
 ORTHOGONAL_AREA = 1550e-9 * SPEED_OF_LIGHT / (8 * 0.05)
 
 
-def _reports(beta, areas, cons):
-    """feasible(beta, s, cons) for each area s, from the stacks of _default_rows."""
-    rows = spectral._default_rows(cons.probe, design._candidates(beta, areas, cons),
-                                  "exact")
-    return [design._report(cons, beta, wv, spectrum) for _, wv, spectrum in rows]
+def _phase(cons, area_s):
+    """The Sagnac phase of the loop area `area_s` at the target rate."""
+    cfg = InterferometerConfig.from_nm(area_s, cons.probe.lambda0)
+    return sagnac_phase(cfg, cons.omega_target)
 
 
 def _unstacked_report(beta, area_s, cons):
     """feasible() as one spectrum at a time, from the public pieces: no
     cached basis, no stack."""
-    probe = replace(cons.probe, i0=cons.i0)
-    cfg = InterferometerConfig.from_nm(area_s, probe.lambda0)
-
     def readout(phi):
         wv = weak_value(SelectionConfig(cons.alpha, beta, phi))
-        return wv, output_spectrum(probe, wv, probe.lambda0, default_grid(probe))
+        return wv, output_spectrum(cons.probe, wv, cons.probe.lambda0,
+                                   default_grid(cons.probe))
 
     try:
         ref = fit_center(readout(0.0)[1]).center
-        wv, spectrum = readout(sagnac_phase(cfg, cons.omega_target))
+        wv, spectrum = readout(_phase(cons, area_s))
     except NearOrthogonalSelection as exc:
         return design.FeasibilityReport(False, 0.0, -cons.i_min, 0.0,
                                         -cons.delta_lambda_res, math.nan,
@@ -319,12 +305,12 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     as it reaches it: none past the stack that holds its answer."""
     beta, s_lo, s_hi = -0.15, 1.0, 60.0
     scan = np.linspace(s_lo, s_hi, design.FALLBACK_SCAN_POINTS).tolist()
-    shifts = [r.shift_nm for r in _reports(beta, scan, _constraints())]
+    shifts = [feasible(beta, s, _constraints()).shift_nm for s in scan]
     assert all(b > a for a, b in zip(shifts, shifts[1:]))
     res = 1.01 * shifts[-1] if first is None else shifts[first]
     cons = _constraints(res=res)
     expected = _sequential_scan(cons, beta, s_lo, s_hi)
-    wvs = [wv for _, wv in design._candidates(beta, scan, cons)]
+    wvs = [_weak(cons.alpha, beta, _phase(cons, s)) for s in scan]
     kept = [k for k, wv in enumerate(wvs) if not design._ruled_out(cons, wv)]
 
     built = []  # (spectrum, its area, which stack call built it)
@@ -352,17 +338,18 @@ def test_fallback_scan_matches_a_sequential_scan(monkeypatch, first):
     monkeypatch.setattr(design, "_default_rows", recorded)
     monkeypatch.setattr(design, "fit_center", counted)
     monkeypatch.setattr(design, "_ruled_out", screen)
-    warnings = []
-    found = design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings)
-    assert repr(found) == repr(expected)
-    assert warnings == [
+    sol = min_area(cons, [beta], (s_lo, s_hi))
+    assert sol.warnings == (
         "beta = -0.15: response is outside the verified-monotone regime; "
-        "falling back to an exhaustive 256-point area scan"]
+        "falling back to an exhaustive 256-point area scan",)
     if first is None:
-        assert found is None
+        assert expected is None and not sol.feasible
     else:
-        assert found[0] == scan[first]
-        assert all(s <= found[0] for s, _ in fitted)
+        area, rep = expected
+        assert sol.feasible and area == scan[first]
+        assert (sol.beta, sol.area_s_min, sol.peak_intensity, sol.k_achieved) == (
+            beta, area, rep.peak_intensity, rep.shift_nm / cons.omega_target)
+        assert all(s <= area for s, _ in fitted)
     assert all(call > 0 for _, call in fitted)  # the probe stack is call 0
     scanned = design.FALLBACK_SCAN_POINTS if first is None else first + 1
     assert len(fitted) <= scanned
@@ -391,12 +378,10 @@ def test_a_fallback_scan_evaluates_each_weak_value_once(monkeypatch):
         return original(sel)
 
     monkeypatch.setattr(sweep, "weak_value", counted)
-    warnings = []
-    assert design._min_area_for_beta(cons, beta, s_lo, s_hi, warnings) is None
-    assert len(warnings) == 1 and "falling back" in warnings[0]
-    expected = Counter(
-        sagnac_phase(InterferometerConfig.from_nm(s, PROBE.lambda0), cons.omega_target)
-        for s in probes + scan)
+    sol = min_area(cons, [beta], (s_lo, s_hi))
+    warning, = sol.warnings
+    assert not sol.feasible and "falling back" in warning
+    expected = Counter(_phase(cons, s) for s in probes + scan)
     assert Counter(phi for phi in phases if phi != 0.0) == expected
 
 
@@ -469,14 +454,11 @@ def test_min_area_matches_a_plain_bisection(betas, planted_area, i_min,
     if refs:
         assert abs(sol.area_s_min - min(refs)) <= tol * min(refs)
     for beta in betas:
-        warnings = []
-        found = design._min_area_for_beta(cons, beta, 2.0, 18.0, warnings)
-        if found is None:
-            continue
-        area, rep = found
-        assert rep.feasible and feasible(beta, area, cons).feasible
-        if not warnings and area > 2.0:
-            assert not feasible(beta, area * (1.0 - tol), cons).feasible
+        one = min_area(cons, [beta], (2.0, 18.0))
+        if one.feasible:
+            assert feasible(beta, one.area_s_min, cons).feasible
+            if not one.warnings and one.area_s_min > 2.0:
+                assert not feasible(beta, one.area_s_min * (1.0 - tol), cons).feasible
 
 
 def test_root_finding_needs_few_feasibility_evaluations(fits):
@@ -491,9 +473,8 @@ def test_root_finding_needs_few_feasibility_evaluations(fits):
     assert len(fits) <= 15
     for beta in betas:
         fits.clear()
-        warnings = []
-        area, _ = design._min_area_for_beta(cons, beta, 1.0, 20.0, warnings)
-        assert not warnings and area > 1.0
+        one = min_area(cons, [beta], (1.0, 20.0))
+        assert one.feasible and not one.warnings and one.area_s_min > 1.0
         assert len(fits) <= 4  # the reference is cached
 
 
@@ -510,7 +491,7 @@ def test_an_angle_no_fit_can_make_feasible_fits_nothing(fits, cons, betas):
     assert not sol.feasible and not sol.warnings
     assert fits == []
     areas = np.linspace(1.0, 20.0, 20).tolist()
-    assert not any(r.feasible for beta in betas for r in _reports(beta, areas, cons))
+    assert not any(feasible(beta, s, cons).feasible for beta in betas for s in areas)
 
 
 @pytest.mark.parametrize("beta", [-0.5, -0.3, -0.2])
@@ -519,7 +500,7 @@ def test_a_largest_probe_at_six_tenths_of_the_floor_is_not_fit(fits, beta):
     first-order shift is 0.6 of the resolution floor is ruled out, so the
     angle ends with no fit, not even of its zero-rotation reference."""
     cons = _constraints(i_min=0.005)
-    (_, wv), = design._candidates(beta, [20.0], cons)
+    wv = _weak(cons.alpha, beta, _phase(cons, 20.0))
     assert abs(wv.a_w.real) <= 1.0
     first = abs(analytic_wavelength_shift(PROBE, wv.a_w))
     cons = replace(cons, delta_lambda_res=first / 0.6)
@@ -595,7 +576,7 @@ def _fit_every_probe(cons, beta, s_lo, s_hi, warnings, regimes):
     miss a feasible interval between two probes (see
     test_a_feasible_interval_between_two_probes_is_found)."""
     probes = np.linspace(s_lo, s_hi, design.MONOTONE_PROBE_POINTS).tolist()
-    reports = _reports(beta, probes, cons)
+    reports = [feasible(beta, s, cons) for s in probes]
     shifts = [r.shift_nm for r in reports]
     flags = [r.feasible for r in reports]
     detected = [r.peak_intensity >= cons.i_min for r in reports]
@@ -711,17 +692,18 @@ def test_a_feasible_interval_between_two_probes_is_found():
     infeasible flags as sorted and returned no area."""
     cons = _constraints(i_min=0.022305, res=0.0228)
     probes = np.linspace(1.0, 40.0, design.MONOTONE_PROBE_POINTS).tolist()
-    reports = _reports(-0.15, probes, cons)
+    reports = [feasible(-0.15, s, cons) for s in probes]
     assert reports[4].peak_intensity > cons.i_min > reports[5].peak_intensity
     assert not any(r.feasible for r in reports)
     assert feasible(-0.15, 25.0, cons).feasible
-    warnings = []
-    found = design._min_area_for_beta(cons, -0.15, 1.0, 40.0, warnings)
-    assert repr(found) == repr(_sequential_scan(cons, -0.15, 1.0, 40.0))
-    assert 23.3 < found[0] < 23.8
-    assert warnings == [
+    sol = min_area(cons, [-0.15], (1.0, 40.0))
+    area, rep = _sequential_scan(cons, -0.15, 1.0, 40.0)
+    assert (sol.beta, sol.area_s_min, sol.peak_intensity, sol.k_achieved) == (
+        -0.15, area, rep.peak_intensity, rep.shift_nm / cons.omega_target)
+    assert 23.3 < area < 23.8
+    assert sol.warnings == (
         "beta = -0.15: response is outside the verified-monotone regime; "
-        "falling back to an exhaustive 256-point area scan"]
+        "falling back to an exhaustive 256-point area scan",)
 
 
 # ── the first-order screen of the fallback scan ───────────────────────────────
@@ -768,7 +750,8 @@ def test_the_screen_skips_only_infeasible_areas(alpha, offset, area_s, omega,
     cons = DesignConstraints(i0=1.0, i_min=0.0, delta_lambda_res=0.0,
                              omega_target=omega, alpha=alpha, probe=probe)
     beta = -alpha + offset
-    (_, wv), = design._candidates(beta, [area_s], cons)
+    assume(not isinstance(_weak(alpha, beta, 0.0), NearOrthogonalSelection))
+    wv = _weak(alpha, beta, _phase(cons, area_s))
     assume(not isinstance(wv, NearOrthogonalSelection) and abs(wv.a_w.real) <= 30)
     shift = feasible(beta, area_s, cons).shift_nm
     assert not design._ruled_out(replace(cons, delta_lambda_res=shift), wv)

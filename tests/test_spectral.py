@@ -14,12 +14,12 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import wvsagnac.spectral as spectral
-from wvsagnac import (FitFailure, InterferometerConfig, NearOrthogonalSelection,
-                      SampledSpectrum, SelectionConfig, SpectrumModel,
-                      WeakValueResult, analytic_wavelength_shift,
+from wvsagnac import (FitFailure, InterferometerConfig, ModelSpec,
+                      NearOrthogonalSelection, SampledSpectrum, SelectionConfig,
+                      SpectrumModel, WeakValueResult, analytic_wavelength_shift,
                       benchmark_models, default_grid, fit_center,
                       intensity_envelope, modulation_factor, output_spectrum,
-                      sagnac_phase, weak_value)
+                      run_sweep, sagnac_phase, weak_value)
 
 PROBE = SpectrumModel(i0=1.0, lambda0=1550.0, width_dlambda=10.0)
 CFG = InterferometerConfig.from_nm(area_s=16.0, lambda0_nm=1550.0)
@@ -154,6 +154,10 @@ def test_output_validation():
         output_spectrum(PROBE, res, G, default_grid(PROBE), form="bogus")
     with pytest.raises(ValueError, match="at least 2 grid points"):
         default_grid(PROBE, points=1)
+    for span in (0.0, -1.0, math.nan, math.inf):  # 0, -1: a constant, a falling grid
+        with pytest.raises(ValueError, match=f"^grid span must be positive and "
+                           f"finite, got {span:g}$"):
+            default_grid(PROBE, 16, span)
     # a grid and a coupling are refused by name before numpy computes on
     # them, not after a warning: a probe narrower than its grid can resolve
     # collapses the grid to one wavelength, and a 2*pi*g/lambda that
@@ -372,7 +376,7 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     which no scaling brings back: a fit window holding one is refused. A
     peak of 2^-1000 keeps every sample normal and fits bit for bit like the
     unit spectrum; the window's smallest sample decides the boundary. A
-    default-grid row of a probe whose i0 is that small is refused too."""
+    sweep of a probe whose i0 is that small refuses its default-grid rows."""
     wv = _wv(0.1, -0.3, 0.05)
     spec = output_spectrum(PROBE, wv, G, default_grid(PROBE))
     base = fit_center(spec)
@@ -397,9 +401,8 @@ def test_a_fit_window_below_the_smallest_normal_float_is_refused():
     with pytest.raises(ValueError, match=message):
         fit_center(SampledSpectrum(spec.wavelengths, inten, "exact"))
     tiny = dataclasses.replace(PROBE, i0=PROBE.i0 * 2.0 ** subnormal)
-    (_, _, row), = spectral._default_rows(tiny, [(0, wv)], "exact")
     with pytest.raises(ValueError, match=message):
-        fit_center(row)
+        run_sweep(ModelSpec("tiny", 16.0, 0.1, -0.3, tiny, (-0.1, 0.1, 3)))
 
 
 def _stack(probe, form, phis):
@@ -410,7 +413,7 @@ def _stack(probe, form, phis):
 def _start(spec):
     """_fit_start of a spectrum, or the error it raises."""
     try:
-        with np.errstate(**spectral._QUIET):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return spectral._fit_start(spec)
     except ValueError as exc:
         return exc
@@ -457,7 +460,8 @@ def test_stack_rows_fit_like_fresh_spectra(form):
     the same spectrum built alone."""
     probe = SpectrumModel(i0=2.5, lambda0=1310.0, width_dlambda=6.0)
     rows = _stack(probe, form, np.linspace(-0.09, 0.09, 7))
-    grid = spectral._default_basis(probe.lambda0, probe.width_dlambda)[0]
+    grid = _stack(probe, form, [0.0])[0].wavelengths  # another stack's
+    assert not grid.flags.writeable and np.array_equal(grid, default_grid(probe))
     for row in rows:
         assert row.wavelengths is grid
         assert not row.intensities.flags.writeable
@@ -493,7 +497,7 @@ def test_stack_with_a_bad_row_raises_the_spectrum_message(bad):
         return
     planted = _planted(0.0 if math.isnan(bad) else 1.0)
     wv = _wv(0.1, -0.3, 0.05)
-    with np.errstate(**spectral._QUIET):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         inten = modulation_factor(2.0 * math.pi * G / lam, planted)
         assert np.array_equal(inten, np.full(lam.size, bad), equal_nan=True)
         rows = spectral._default_rows(PROBE, [(0, wv), (1, planted), (2, wv)],
@@ -809,7 +813,7 @@ def test_growing_steps_do_not_stop_the_fit():
 _Setup = namedtuple("_Setup", "lo hi scale peak center sigma error")
 
 
-@np.errstate(**spectral._QUIET)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _trapezoid_fit_setups(lam, stack):
     """The fit setup of each row of a stack as it was worked out before its
     moments became weighted sums: three trapezoids with np.trapezoid's
@@ -1222,7 +1226,7 @@ def _fit_forming_everything(spec, point=_moment_point):
     iteration, also after a rejected step or a refused solve: the oracle
     the lean loop must match bit for bit. With `point=_explicit_point` it
     is the explicit-Jacobian fit the moments replaced."""
-    with np.errstate(**spectral._QUIET):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lo, hi, scale, center, sigma = spectral._fit_start(spec)
         lam_w, y = spec.wavelengths[lo:hi], spec.intensities[lo:hi] * scale
         params = (spec._peak * scale, center, math.sqrt(2.0) * sigma)

@@ -47,6 +47,14 @@ def _oracle_fit(probe, alpha, beta, phi, form="exact"):
                                       default_grid(probe), form))
 
 
+def _weak(alpha, beta, phi):
+    """The weak value at phase `phi`, or the NearOrthogonalSelection it raises."""
+    try:
+        return weak_value(SelectionConfig(alpha, beta, phi))
+    except NearOrthogonalSelection as exc:
+        return exc
+
+
 def _synthetic_result(omegas, shifts):
     rows = tuple(SweepRow(omega=float(o), phi=0.0, im_aw=0.0,
                           dlambda_analytic=float(s), dlambda_fitted=float(s),
@@ -260,8 +268,7 @@ def test_default_spectra_are_output_spectrum_on_the_default_grid_bit_for_bit(
     """Every row of the stacks built in place, chunks of 8 split, with
     orthogonal selections among them, is output_spectrum's on the default
     grid byte for byte; |Re A_w| reaches above 1."""
-    rows = [sweep._weak(0.1, 0.0, 0.0) if sel is None else sweep._weak(*sel)
-            for sel in selections]
+    rows = [_weak(*(sel or (0.1, 0.0, 0.0))) for sel in selections]
     grid = default_grid(probe)
     got = list(spectral._default_rows(probe, enumerate(rows), form))
     assert [(key, wv) for key, wv, _ in got] == list(enumerate(rows))
@@ -474,7 +481,7 @@ def test_default_window_is_central_fifth():
         assert got == pytest.approx(window)
 
 
-def test_explicit_window_is_used_and_an_unusable_one_raises():
+def test_explicit_window_is_used_and_an_unusable_one_raises(monkeypatch):
     model = _model(omega_range=(-0.1, 0.1, 5))
     # the default window holds one row: k is NaN and a warning says why
     default = run_sweep(model)
@@ -490,10 +497,15 @@ def test_explicit_window_is_used_and_an_unusable_one_raises():
     assert repr(sensitivity(res, (-0.1, 0.1))) == repr(res)
     with pytest.raises(ValueError, match="at least 3 usable rows"):
         run_sweep(model, window=(0.0, 0.01))
-    with pytest.raises(ValueError, match="lo < hi"):
+    calls = []  # bounds that are not finite or not ordered: no row is built
+    monkeypatch.setattr(sweep, "weak_value", calls.append)
+    monkeypatch.setattr(sweep, "fit_center", calls.append)
+    with pytest.raises(ValueError, match="window must satisfy lo < hi"):
         run_sweep(model, window=(0.05, -0.05))
-    with pytest.raises(ValueError, match="window bounds must be finite"):
-        run_sweep(model, window=(-math.inf, math.inf))
+    for window in [(-math.inf, math.inf), (math.nan, 0.05)]:
+        with pytest.raises(ValueError, match="window bounds must be finite"):
+            run_sweep(model, window=window)
+    assert calls == []
 
 
 def test_windowed_slope_matches_closed_form_chain():
